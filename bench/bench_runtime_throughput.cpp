@@ -43,12 +43,23 @@ ScInferenceConfig serving_sc_config() {
   return cfg;
 }
 
+// `model` served in place as a registry's sole variant, its SC hooks running
+// the per-activation work on a pool of `threads` workers (LUT-cached, or
+// per-activation circuit emulation when `cached` is false).
+std::shared_ptr<runtime::ModelRegistry> in_place_registry(VisionTransformer& model,
+                                                          const ScInferenceConfig& sc_cfg,
+                                                          int threads, bool cached = true) {
+  ScServableOptions sopts;
+  sopts.use_tf_cache = cached;
+  sopts.threads = threads;
+  auto registry = std::make_shared<runtime::ModelRegistry>();
+  registry->publish(make_sc_servable_in_place(model, sc_cfg, sopts));
+  return registry;
+}
+
 double images_per_sec(VisionTransformer& model, const Dataset& data,
                       const ScInferenceConfig& sc_cfg, int threads, bool cached) {
-  runtime::EngineOptions opts;
-  opts.threads = threads;
-  opts.use_tf_cache = cached;
-  runtime::InferenceEngine engine(model, sc_cfg, opts);
+  runtime::InferenceEngine engine(in_place_registry(model, sc_cfg, threads, cached));
   engine.evaluate(data, 32);  // warm-up: builds LUTs / touches every code path
   const auto t0 = std::chrono::steady_clock::now();
   engine.evaluate(data, 32);
@@ -62,11 +73,10 @@ double images_per_sec_submit(VisionTransformer& model, const Dataset& data,
                              const ScInferenceConfig& sc_cfg, int threads,
                              int concurrent_forwards) {
   runtime::EngineOptions opts;
-  opts.threads = threads;
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = concurrent_forwards;
-  runtime::InferenceEngine engine(model, sc_cfg, opts);
+  runtime::InferenceEngine engine(in_place_registry(model, sc_cfg, threads), opts);
   const int pixels = data.images.dim(1);
   auto drain = [&] {
     std::vector<std::future<runtime::Prediction>> futs;
@@ -102,7 +112,6 @@ void mixed_priority_table(VisionTransformer& model, const Dataset& data,
   registry->publish(make_packed_ternary_servable(model, "w2a2-packed"));
 
   runtime::EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 2;
@@ -173,10 +182,10 @@ void mixed_priority_table(VisionTransformer& model, const Dataset& data,
               static_cast<unsigned long long>(st.batches), st.avg_batch(), st.max_in_flight);
 }
 
-// Micro-kernel tier ladder (base / avx2 / avx512 / avx512bf16) on a ViT-ish
-// MLP GEMM, then the row-band GemmOptions scaling curve at the auto tier.
-// The f32 tiers are bit-identical to each other (asserted in test_gemm), so
-// this table is pure throughput; bf16 is the opt-in accuracy trade.
+// Micro-kernel tier ladder (base / avx2 / avx512) on a ViT-ish MLP GEMM,
+// then the row-band GemmOptions scaling curve at the auto tier. The tiers
+// are bit-identical to each other (asserted in test_gemm), so this table is
+// pure throughput.
 void gemm_tier_table(bench::JsonWriter* json) {
   using nn::gemm::Kernel;
   const Kernel saved = nn::gemm::kernel();
@@ -207,8 +216,7 @@ void gemm_tier_table(bench::JsonWriter* json) {
     const char* name;
   };
   for (const TierRow row : {TierRow{Kernel::kBase, "base"}, TierRow{Kernel::kAvx2, "avx2"},
-                            TierRow{Kernel::kAvx512, "avx512"},
-                            TierRow{Kernel::kAvx512Bf16, "avx512bf16"}}) {
+                            TierRow{Kernel::kAvx512, "avx512"}}) {
     if (!nn::gemm::kernel_supported(row.kernel)) {
       std::printf("  %-12s %12s\n", row.name, "n/a (cpu)");
       continue;
@@ -297,11 +305,10 @@ void allocation_audit(VisionTransformer& model, const Dataset& data,
 void ingest_comparison(VisionTransformer& model, const Dataset& data,
                        const ScInferenceConfig& sc_cfg, bench::JsonWriter* json) {
   runtime::EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 2;
-  runtime::InferenceEngine engine(model, sc_cfg, opts);
+  runtime::InferenceEngine engine(in_place_registry(model, sc_cfg, 2), opts);
 
   const int pixels = data.images.dim(1);
   const int batch = 16;

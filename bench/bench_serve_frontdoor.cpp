@@ -178,7 +178,6 @@ int main(int argc, char** argv) {
   sopts.engine.max_batch = 16;
   sopts.engine.max_delay = std::chrono::microseconds{500};
   sopts.engine.concurrent_forwards = 2;
-  sopts.engine.threads = 2;
   sopts.engine.max_pending = 128;
   sopts.engine.default_variant = "fp32";
   serve::ShardSet shards(

@@ -142,7 +142,6 @@ static int run_demo() {
               std::chrono::duration<double, std::milli>(Clock::now() - boot0).count());
 
   runtime::EngineOptions eng_opts;
-  eng_opts.threads = 4;
   eng_opts.max_batch = 16;
   eng_opts.max_delay = std::chrono::microseconds(2000);
   eng_opts.concurrent_forwards = 2;  // re-entrant infer path: batch forwards overlap
@@ -555,7 +554,6 @@ int run_server(int port, const std::string& port_file, int shards) {
   // file — shards share nothing on the request path.
   serve::ShardSetOptions sopts;
   sopts.shards = shards;
-  sopts.engine.threads = 2;
   sopts.engine.max_batch = 16;
   sopts.engine.max_pending = 128;
   sopts.engine.max_delay = std::chrono::microseconds(1000);

@@ -91,12 +91,6 @@ using MicroKernelFn = void (*)(int, const float*, const float*, float*, int, int
 #define ASCEND_GEMM_X86 1
 #endif
 
-// The bf16 kernel needs the AVX512-BF16 intrinsics (GCC 10+ / Clang 9+).
-#if defined(ASCEND_GEMM_X86) && \
-    (defined(__clang__) ? (__clang_major__ >= 9) : (defined(__GNUC__) && __GNUC__ >= 10))
-#define ASCEND_GEMM_BF16 1
-#endif
-
 #ifdef ASCEND_GEMM_X86
 
 // 4 x 8 SSE kernel (eight xmm accumulators; SSE2 is baseline on x86-64).
@@ -228,70 +222,6 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512(int kc, const float*
   }
 }
 
-#ifdef ASCEND_GEMM_BF16
-
-/// Scalar round-to-nearest-even f32 -> bf16, matching VCVTNE2PS2BF16 so the
-/// broadcast A pairs round exactly like the vector-converted B strips.
-inline std::uint16_t f32_to_bf16_rne(float f) {
-  std::uint32_t u = std::bit_cast<std::uint32_t>(f);
-  if ((u & 0x7fffffffu) > 0x7f800000u) return static_cast<std::uint16_t>((u >> 16) | 0x0040u);
-  u += 0x7fffu + ((u >> 16) & 1u);
-  return static_cast<std::uint16_t>(u >> 16);
-}
-
-// 8 x 32 AVX512-BF16 kernel: VDPBF16PS contracts k *pairs* — both operands
-// round to bf16 and the pair partial-sums before folding into the f32
-// accumulator — so this tier is NOT bit-compatible with the f32 tiers and is
-// never auto-selected (opt-in via ASCEND_GEMM_KERNEL=avx512bf16 or
-// set_kernel). B pairs are built in-register: a two-source lane interleave
-// of consecutive k rows feeds VCVTNE2PS2BF16, so the f32 packed panels are
-// shared with every other tier and no bf16 repack pass exists.
-__attribute__((target("avx512f,avx512bw,avx512bf16"))) void micro_kernel_avx512bf16(
-    int kc, const float* ap, const float* bp, float* c, int ldc, int mr, int nr) {
-  constexpr int MRv = 8, NRv = 32;
-  __m512 acc[MRv][2];
-  for (auto& row : acc) row[0] = row[1] = _mm512_setzero_ps();
-  // Interleave maps: lane 2i <- src1 lane i, lane 2i+1 <- src2 lane i, for
-  // the low (lanes 0..7) and high (8..15) halves of a 16-float strip chunk.
-  const __m512i idx_lo =
-      _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
-  const __m512i idx_hi =
-      _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
-  const __m512 zero = _mm512_setzero_ps();
-  for (int p = 0; p < kc; p += 2) {
-    const float* brow = bp + static_cast<std::size_t>(p) * NRv;
-    const float* arow = ap + static_cast<std::size_t>(p) * MRv;
-    const bool pair = p + 1 < kc;  // odd tail: second row of the pair is zero
-    const __m512 b0 = _mm512_loadu_ps(brow);
-    const __m512 b1 = _mm512_loadu_ps(brow + 16);
-    const __m512 b2 = pair ? _mm512_loadu_ps(brow + NRv) : zero;
-    const __m512 b3 = pair ? _mm512_loadu_ps(brow + NRv + 16) : zero;
-    // bf16 pair strips: element 2i/2i+1 of the bh vector are rows p/p+1 of
-    // column (base + i).
-    const __m512bh bp0 = _mm512_cvtne2ps_pbh(_mm512_permutex2var_ps(b0, idx_hi, b2),
-                                             _mm512_permutex2var_ps(b0, idx_lo, b2));
-    const __m512bh bp1 = _mm512_cvtne2ps_pbh(_mm512_permutex2var_ps(b1, idx_hi, b3),
-                                             _mm512_permutex2var_ps(b1, idx_lo, b3));
-    for (int r = 0; r < MRv; ++r) {
-      const std::uint32_t a0 = f32_to_bf16_rne(arow[r]);
-      const std::uint32_t a1 = pair ? f32_to_bf16_rne(arow[MRv + r]) : 0u;
-      const __m512bh apair =
-          std::bit_cast<__m512bh>(_mm512_set1_epi32(static_cast<int>(a0 | (a1 << 16))));
-      acc[r][0] = _mm512_dpbf16_ps(acc[r][0], apair, bp0);
-      acc[r][1] = _mm512_dpbf16_ps(acc[r][1], apair, bp1);
-    }
-  }
-  for (int r = 0; r < mr; ++r) {
-    alignas(64) float tmp[NRv];
-    _mm512_store_ps(tmp, acc[r][0]);
-    _mm512_store_ps(tmp + 16, acc[r][1]);
-    float* crow = c + static_cast<std::size_t>(r) * ldc;
-    for (int j = 0; j < nr; ++j) crow[j] += tmp[j];
-  }
-}
-
-#endif  // ASCEND_GEMM_BF16
-
 #else  // !ASCEND_GEMM_X86
 
 // Portable scalar fallback: a 4 x 8 accumulator tile the compiler
@@ -324,8 +254,7 @@ struct Tile {
   const char* name;  ///< bench/metrics label
 };
 
-/// Widest bit-exact f32 tier the CPU supports (bf16 is never auto-picked;
-/// see the Kernel enum doc).
+/// Widest f32 tier the CPU supports.
 Kernel auto_kernel() {
 #ifdef ASCEND_GEMM_X86
   if (__builtin_cpu_supports("avx512f")) return Kernel::kAvx512;
@@ -338,10 +267,6 @@ Tile make_tile(Kernel k) {
   if (k == Kernel::kAuto) k = auto_kernel();
 #ifdef ASCEND_GEMM_X86
   switch (k) {
-#ifdef ASCEND_GEMM_BF16
-    case Kernel::kAvx512Bf16:
-      return Tile{8, 32, &micro_kernel_avx512bf16, Kernel::kAvx512Bf16, "avx512bf16"};
-#endif
     case Kernel::kAvx512:
       return Tile{8, 32, &micro_kernel_avx512, Kernel::kAvx512, "avx512"};
     case Kernel::kAvx2:
@@ -364,8 +289,6 @@ Kernel init_kernel() {
     want = Kernel::kAvx2;
   else if (s == "avx512")
     want = Kernel::kAvx512;
-  else if (s == "avx512bf16")
-    want = Kernel::kAvx512Bf16;
   // Unknown or unsupported pins fall back to auto so a config written on a
   // newer host stays runnable here.
   return kernel_supported(want) ? want : Kernel::kAuto;
@@ -517,12 +440,6 @@ bool kernel_supported(Kernel k) {
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     case Kernel::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0;
-    case Kernel::kAvx512Bf16:
-#ifdef ASCEND_GEMM_BF16
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bf16");
-#else
-      return false;
-#endif
 #endif
     default:
       return false;
@@ -674,57 +591,24 @@ void ternary_matmul(const float* x, int m, int ldx, const PackedTernary& w, floa
   for (int r = 0; r < m; ++r) {
     const float* xr = x + static_cast<std::size_t>(r) * ldx;
     float* yr = y + static_cast<std::size_t>(r) * ldy;
-    // Ternary-activation detection: if every nonzero shares one magnitude the
-    // whole row contribution is step * mag * (integer count), computable with
-    // word-parallel AND/popcount over the sign planes — exact, no rounding.
+    // Every nonzero shares one magnitude, so the whole row contribution is
+    // step * mag * (integer count), computable with word-parallel
+    // AND/popcount over the sign planes — exact, no rounding.
     float mag = 0.0f;
-    bool uniform = true;
+    std::fill(xp, xp + nwords, 0u);
+    std::fill(xn, xn + nwords, 0u);
     for (int i = 0; i < k; ++i) {
       const float v = xr[i];
       if (v == 0.0f) continue;
-      const float av = std::fabs(v);
       if (mag == 0.0f)
-        mag = av;
-      else if (av != mag) {
-        uniform = false;
-        break;
-      }
+        mag = std::fabs(v);
+      else if (std::fabs(v) != mag)
+        throw std::invalid_argument("ternary_matmul: activation row is not ternary");
+      std::uint64_t* plane = v > 0.0f ? xp : xn;
+      plane[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
     }
-    if (uniform && mag == 0.0f) continue;  // all-zero row contributes nothing
-    if (uniform) {
-      std::fill(xp, xp + nwords, 0u);
-      std::fill(xn, xn + nwords, 0u);
-      for (int i = 0; i < k; ++i) {
-        const float v = xr[i];
-        if (v > 0.0f)
-          xp[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
-        else if (v < 0.0f)
-          xn[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
-      }
-      const float scale = w.step * mag;
-      ternary_cols()(xp, xn, w.col_words.data(), n, nwords, scale, yr);
-    } else {
-      // General activations: walk each sign plane's set bits in ascending i
-      // order (fixed deterministic accumulation), adds/subtracts only.
-      const std::uint64_t* col = w.col_words.data();
-      for (int j = 0; j < n; ++j, col += 2 * nwords) {
-        float sp = 0.0f, sn = 0.0f;
-        for (int t = 0; t < nwords; ++t) {
-          const int base = t << 6;
-          std::uint64_t wv = col[t];
-          while (wv != 0) {
-            sp += xr[base + std::countr_zero(wv)];
-            wv &= wv - 1;
-          }
-          wv = col[nwords + t];
-          while (wv != 0) {
-            sn += xr[base + std::countr_zero(wv)];
-            wv &= wv - 1;
-          }
-        }
-        yr[j] += w.step * (sp - sn);
-      }
-    }
+    if (mag == 0.0f) continue;  // all-zero row contributes nothing
+    ternary_cols()(xp, xn, w.col_words.data(), n, nwords, w.step * mag, yr);
   }
 }
 

@@ -40,27 +40,24 @@ Backend backend();
 void set_backend(Backend b);
 
 /// Micro-kernel tier of the blocked backend. kAuto resolves at startup to
-/// the widest *bit-exact* tier the CPU supports: base (SSE 4x8) -> avx2
-/// (6x16 FMA) -> avx512 (8x32 FMA). The f32 FMA tiers chain every output
-/// element through one accumulator in k-ascending order, so avx2 and avx512
-/// produce bit-identical results (vector width only changes how many
-/// *independent* chains run side by side). kAvx512Bf16 is opt-in only and
-/// never auto-selected: VDPBF16PS rounds both operands to bf16 and sums
-/// k-pairs before folding, so its results differ from the f32 tiers — use it
-/// for throughput experiments, not for accuracy-sensitive serving.
-enum class Kernel { kAuto, kBase, kAvx2, kAvx512, kAvx512Bf16 };
+/// the widest tier the CPU supports: base (SSE 4x8) -> avx2 (6x16 FMA) ->
+/// avx512 (8x32 FMA). The f32 FMA tiers chain every output element through
+/// one accumulator in k-ascending order, so avx2 and avx512 produce
+/// bit-identical results (vector width only changes how many *independent*
+/// chains run side by side).
+enum class Kernel { kAuto, kBase, kAvx2, kAvx512 };
 
 /// True when the host CPU can execute tier `k` (kAuto and kBase: always).
 bool kernel_supported(Kernel k);
 /// Active micro-kernel tier (env-initialised from ASCEND_GEMM_KERNEL =
-/// auto|base|avx2|avx512|avx512bf16; unsupported or unknown values fall back
-/// to auto so a pinned config stays runnable on older hosts).
+/// auto|base|avx2|avx512; unsupported or unknown values fall back to auto
+/// so a pinned config stays runnable on older hosts).
 Kernel kernel();
 /// Override the tier for this process. Throws std::invalid_argument when the
 /// CPU lacks it (tests/benches only; not thread-safe against in-flight GEMMs).
 void set_kernel(Kernel k);
-/// Resolved tier name ("base", "avx2", "avx512", "avx512bf16") for bench
-/// metadata — kAuto reports the tier it resolved to.
+/// Resolved tier name ("base", "avx2", "avx512") for bench metadata — kAuto
+/// reports the tier it resolved to.
 const char* kernel_name();
 
 /// Row-band parallelism knobs for one GEMM call. Default is serial. When
@@ -98,11 +95,12 @@ int recommended_threads(long long m, long long n, long long k);
 ///   y[r, j] += step * (sum_{i in P_j} x[r, i] - sum_{i in N_j} x[r, i])
 /// with P_j/N_j the word-packed sign planes of `w` (see PackedTernary).
 /// x is row-major [m, w.rows] with row stride ldx; y is [m, w.cols] with row
-/// stride ldy and is accumulated into. Rows whose nonzeros share one
-/// magnitude (ternary-quantized activations — the W2A2 serving case) take a
-/// word-parallel AND/popcount path; other rows fall back to sign-plane bit
-/// iteration. Both paths accumulate in a fixed i-ascending order per output
-/// and are deterministic; neither multiplies inside the contraction.
+/// stride ldy and is accumulated into. Every row of x must be ternary: its
+/// nonzeros share one magnitude (ternary-quantized activations — the W2A2
+/// serving case), so each output is a word-parallel AND/popcount count times
+/// step * magnitude, exact and multiply-free. Throws std::invalid_argument on
+/// a row whose nonzeros differ in magnitude (rows before it are already
+/// accumulated into y).
 void ternary_matmul(const float* x, int m, int ldx, const PackedTernary& w, float* y, int ldy);
 
 /// Fused W2A2 serving kernel: quantizes the *raw* activations ternary with

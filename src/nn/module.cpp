@@ -39,11 +39,9 @@ Tensor Linear::infer(const Tensor& x) const {
   if (x.rank() != 2 || x.dim(1) != in_) throw std::invalid_argument("Linear::infer: bad input");
   const bool ternary_w =
       weight_quant_.enabled() && weight_quant_.spec().qn == -1 && weight_quant_.spec().qp == 1;
-  // The multiply-free kernel only beats dense GEMM when the activations are
-  // ternary too (the W2A2 serving regime): quantized rows then hit its
-  // word-parallel popcount path. Ternary weights against full-precision or
-  // multi-bit activations serve dense — the sign-plane bit-iteration
-  // fallback would be slower than the blocked kernels.
+  // The multiply-free kernel needs ternary activations too (the W2A2
+  // serving regime): it popcount-correlates one-magnitude rows. Ternary
+  // weights against full-precision or multi-bit activations serve dense.
   const bool ternary_a =
       input_quant_.enabled() && input_quant_.spec().qn == -1 && input_quant_.spec().qp == 1;
   Tensor y;

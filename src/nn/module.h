@@ -34,9 +34,9 @@ namespace ascend::nn {
 /// packed-ternary snapshot (LsqQuantizer::frozen_packed_ternary) through the
 /// multiply-free gemm::ternary_matmul kernel — adds/subtracts over
 /// word-packed sign bit-planes; dense blocked GEMM otherwise (including
-/// ternary weights against non-ternary activations, where the sign-plane
-/// fallback would lose to the blocked kernels). ASCEND_GEMM=reference disables
-/// the packed path too, reproducing the seed's dense behaviour bit-exactly.
+/// ternary weights against non-ternary activations, which that kernel
+/// rejects). ASCEND_GEMM=reference disables the packed path too, reproducing
+/// the seed's dense behaviour bit-exactly.
 /// Every snapshot is invalidated ("thawed") by any training-path
 /// forward()/backward(), by set_weight_quant()/set_input_quant() (the
 /// apply_precision path), and by thaw(). Mutating weight() directly outside

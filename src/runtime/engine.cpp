@@ -9,9 +9,6 @@
 #include "runtime/alloc_count.h"
 #include "runtime/failpoint.h"
 
-#include "vit/model.h"
-#include "vit/servable.h"
-
 namespace ascend::runtime {
 
 using nn::Tensor;
@@ -19,12 +16,6 @@ using nn::Tensor;
 namespace {
 
 failpoint::Site fp_infer{"engine.infer"};
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<int>(hc) : 1;
-}
 
 int argmax_row(const Tensor& logits, int r) {
   int best = 0;
@@ -70,30 +61,12 @@ InferenceEngine::InferenceEngine(std::shared_ptr<ModelRegistry> registry, Engine
   start();
 }
 
-InferenceEngine::InferenceEngine(vit::VisionTransformer& model, const vit::ScInferenceConfig& cfg,
-                                 EngineOptions opts)
-    : opts_(opts),
-      batcher_(opts.max_batch, opts.max_delay, opts.max_pending, opts.overflow),
-      tracer_(opts.trace) {
-  // The pre-registry engine, reproduced: one SC servable driving the
-  // caller's model in place (hooks installed here, restored on destruction),
-  // the engine's worker pool running the per-activation SC work.
-  pool_ = std::make_unique<ThreadPool>(resolve_threads(opts_.threads));
-  vit::ScServableOptions sopts;
-  sopts.use_tf_cache = opts_.use_tf_cache;
-  sopts.pool = pool_.get();
-  registry_ = std::make_shared<ModelRegistry>();
-  registry_->publish(vit::make_sc_servable_in_place(model, cfg, sopts, "sc"));
-  default_variant_ = "sc";
-  start();
-}
-
 void InferenceEngine::start() {
   if (opts_.concurrent_forwards < 1) opts_.concurrent_forwards = 1;
   metrics_ = opts_.metrics ? opts_.metrics : std::make_shared<metrics::MetricsRegistry>();
   register_metric_series();
   batcher_.set_drop_observer([this](Priority p) { count_drop(p); });
-  forward_pool_ = std::make_unique<ThreadPool>(opts_.concurrent_forwards);
+  forward_workers_ = std::make_unique<ThreadPool>(opts_.concurrent_forwards);
   if (opts_.forward_timeout.count() > 0) watchdog_ = std::thread([this] { watchdog_loop(); });
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -176,7 +149,7 @@ void InferenceEngine::register_metric_series() {
       "the alloc_interpose library is linked into this binary)"));
   metric_callbacks_.push_back(metrics_->register_callback(
       "ascend_arena_pool_created", {}, SeriesKind::kGauge,
-      [this] { return static_cast<double>(arena_pool_.created()); },
+      [this] { return static_cast<double>(arenas_.created()); },
       "Activation arenas created by this engine's pool (bounded by peak "
       "concurrent forwards)"));
   metric_callbacks_.push_back(metrics_->register_callback(
@@ -208,7 +181,7 @@ InferenceEngine::~InferenceEngine() {
   // EngineShutdownError; only in-flight forwards are allowed to drain.
   batcher_.close_now();
   dispatcher_.join();
-  forward_pool_.reset();  // drains the in-flight batch forwards
+  forward_workers_.reset();  // drains the in-flight batch forwards
   // Stop the watchdog after the pool drain: it stays armed while the last
   // forwards run, so clients blocked on in-flight futures are failed at the
   // deadline even during shutdown (the dtor itself still waits out the
@@ -222,8 +195,6 @@ InferenceEngine::~InferenceEngine() {
   // A shared metrics registry outlives the engine: drop the callback series
   // that capture `this` before the members they read are destroyed.
   for (const metrics::CallbackId id : metric_callbacks_) metrics_->remove_callback(id);
-  // registry_ (and with it any in-place SC servable, which restores the
-  // model's hooks) is released by member destruction, before pool_.
 }
 
 void InferenceEngine::count_drop(Priority p) {
@@ -355,7 +326,7 @@ void InferenceEngine::watchdog_loop() {
         job->fail_unresolved(err);
         job->release_slot();
         watchdog_trips_.fetch_add(1);
-        forward_pool_->grow(1);
+        forward_workers_->grow(1);
       }
       lock.lock();
       continue;
@@ -386,7 +357,7 @@ void InferenceEngine::dispatch_loop() {
     atomic_max(max_in_flight_, cur);
     auto job = std::make_shared<BatchJob>(this, std::move(batch));
     try {
-      forward_pool_->submit([job] { job->run(job); });
+      forward_workers_->submit([job] { job->run(job); });
     } catch (...) {
       // submit itself failed (pool shutting down): the job's destructor
       // fails the rows and releases the slot on scope exit below.
@@ -413,7 +384,7 @@ void InferenceEngine::process_batch(BatchJob& job) {
   // one slab (retry/fallback rebuilds bump further into the same slab). The
   // lease outlives the last logits read — its destructor resets the arena.
   std::optional<ArenaLease> lease;
-  if (opts_.use_arena) lease.emplace(arena_pool_);
+  if (opts_.use_arena) lease.emplace(arenas_);
 
   const int pixels = servable->input_dim();
   std::vector<int> rows;  // rows admitted to the forward phase
@@ -681,7 +652,7 @@ std::vector<int> InferenceEngine::predict_batch(const Tensor& images, const std:
   std::vector<int> labels;
   {
     std::optional<ArenaLease> lease;
-    if (opts_.use_arena) lease.emplace(arena_pool_);
+    if (opts_.use_arena) lease.emplace(arenas_);
     ASCEND_FAILPOINT(fp_infer);
     const Tensor logits = servable->infer(images);
     labels.resize(static_cast<std::size_t>(logits.dim(0)));

@@ -12,13 +12,6 @@
 // DeadlineExceededError and never reach a forward. Variants hot-swap through
 // ModelRegistry::publish without pausing the engine: each batch forward runs
 // on the shared_ptr snapshot it grabbed.
-//
-// Back-compat: the (model, ScInferenceConfig) constructor wraps the model in
-// a single SC servable exactly like the pre-registry engine — hooks are
-// installed on the caller's model at construction and restored on
-// destruction, and submit/predict_batch/evaluate without request options are
-// bit-identical to the old single-model engine. vit::evaluate_sc still
-// delegates here.
 
 #include <array>
 #include <atomic>
@@ -34,11 +27,6 @@
 #include "runtime/registry.h"
 #include "runtime/thread_pool.h"
 #include "vit/dataset.h"
-#include "vit/sc_inference.h"
-
-namespace ascend::vit {
-class VisionTransformer;
-}
 
 namespace ascend::runtime {
 
@@ -52,10 +40,8 @@ struct WatchdogTimeoutError : std::runtime_error {
 };
 
 struct EngineOptions {
-  int threads = 0;    ///< worker pool size; 0 -> hardware_concurrency
   int max_batch = 32; ///< dynamic-batching size cutoff
   std::chrono::microseconds max_delay{2000};  ///< dynamic-batching latency cutoff
-  bool use_tf_cache = true;  ///< SC shim ctor only: false = per-activation circuit emulation
   int concurrent_forwards = 2;  ///< batch forwards in flight (>= 1); see engine doc
   int max_pending = 0;          ///< bounded batcher queue; 0 = unbounded
   OverflowPolicy overflow = OverflowPolicy::kBlock;  ///< full-queue behaviour
@@ -118,12 +104,6 @@ class InferenceEngine {
   /// Model-agnostic engine over a registry of servable variants. The
   /// registry stays caller-owned and live for hot-swaps while serving.
   explicit InferenceEngine(std::shared_ptr<ModelRegistry> registry, EngineOptions opts = {});
-
-  /// Back-compat SC shim: serves `model` in place as the sole variant
-  /// ("sc"), with the SC nonlinear-block hooks installed on it for the
-  /// engine's lifetime — the pre-registry behaviour, bit-exact.
-  InferenceEngine(vit::VisionTransformer& model, const vit::ScInferenceConfig& cfg,
-                  EngineOptions opts = {});
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
@@ -164,11 +144,7 @@ class InferenceEngine {
   PendingCounts pending() const { return batcher_.pending_counts(); }
   const std::shared_ptr<ModelRegistry>& registry() const { return registry_; }
   const std::string& default_variant() const { return default_variant_; }
-  /// Size of the SC shim's per-activation worker pool; 0 for a registry
-  /// engine (variants bring their own pools, see vit::ScServableOptions).
-  int threads() const { return pool_ ? pool_->size() : 0; }
   int concurrent_forwards() const { return opts_.concurrent_forwards; }
-  bool cached() const { return opts_.use_tf_cache; }
 
  private:
   /// One in-flight batch forward. Owns the requests' promises through a
@@ -213,9 +189,6 @@ class InferenceEngine {
   void register_metric_series();
 
   EngineOptions opts_;
-  /// Per-activation worker pool handed to the SC shim servable; null on the
-  /// registry path, where each servable carries its own parallelism.
-  std::unique_ptr<ThreadPool> pool_;
   Batcher batcher_;
 
   // Serving counters. Plain seq_cst atomics, updated in program order per
@@ -269,16 +242,14 @@ class InferenceEngine {
   bool watch_stop_ = false;                         ///< under watch_mu_
   std::thread watchdog_;
 
-  // Declared after pool_ so servables (which may parallelise over pool_) are
-  // destroyed before it.
   std::shared_ptr<ModelRegistry> registry_;
   std::string default_variant_;
 
   /// Warm per-forward activation arenas (EngineOptions::use_arena); leased
   /// around each Servable::infer by process_batch / predict_batch.
-  ArenaPool arena_pool_;
+  ArenaPool arenas_;
 
-  std::unique_ptr<ThreadPool> forward_pool_;  ///< runs the in-flight batch forwards
+  std::unique_ptr<ThreadPool> forward_workers_;  ///< runs the in-flight batch forwards
   std::thread dispatcher_;
 };
 

@@ -260,41 +260,64 @@ std::string series_key(const std::string& name, const Labels& labels) {
   return out;
 }
 
+// A scrape holds mu_ only to read the scalar series and copy the histogram
+// handles: merging and formatting the histograms — the bulk of a scrape —
+// runs unlocked, so it never holds off the serving path's histogram lookups.
+// Histograms live as long as the registry. Callback series stay under the
+// lock: their owners remove them under it before dying.
+
 std::string MetricsRegistry::render_prometheus() const {
-  std::lock_guard<std::mutex> lock(mu_);
   static constexpr std::pair<double, const char*> kQuantiles[] = {
       {0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}, {0.999, "0.999"}};
-  std::string out;
-  for (const auto& f : families_) {
-    if (!f->help.empty()) out += "# HELP " + f->name + " " + f->help + "\n";
-    out += "# TYPE " + f->name + " " + f->type + "\n";
-    for (const auto& s : f->counters) {
-      out += f->name;
-      append_labels(out, s.labels);
-      out += ' ' + std::to_string(s.metric->value()) + '\n';
-    }
-    for (const auto& s : f->gauges) {
-      out += f->name;
-      append_labels(out, s.labels);
-      out += ' ' + std::to_string(s.metric->value()) + '\n';
-    }
-    for (const auto& s : f->callbacks) {
-      out += f->name;
-      append_labels(out, s.labels);
-      out += ' ' + format_double(s.fn()) + '\n';
-    }
-    for (const auto& s : f->hists) {
-      const HistogramSnapshot snap = s.metric->snapshot();
-      for (const auto& [q, qname] : kQuantiles) {
+  struct FamilyText {
+    std::string name;
+    std::string head;  ///< HELP/TYPE lines plus the counter, gauge and callback series
+    std::vector<std::pair<Labels, const Histogram*>> hists;
+  };
+  std::vector<FamilyText> families;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    families.reserve(families_.size());
+    for (const auto& f : families_) {
+      FamilyText& ft = families.emplace_back();
+      ft.name = f->name;
+      std::string& out = ft.head;
+      if (!f->help.empty()) out += "# HELP " + f->name + " " + f->help + "\n";
+      out += "# TYPE " + f->name + " " + f->type + "\n";
+      for (const auto& s : f->counters) {
         out += f->name;
-        append_labels_extra(out, s.labels, "quantile", qname);
+        append_labels(out, s.labels);
+        out += ' ' + std::to_string(s.metric->value()) + '\n';
+      }
+      for (const auto& s : f->gauges) {
+        out += f->name;
+        append_labels(out, s.labels);
+        out += ' ' + std::to_string(s.metric->value()) + '\n';
+      }
+      for (const auto& s : f->callbacks) {
+        out += f->name;
+        append_labels(out, s.labels);
+        out += ' ' + format_double(s.fn()) + '\n';
+      }
+      for (const auto& s : f->hists) ft.hists.emplace_back(s.labels, s.metric.get());
+    }
+  }
+  std::string out;
+  for (const FamilyText& ft : families) {
+    out += ft.head;
+    const std::string& name = ft.name;
+    for (const auto& [labels, hist] : ft.hists) {
+      const HistogramSnapshot snap = hist->snapshot();
+      for (const auto& [q, qname] : kQuantiles) {
+        out += name;
+        append_labels_extra(out, labels, "quantile", qname);
         out += ' ' + format_double(snap.quantile(q)) + '\n';
       }
-      out += f->name + "_sum";
-      append_labels(out, s.labels);
+      out += name + "_sum";
+      append_labels(out, labels);
       out += ' ' + std::to_string(snap.sum) + '\n';
-      out += f->name + "_count";
-      append_labels(out, s.labels);
+      out += name + "_count";
+      append_labels(out, labels);
       out += ' ' + std::to_string(snap.count) + '\n';
     }
   }
@@ -302,20 +325,26 @@ std::string MetricsRegistry::render_prometheus() const {
 }
 
 RegistrySnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   RegistrySnapshot snap;
-  for (const auto& f : families_) {
-    for (const auto& s : f->counters)
-      snap.series.push_back(
-          {f->name, s.labels, SeriesKind::kCounter, static_cast<double>(s.metric->value())});
-    for (const auto& s : f->gauges)
-      snap.series.push_back(
-          {f->name, s.labels, SeriesKind::kGauge, static_cast<double>(s.metric->value())});
-    for (const auto& s : f->callbacks)
-      snap.series.push_back({f->name, s.labels, s.kind, s.fn()});
-    for (const auto& s : f->hists)
-      snap.histograms.emplace_back(series_key(f->name, s.labels), s.metric->snapshot());
+  std::vector<const Histogram*> hists;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& f : families_) {
+      for (const auto& s : f->counters)
+        snap.series.push_back(
+            {f->name, s.labels, SeriesKind::kCounter, static_cast<double>(s.metric->value())});
+      for (const auto& s : f->gauges)
+        snap.series.push_back(
+            {f->name, s.labels, SeriesKind::kGauge, static_cast<double>(s.metric->value())});
+      for (const auto& s : f->callbacks)
+        snap.series.push_back({f->name, s.labels, s.kind, s.fn()});
+      for (const auto& s : f->hists) {
+        snap.histograms.emplace_back(series_key(f->name, s.labels), HistogramSnapshot{});
+        hists.push_back(s.metric.get());
+      }
+    }
   }
+  for (std::size_t i = 0; i < hists.size(); ++i) snap.histograms[i].second = hists[i]->snapshot();
   return snap;
 }
 

@@ -17,9 +17,8 @@
 // precision tiers) and variants hot-swap via ModelRegistry::publish.
 //
 // make_sc_servable_in_place drives the *caller's* model instead of a clone
-// (hooks installed at construction, restored on destruction) — the engine's
-// back-compat (model, ScInferenceConfig) constructor uses it to reproduce
-// the pre-registry behaviour bit-exactly.
+// (hooks installed at construction, restored on destruction) —
+// vit::evaluate_sc serves through it.
 
 #include <memory>
 #include <string>

@@ -675,7 +675,6 @@ serve::ShardSetOptions serve_chaos_opts(int shards = 2) {
   o.engine.max_batch = 4;
   o.engine.max_delay = std::chrono::microseconds{300};
   o.engine.concurrent_forwards = 1;
-  o.engine.threads = 2;
   o.engine.max_pending = 32;
   o.engine.default_variant = "mock";
   return o;

@@ -19,11 +19,13 @@
 #include "runtime/registry.h"
 #include "runtime/thread_pool.h"
 #include "serialize/model_io.h"
+#include "test_util.h"
 #include "vit/dataset.h"
 #include "vit/model.h"
 #include "vit/servable.h"
 
 using namespace ascend;
+using ascend::testing::in_place_sc_registry;
 using namespace ascend::runtime;
 
 namespace {
@@ -149,11 +151,10 @@ TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchPredictBatch) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(2000);
   opts.concurrent_forwards = 3;
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, 2), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -196,9 +197,7 @@ TEST(EngineConcurrency, ConcurrentPredictBatchCallersAgree) {
   const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 55, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  EngineOptions opts;
-  opts.threads = 2;
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, 2));
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -235,7 +234,6 @@ TEST(RegistryConcurrency, HotSwapMidTrafficIsBitExactWithQuiescedServing) {
   auto reg = std::make_shared<ModelRegistry>();
   reg->publish(vit::make_packed_ternary_servable(model, "m"));
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
   opts.concurrent_forwards = 2;
@@ -289,13 +287,12 @@ TEST(RegistryConcurrency, HotSwapToFreshMmapCheckpointMidTrafficIsBitExact) {
   const vit::Batch all = vit::take_batch(data, idx);
   (void)model.forward(all.images, /*training=*/false);  // latch the LSQ steps
 
-  const std::string path = testing::TempDir() + "hotswap.ckpt";
+  const std::string path = ::testing::TempDir() + "hotswap.ckpt";
   model.save(path);
 
   auto reg = std::make_shared<ModelRegistry>();
   reg->register_from_file("m", path, VariantKind::kPackedTernary);
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
   opts.concurrent_forwards = 2;
@@ -346,7 +343,6 @@ TEST(RegistryConcurrency, ConcurrentMultiVariantSubmitsMatchPerVariantReferences
   sopts.threads = 2;
   reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
   opts.concurrent_forwards = 2;
@@ -521,13 +517,12 @@ TEST(EngineBackpressure, RejectPolicySurfacesThroughSubmit) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 2;
   opts.max_delay = std::chrono::microseconds(50'000);
   opts.concurrent_forwards = 1;
   opts.max_pending = 1;
   opts.overflow = OverflowPolicy::kReject;
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, 1), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   // Flood faster than one forward can drain; at least one submit must be

@@ -86,7 +86,6 @@ ShardSetOptions quick_shard_opts(int shards = 2, int max_pending = 64) {
   o.engine.max_batch = 4;
   o.engine.max_delay = std::chrono::microseconds{300};
   o.engine.concurrent_forwards = 1;
-  o.engine.threads = 2;
   o.engine.max_pending = max_pending;
   o.engine.default_variant = "a";
   return o;

@@ -15,9 +15,11 @@
 #include "runtime/engine.h"
 #include "runtime/tf_cache.h"
 #include "runtime/thread_pool.h"
+#include "test_util.h"
 #include "vit/train.h"
 
 using namespace ascend;
+using ascend::testing::in_place_sc_registry;
 using namespace ascend::runtime;
 
 // ---------------------------------------------------------------------------
@@ -467,25 +469,6 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
   EXPECT_EQ(float_acc, float_acc2);
 }
 
-TEST(InferenceEngine, CachedAndUncachedPathsAgree) {
-  const vit::VitConfig top = tiny_topology();
-  vit::VisionTransformer model(top, /*seed=*/22);
-  const vit::Dataset data = vit::make_synthetic_vision(32, top.classes, 32, top.image_size);
-  const vit::ScInferenceConfig cfg = tiny_sc_config();
-
-  EngineOptions cached;
-  cached.threads = 2;
-  double acc_cached;
-  {
-    InferenceEngine engine(model, cfg, cached);
-    acc_cached = engine.evaluate(data);
-  }
-  EngineOptions uncached = cached;
-  uncached.use_tf_cache = false;
-  InferenceEngine engine(model, cfg, uncached);
-  EXPECT_EQ(engine.evaluate(data), acc_cached);
-}
-
 TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   const vit::VitConfig top = tiny_topology();
   vit::VisionTransformer model(top, /*seed=*/23);
@@ -493,10 +476,9 @@ TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds(5000);
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, 2), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -530,10 +512,9 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 2;  // force the good and the bad request into one batch
   opts.max_delay = std::chrono::microseconds(500'000);
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, 1), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   auto good = engine.submit(std::vector<float>(static_cast<std::size_t>(pixels), 0.1f));

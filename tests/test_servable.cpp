@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,12 +19,14 @@
 #include "runtime/engine.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
+#include "test_util.h"
 #include "vit/model.h"
 #include "vit/servable.h"
 #include "vit/train.h"
 
 using namespace ascend;
 using namespace ascend::runtime;
+using ascend::testing::in_place_sc_registry;
 
 namespace {
 
@@ -278,7 +281,6 @@ namespace {
 
 EngineOptions quick_engine_opts() {
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 1;
@@ -494,35 +496,50 @@ TEST(VitServables, PackedTernaryAdapterMatchesSourceAndFp32Differs) {
 
 TEST(VitServables, ScAdapterMatchesInPlaceEngineAndLeavesSourceHookFree) {
   const vit::VitConfig top = tiny_topology();
-  const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 73, top.image_size);
-  vit::VisionTransformer model(top, /*seed=*/64);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
+  struct Input {
+    std::uint64_t model_seed;
+    int images;
+    std::uint64_t data_seed;
+    int threads;  // workers for the hooks' per-activation work
+  };
+  for (const Input in : {Input{64, 16, 73, 1}, Input{22, 32, 32, 2}}) {
+    SCOPED_TRACE("model seed " + std::to_string(in.model_seed));
+    const vit::Dataset data =
+        vit::make_synthetic_vision(in.images, top.classes, in.data_seed, top.image_size);
+    vit::VisionTransformer model(top, in.model_seed);
 
-  // Reference: the back-compat single-model engine (hooks on `model`).
-  EngineOptions opts = quick_engine_opts();
-  double ref_acc;
-  {
-    InferenceEngine ref_engine(model, cfg, opts);
-    ref_acc = ref_engine.evaluate(data);
+    // Reference: the model served in place (hooks on `model`), LUT-cached;
+    // the in-place circuit emulation must agree with it.
+    double ref_acc;
+    {
+      InferenceEngine engine(in_place_sc_registry(model, cfg, in.threads), quick_engine_opts());
+      ref_acc = engine.evaluate(data);
+    }
+    {
+      InferenceEngine engine(in_place_sc_registry(model, cfg, in.threads, /*use_tf_cache=*/false),
+                             quick_engine_opts());
+      EXPECT_EQ(engine.evaluate(data), ref_acc);
+    }
+
+    // Cloned SC adapters (cached and emulated) under the registry engine.
+    vit::ScServableOptions sopts;
+    sopts.threads = in.threads;
+    auto reg = std::make_shared<ModelRegistry>();
+    reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-lut"));
+    sopts.use_tf_cache = false;
+    reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-emu"));
+    reg->publish(vit::make_fp32_servable(model, "fp32"));
+    EngineOptions ropts = quick_engine_opts();
+    ropts.default_variant = "sc-lut";
+    InferenceEngine engine(reg, ropts);
+    EXPECT_EQ(engine.evaluate(data, 128, "sc-lut"), ref_acc);
+    EXPECT_EQ(engine.evaluate(data, 128, "sc-emu"), ref_acc);
+
+    // The clones never touched the source model's hooks: a plain evaluate is
+    // repeatable and hook-free.
+    EXPECT_EQ(vit::evaluate(model, data), vit::evaluate(model, data));
   }
-
-  // Cloned SC adapters (cached and emulated) under the registry engine.
-  auto reg = std::make_shared<ModelRegistry>();
-  vit::ScServableOptions sopts;
-  sopts.threads = 1;
-  reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-lut"));
-  sopts.use_tf_cache = false;
-  reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-emu"));
-  reg->publish(vit::make_fp32_servable(model, "fp32"));
-  EngineOptions ropts = quick_engine_opts();
-  ropts.default_variant = "sc-lut";
-  InferenceEngine engine(reg, ropts);
-  EXPECT_EQ(engine.evaluate(data, 128, "sc-lut"), ref_acc);
-  EXPECT_EQ(engine.evaluate(data, 128, "sc-emu"), ref_acc);
-
-  // The clones never touched the source model's hooks: a plain evaluate is
-  // repeatable and hook-free.
-  EXPECT_EQ(vit::evaluate(model, data), vit::evaluate(model, data));
 }
 
 TEST(VitServables, HotSwapRefreezesWithoutChangingResults) {

@@ -3,8 +3,11 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 
 #include "nn/tensor.h"
+#include "runtime/registry.h"
+#include "vit/servable.h"
 
 namespace ascend::testing {
 
@@ -24,6 +27,20 @@ inline double max_grad_error(nn::Tensor& x, const std::function<double()>& loss_
     worst = std::max(worst, std::fabs(num - static_cast<double>(analytic[i])));
   }
   return worst;
+}
+
+/// `model` served in place as a registry's sole SC variant, the hooks'
+/// per-activation work on a pool of `threads` workers; `use_tf_cache = false`
+/// serves the circuit emulators instead of the LUTs.
+inline std::shared_ptr<runtime::ModelRegistry> in_place_sc_registry(
+    vit::VisionTransformer& model, const vit::ScInferenceConfig& cfg, int threads,
+    bool use_tf_cache = true) {
+  vit::ScServableOptions sopts;
+  sopts.threads = threads;
+  sopts.use_tf_cache = use_tf_cache;
+  auto registry = std::make_shared<runtime::ModelRegistry>();
+  registry->publish(vit::make_sc_servable_in_place(model, cfg, sopts));
+  return registry;
 }
 
 }  // namespace ascend::testing
