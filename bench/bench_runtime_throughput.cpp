@@ -21,7 +21,6 @@
 #include "nn/gemm.h"
 #include "runtime/alloc_count.h"
 #include "runtime/arena.h"
-#include "runtime/loader.h"
 
 using namespace ascend;
 using namespace ascend::vit;
@@ -43,26 +42,24 @@ ScInferenceConfig serving_sc_config() {
   return cfg;
 }
 
-// `model` served in place as a registry's sole variant, its SC hooks running
-// the per-activation work on a pool of `threads` workers (LUT-cached, or
-// per-activation circuit emulation when `cached` is false).
-std::shared_ptr<runtime::ModelRegistry> in_place_registry(VisionTransformer& model,
-                                                          const ScInferenceConfig& sc_cfg,
-                                                          int threads, bool cached = true) {
+// `model` served in place, its SC hooks running the per-activation work on a
+// pool of `threads` workers (LUT-cached, or per-activation circuit emulation
+// when `cached` is false).
+std::shared_ptr<runtime::Servable> in_place_servable(VisionTransformer& model,
+                                                     const ScInferenceConfig& sc_cfg, int threads,
+                                                     bool cached = true) {
   ScServableOptions sopts;
   sopts.use_tf_cache = cached;
   sopts.threads = threads;
-  auto registry = std::make_shared<runtime::ModelRegistry>();
-  registry->publish(make_sc_servable_in_place(model, sc_cfg, sopts));
-  return registry;
+  return make_sc_servable_in_place(model, sc_cfg, sopts);
 }
 
 double images_per_sec(VisionTransformer& model, const Dataset& data,
                       const ScInferenceConfig& sc_cfg, int threads, bool cached) {
-  runtime::InferenceEngine engine(in_place_registry(model, sc_cfg, threads, cached));
-  engine.evaluate(data, 32);  // warm-up: builds LUTs / touches every code path
+  const auto servable = in_place_servable(model, sc_cfg, threads, cached);
+  evaluate(*servable, data, 32);  // warm-up: builds LUTs / touches every code path
   const auto t0 = std::chrono::steady_clock::now();
-  engine.evaluate(data, 32);
+  evaluate(*servable, data, 32);
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return data.size() / s;
 }
@@ -76,7 +73,9 @@ double images_per_sec_submit(VisionTransformer& model, const Dataset& data,
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = concurrent_forwards;
-  runtime::InferenceEngine engine(in_place_registry(model, sc_cfg, threads), opts);
+  auto registry = std::make_shared<runtime::ModelRegistry>();
+  registry->publish(in_place_servable(model, sc_cfg, threads));
+  runtime::InferenceEngine engine(registry, opts);
   const int pixels = data.images.dim(1);
   auto drain = [&] {
     std::vector<std::future<runtime::Prediction>> futs;
@@ -293,103 +292,6 @@ void allocation_audit(VisionTransformer& model, const Dataset& data,
   }
 }
 
-// Closed-loop submit vs Loader-driven open loop on the SC serving path. The
-// closed-loop driver is the per-request frontend: allocate a fresh image
-// vector, element-copy the row, submit(), and drain the whole batch before
-// decoding the next — the model idles during every decode. The Loader path
-// decodes into a recycled ring on a worker thread while the engine runs the
-// previous batch, and feeds the synchronous predict_batch path through one
-// reused staging tensor. On a single-core host the win is the removed
-// per-request machinery (allocs, copies, futures, batcher wakeups) rather
-// than decode/compute overlap; both are reported as measured.
-void ingest_comparison(VisionTransformer& model, const Dataset& data,
-                       const ScInferenceConfig& sc_cfg, bench::JsonWriter* json) {
-  runtime::EngineOptions opts;
-  opts.max_batch = 16;
-  opts.max_delay = std::chrono::microseconds(500);
-  opts.concurrent_forwards = 2;
-  runtime::InferenceEngine engine(in_place_registry(model, sc_cfg, 2), opts);
-
-  const int pixels = data.images.dim(1);
-  const int batch = 16;
-  const int batches = bench::fast_mode() ? 6 : 24;
-  auto p50 = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-
-  auto closed_batch = [&](int b0) {
-    std::vector<std::future<runtime::Prediction>> futs;
-    futs.reserve(batch);
-    for (int i = 0; i < batch; ++i) {
-      const int r = (b0 * batch + i) % data.size();
-      std::vector<float> img(static_cast<std::size_t>(pixels));
-      for (int p = 0; p < pixels; ++p) img[static_cast<std::size_t>(p)] = data.images.at(r, p);
-      futs.push_back(engine.submit(std::move(img)));
-    }
-    for (auto& f : futs) (void)f.get();
-  };
-  for (int b = 0; b < 2; ++b) closed_batch(b);  // warm-up
-  std::vector<double> closed_lat;
-  closed_lat.reserve(static_cast<std::size_t>(batches));
-  const auto c0 = std::chrono::steady_clock::now();
-  for (int b = 0; b < batches; ++b) {
-    const auto t0 = std::chrono::steady_clock::now();
-    closed_batch(b);
-    closed_lat.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
-  }
-  const double closed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - c0).count();
-  const double closed_ips = batches * batch / closed_s;
-
-  runtime::LoaderOptions lopts;
-  lopts.workers = 1;
-  lopts.prefetch_batches = 3;
-  lopts.batch_size = batch;
-  lopts.loop = true;
-  runtime::Loader loader(
-      [&](int index, float* dst) {
-        const int r = index % data.size();
-        std::memcpy(dst, data.images.data() + static_cast<std::size_t>(r) * pixels,
-                    sizeof(float) * static_cast<std::size_t>(pixels));
-      },
-      data.size(), pixels, lopts);
-  nn::Tensor staging = nn::Tensor::uninitialized({batch, pixels});
-  auto loader_batch = [&] {
-    const runtime::Loader::Batch b = loader.next();
-    std::memcpy(staging.data(), b.data,
-                sizeof(float) * static_cast<std::size_t>(b.size) * pixels);
-    (void)engine.predict_batch(staging);
-    loader.recycle(b);
-  };
-  for (int b = 0; b < 2; ++b) loader_batch();  // warm-up (also fills the ring)
-  std::vector<double> loader_lat;
-  loader_lat.reserve(static_cast<std::size_t>(batches));
-  const auto l0 = std::chrono::steady_clock::now();
-  for (int b = 0; b < batches; ++b) {
-    const auto t0 = std::chrono::steady_clock::now();
-    loader_batch();
-    loader_lat.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
-  }
-  const double loader_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - l0).count();
-  const double loader_ips = batches * batch / loader_s;
-
-  std::printf("  %-24s %12s %12s\n", "driver", "images/s", "p50 ms/b");
-  std::printf("  %-24s %12.2f %12.2f\n", "closed-loop submit", closed_ips, p50(closed_lat));
-  std::printf("  %-24s %12.2f %12.2f\n", "prefetching loader", loader_ips, p50(loader_lat));
-  std::printf("  %-24s %11.2fx\n", "loader speedup", loader_ips / closed_ips);
-  if (json) {
-    json->add("ingest_closed_loop_images_per_sec", closed_ips);
-    json->add("ingest_loader_images_per_sec", loader_ips);
-    json->add("ingest_loader_speedup", loader_ips / closed_ips);
-    json->add("ingest_closed_loop_p50_ms", p50(closed_lat));
-    json->add("ingest_loader_p50_ms", p50(loader_lat));
-  }
-}
-
 // Single-row kernels for google-benchmark: the softmax nonlinear block served
 // from the LUT cache vs per-call circuit emulation.
 sc::SoftmaxIterConfig row_config() {
@@ -545,9 +447,6 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- steady-state allocations per forward (heap vs arena) --\n");
   allocation_audit(model, data, sc_cfg, &json);
-
-  std::printf("\n-- ingest: closed-loop submit vs prefetching loader --\n");
-  ingest_comparison(model, data, sc_cfg, &json);
 
   if (!json_path.empty()) json.write(json_path);
   bench::run_timing_kernels(argc, argv);

@@ -43,7 +43,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <random>
@@ -382,77 +381,6 @@ static int run_demo() {
               static_cast<unsigned long long>(registry->publishes()),
               static_cast<unsigned long long>(registry->rollbacks()),
               static_cast<unsigned long long>(runtime::failpoint::total_fires()));
-
-  // Phase 2: bulk ingest of the whole test set through the serving default —
-  // the closed-loop frontend (decode a batch of fresh per-request vectors,
-  // submit, drain, repeat; the model idles during every decode) vs a
-  // runtime::Loader prefetching decoded batches into a recycled ring on a
-  // worker thread and feeding the synchronous batch path through one reused
-  // staging tensor. Same images, same engine, same variant.
-  {
-    const int batch = eng_opts.max_batch;
-    const int bulk_batches = test.size() / batch;
-    const int bulk_images = bulk_batches * batch;
-
-    std::vector<double> closed_lat, loader_lat;
-    const auto c0 = Clock::now();
-    for (int b = 0; b < bulk_batches; ++b) {
-      const auto tb = Clock::now();
-      std::vector<std::future<runtime::Prediction>> futs;
-      futs.reserve(static_cast<std::size_t>(batch));
-      for (int i = 0; i < batch; ++i) {
-        const int r = b * batch + i;
-        std::vector<float> img(static_cast<std::size_t>(pixels));
-        for (int p = 0; p < pixels; ++p)
-          img[static_cast<std::size_t>(p)] = test.images.at(r, p);
-        futs.push_back(engine.submit(std::move(img)));
-      }
-      for (auto& f : futs) {
-        try {
-          (void)f.get();
-        } catch (const std::exception&) {
-          // Tolerated: an armed fault schedule may fail bulk rows too.
-        }
-      }
-      closed_lat.push_back(std::chrono::duration<double, std::milli>(Clock::now() - tb).count());
-    }
-    const double closed_s = std::chrono::duration<double>(Clock::now() - c0).count();
-
-    runtime::LoaderOptions lopts;
-    lopts.workers = 1;
-    lopts.prefetch_batches = 3;
-    lopts.batch_size = batch;
-    runtime::Loader loader(
-        [&](int index, float* dst) {
-          std::memcpy(dst, test.images.data() + static_cast<std::size_t>(index) * pixels,
-                      sizeof(float) * static_cast<std::size_t>(pixels));
-        },
-        bulk_images, pixels, lopts);
-    nn::Tensor staging = nn::Tensor::uninitialized({batch, pixels});
-    const auto l0 = Clock::now();
-    for (;;) {
-      const auto tb = Clock::now();
-      const runtime::Loader::Batch b = loader.next();
-      if (b.end()) break;
-      std::memcpy(staging.data(), b.data,
-                  sizeof(float) * static_cast<std::size_t>(b.size) * pixels);
-      try {
-        (void)engine.predict_batch(staging);
-      } catch (const std::exception&) {
-        // Tolerated under an armed fault schedule; the loader just moves on.
-      }
-      loader.recycle(b);
-      loader_lat.push_back(std::chrono::duration<double, std::milli>(Clock::now() - tb).count());
-    }
-    const double loader_s = std::chrono::duration<double>(Clock::now() - l0).count();
-
-    std::printf("\nbulk ingest, %d images through %s (batch %d):\n", bulk_images,
-                engine.default_variant().c_str(), batch);
-    std::printf("  %-22s %10.1f images/s   p50 %6.2f ms/batch\n", "closed-loop submit",
-                bulk_images / closed_s, percentile(closed_lat, 0.50));
-    std::printf("  %-22s %10.1f images/s   p50 %6.2f ms/batch   (%.2fx)\n", "prefetching loader",
-                bulk_images / loader_s, percentile(loader_lat, 0.50), closed_s / loader_s);
-  }
 
   // Server-side latency: the engine's own histograms, per (variant, priority).
   const runtime::metrics::RegistrySnapshot snap = engine.metrics()->snapshot();

@@ -34,7 +34,6 @@ import sys
 # fails; "lower" means a rise by more than --max-regression fails.
 GATED_SERIES = {
     "lut_cache_speedup": "higher",
-    "ingest_loader_speedup": "higher",
     "frontdoor_shed_goodput_retention": "higher",
     "allocs_per_forward_arena_sc_lut": "lower",
     "allocs_per_forward_arena_w2a2_packed": "lower",

@@ -35,7 +35,6 @@
 #include "runtime/batcher.h"
 #include "runtime/engine.h"
 #include "runtime/failpoint.h"
-#include "runtime/loader.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
 #include "runtime/tf_cache.h"

@@ -404,9 +404,13 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
         continue;
       }
 #ifdef _OPENMP
-      const int nthreads = std::min(opts.threads, niblocks);
-      if (nthreads > 1) {
-#pragma omp parallel for schedule(static) num_threads(nthreads)
+      if (std::min(opts.threads, niblocks) > 1) {
+        // The team is opts.threads wide even when there are fewer i-blocks:
+        // a narrower team makes libgomp retire the surplus workers, and the
+        // fresh threads of the next full-width region (e.g. the per-head
+        // attention loop) would rebuild their thread-local pack scratch —
+        // heap allocations on every forward.
+#pragma omp parallel for schedule(static) num_threads(opts.threads)
         for (int ib = 0; ib < niblocks; ++ib) run_iblocks(ib, ib + 1);
         continue;
       }

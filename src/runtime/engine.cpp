@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "runtime/alloc_count.h"
@@ -383,8 +381,7 @@ void InferenceEngine::process_batch(BatchJob& job) {
   // intermediate in the infer chain, and the logits all bump-allocate from
   // one slab (retry/fallback rebuilds bump further into the same slab). The
   // lease outlives the last logits read — its destructor resets the arena.
-  std::optional<ArenaLease> lease;
-  if (opts_.use_arena) lease.emplace(arenas_);
+  ArenaLease lease(arenas_);
 
   const int pixels = servable->input_dim();
   std::vector<int> rows;  // rows admitted to the forward phase
@@ -651,8 +648,7 @@ std::vector<int> InferenceEngine::predict_batch(const Tensor& images, const std:
   const std::shared_ptr<const Servable> servable = registry_->get(resolve_variant(variant));
   std::vector<int> labels;
   {
-    std::optional<ArenaLease> lease;
-    if (opts_.use_arena) lease.emplace(arenas_);
+    ArenaLease lease(arenas_);
     ASCEND_FAILPOINT(fp_infer);
     const Tensor logits = servable->infer(images);
     labels.resize(static_cast<std::size_t>(logits.dim(0)));
@@ -660,22 +656,6 @@ std::vector<int> InferenceEngine::predict_batch(const Tensor& images, const std:
       labels[static_cast<std::size_t>(r)] = argmax_row(logits, r);
   }
   return labels;
-}
-
-double InferenceEngine::evaluate(const vit::Dataset& data, int batch_size,
-                                 const std::string& variant) {
-  const int n = data.size();
-  int correct = 0;
-  for (int start = 0; start < n; start += batch_size) {
-    const int end = std::min(n, start + batch_size);
-    std::vector<int> idx(static_cast<std::size_t>(end - start));
-    std::iota(idx.begin(), idx.end(), start);
-    const vit::Batch batch = vit::take_batch(data, idx);
-    const std::vector<int> labels = predict_batch(batch.images, variant);
-    for (std::size_t r = 0; r < labels.size(); ++r)
-      if (labels[r] == batch.labels[r]) ++correct;
-  }
-  return 100.0 * correct / std::max(n, 1);
 }
 
 EngineStats InferenceEngine::stats() const {

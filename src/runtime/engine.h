@@ -26,7 +26,6 @@
 #include "runtime/metrics/trace.h"
 #include "runtime/registry.h"
 #include "runtime/thread_pool.h"
-#include "vit/dataset.h"
 
 namespace ascend::runtime {
 
@@ -59,11 +58,6 @@ struct EngineOptions {
   /// Per-request span tracing (off by default). When disabled the only
   /// per-span cost left in the forward path is a thread-local read.
   trace::TracerOptions trace;
-  /// Run every Servable::infer under a pooled activation arena: intermediate
-  /// tensors bump-allocate from a per-forward slab instead of the heap
-  /// (zero allocations per forward at steady state). One warm arena is kept
-  /// per in-flight forward. Off: the pre-arena heap behaviour, bit-exact.
-  bool use_arena = true;
   /// Watchdog deadline on an in-flight batch forward — the whole service
   /// attempt, retries and fallback included. A forward that overruns it has
   /// its unresolved requests failed with WatchdogTimeoutError, its
@@ -120,11 +114,6 @@ class InferenceEngine {
   /// through `variant` (empty = default). Re-entrant — callers from
   /// different threads run concurrently.
   std::vector<int> predict_batch(const nn::Tensor& images, const std::string& variant = {});
-
-  /// Top-1 accuracy of `variant` (empty = default) — the serving twin of
-  /// vit::evaluate(); vit::evaluate_sc delegates here.
-  double evaluate(const vit::Dataset& data, int batch_size = 128,
-                  const std::string& variant = {});
 
   /// Consistent snapshot of the serving counters. Since the observability
   /// layer landed this is a *view* assembled from the same atomics that back
@@ -245,8 +234,10 @@ class InferenceEngine {
   std::shared_ptr<ModelRegistry> registry_;
   std::string default_variant_;
 
-  /// Warm per-forward activation arenas (EngineOptions::use_arena); leased
-  /// around each Servable::infer by process_batch / predict_batch.
+  /// Warm per-forward activation arenas, one per in-flight forward, leased
+  /// around each Servable::infer by process_batch / predict_batch: every
+  /// intermediate tensor bump-allocates from the leased slab, so a
+  /// steady-state forward makes no heap allocations.
   ArenaPool arenas_;
 
   std::unique_ptr<ThreadPool> forward_workers_;  ///< runs the in-flight batch forwards

@@ -12,7 +12,13 @@ namespace ascend::vit {
 
 using nn::Tensor;
 
-double evaluate(VisionTransformer& model, const Dataset& data, int batch_size) {
+namespace {
+
+/// Top-1 accuracy over `data` in order, `batch_size` samples per call of
+/// `logits_of` (images [B, pixels] -> logits [B, classes]) — the one
+/// batching/argmax loop behind both evaluate() overloads.
+template <typename LogitsOf>
+double accuracy(const Dataset& data, int batch_size, LogitsOf&& logits_of) {
   const int n = data.size();
   int correct = 0;
   for (int start = 0; start < n; start += batch_size) {
@@ -20,7 +26,7 @@ double evaluate(VisionTransformer& model, const Dataset& data, int batch_size) {
     std::vector<int> idx(static_cast<std::size_t>(end - start));
     std::iota(idx.begin(), idx.end(), start);
     const Batch batch = take_batch(data, idx);
-    const Tensor logits = model.forward(batch.images, /*training=*/false);
+    const Tensor logits = logits_of(batch.images);
     for (int r = 0; r < logits.dim(0); ++r) {
       int best = 0;
       for (int c = 1; c < logits.dim(1); ++c)
@@ -29,6 +35,17 @@ double evaluate(VisionTransformer& model, const Dataset& data, int batch_size) {
     }
   }
   return 100.0 * correct / std::max(n, 1);
+}
+
+}  // namespace
+
+double evaluate(VisionTransformer& model, const Dataset& data, int batch_size) {
+  return accuracy(data, batch_size,
+                  [&](const Tensor& images) { return model.forward(images, /*training=*/false); });
+}
+
+double evaluate(const runtime::Servable& servable, const Dataset& data, int batch_size) {
+  return accuracy(data, batch_size, [&](const Tensor& images) { return servable.infer(images); });
 }
 
 double train_model(VisionTransformer& student, VisionTransformer* teacher, const Dataset& data,

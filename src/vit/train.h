@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "runtime/servable.h"
 #include "vit/dataset.h"
 #include "vit/model.h"
 
@@ -33,6 +34,10 @@ struct TrainOptions {
 
 /// Top-1 accuracy on a dataset (eval mode).
 double evaluate(VisionTransformer& model, const Dataset& data, int batch_size = 128);
+
+/// Top-1 accuracy of a serving variant: the same batching/argmax loop over
+/// Servable::infer.
+double evaluate(const runtime::Servable& servable, const Dataset& data, int batch_size = 128);
 
 /// Train `student` on `data`; when `teacher` is non-null the KD losses are
 /// added. Returns final training loss.

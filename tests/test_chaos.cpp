@@ -5,10 +5,10 @@
 //     delay and err actions, and zero allocations on the disabled path
 //     (this target links alloc_interpose, see CMakeLists.txt);
 //   * injection at each serving site: batcher.enqueue, pool.task,
-//     engine.infer, loader.decode, ckpt.*, registry.publish, and the front
-//     door's serve.accept / serve.read / serve.write / router.route — every
-//     fault surfaces as a typed error (or drops only the faulted
-//     connection), never a crash or a silent wrong answer;
+//     engine.infer, ckpt.*, registry.publish, and the front door's
+//     serve.accept / serve.read / serve.write / router.route — every fault
+//     surfaces as a typed error (or drops only the faulted connection),
+//     never a crash or a silent wrong answer;
 //   * self-healing: retry with backoff, fallback-variant degradation, the
 //     forward watchdog, and canary-validated hot-swap rollback;
 //   * the tentpole claim — a seeded randomized fault schedule under
@@ -35,7 +35,6 @@
 #include "runtime/batcher.h"
 #include "runtime/engine.h"
 #include "runtime/failpoint.h"
-#include "runtime/loader.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
 #include "serialize/checkpoint.h"
@@ -284,21 +283,6 @@ TEST_F(ChaosTest, PoolTaskInjectionResolvesTheBatchWithATypedError) {
   auto fut = engine.submit(payload(1.0f));
   EXPECT_THROW(fut.get(), failpoint::InjectedFaultError);
   EXPECT_EQ(engine.submit(payload(2.0f)).get().label, 2);
-}
-
-TEST_F(ChaosTest, LoaderDecodeFaultSurfacesThroughNext) {
-  failpoint::arm("loader.decode", "once,throw");
-  LoaderOptions opts;
-  opts.workers = 1;
-  opts.prefetch_batches = 2;
-  opts.batch_size = 2;
-  Loader loader([](int index, float* dst) { dst[0] = static_cast<float>(index); },
-                /*num_samples=*/8, /*sample_dim=*/1, opts);
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 4; ++i) loader.recycle(loader.next());
-      },
-      failpoint::InjectedFaultError);
 }
 
 TEST_F(ChaosTest, RegistryPublishInjectionLeavesTheRegistryUnchanged) {

@@ -460,10 +460,11 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
   const double ref_acc = vit::evaluate(model, data);
   model.clear_hooks();
 
-  const double engine_acc = vit::evaluate_sc(model, data, cfg);
-  EXPECT_EQ(engine_acc, ref_acc);
+  const double sc_acc = vit::evaluate_sc(model, data, cfg);
+  EXPECT_EQ(sc_acc, ref_acc);
 
-  // The engine restored the hooks: a plain evaluate now uses exact blocks.
+  // The in-place servable restored the hooks: a plain evaluate now uses
+  // exact blocks.
   const double float_acc = vit::evaluate(model, data);
   const double float_acc2 = vit::evaluate(model, data);
   EXPECT_EQ(float_acc, float_acc2);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -19,14 +20,12 @@
 #include "runtime/engine.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
-#include "test_util.h"
 #include "vit/model.h"
 #include "vit/servable.h"
 #include "vit/train.h"
 
 using namespace ascend;
 using namespace ascend::runtime;
-using ascend::testing::in_place_sc_registry;
 
 namespace {
 
@@ -393,7 +392,7 @@ TEST(ServingEngine, ExpiredDeadlineFailsTypedWithoutRunningTheForward) {
   EXPECT_EQ(st.priority(Priority::kInteractive).queued, 1u);
 }
 
-TEST(ServingEngine, PredictBatchAndEvaluatePickVariants) {
+TEST(ServingEngine, PredictBatchPicksVariants) {
   auto reg = std::make_shared<ModelRegistry>();
   reg->publish(std::make_shared<MockServable>("a", /*bias=*/0));
   reg->publish(std::make_shared<MockServable>("b", /*bias=*/1));
@@ -494,7 +493,7 @@ TEST(VitServables, PackedTernaryAdapterMatchesSourceAndFp32Differs) {
   EXPECT_THROW(vit::make_packed_ternary_servable(fp_model), std::invalid_argument);
 }
 
-TEST(VitServables, ScAdapterMatchesInPlaceEngineAndLeavesSourceHookFree) {
+TEST(VitServables, ScAdapterMatchesInPlaceServableAndLeavesSourceHookFree) {
   const vit::VitConfig top = tiny_topology();
   const vit::ScInferenceConfig cfg = tiny_sc_config();
   struct Input {
@@ -510,35 +509,58 @@ TEST(VitServables, ScAdapterMatchesInPlaceEngineAndLeavesSourceHookFree) {
     vit::VisionTransformer model(top, in.model_seed);
 
     // Reference: the model served in place (hooks on `model`), LUT-cached;
-    // the in-place circuit emulation must agree with it.
-    double ref_acc;
-    {
-      InferenceEngine engine(in_place_sc_registry(model, cfg, in.threads), quick_engine_opts());
-      ref_acc = engine.evaluate(data);
-    }
-    {
-      InferenceEngine engine(in_place_sc_registry(model, cfg, in.threads, /*use_tf_cache=*/false),
-                             quick_engine_opts());
-      EXPECT_EQ(engine.evaluate(data), ref_acc);
-    }
-
-    // Cloned SC adapters (cached and emulated) under the registry engine.
+    // the in-place circuit emulation and evaluate_sc must agree with it.
     vit::ScServableOptions sopts;
     sopts.threads = in.threads;
-    auto reg = std::make_shared<ModelRegistry>();
-    reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-lut"));
+    const double ref_acc =
+        vit::evaluate(*vit::make_sc_servable_in_place(model, cfg, sopts), data);
+    EXPECT_EQ(vit::evaluate_sc(model, data, cfg), ref_acc);
     sopts.use_tf_cache = false;
-    reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-emu"));
-    reg->publish(vit::make_fp32_servable(model, "fp32"));
-    EngineOptions ropts = quick_engine_opts();
-    ropts.default_variant = "sc-lut";
-    InferenceEngine engine(reg, ropts);
-    EXPECT_EQ(engine.evaluate(data, 128, "sc-lut"), ref_acc);
-    EXPECT_EQ(engine.evaluate(data, 128, "sc-emu"), ref_acc);
+    EXPECT_EQ(vit::evaluate(*vit::make_sc_servable_in_place(model, cfg, sopts), data), ref_acc);
 
-    // The clones never touched the source model's hooks: a plain evaluate is
-    // repeatable and hook-free.
+    // Cloned SC adapters, circuit-emulated and LUT-cached.
+    EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, sopts, "sc-emu"), data), ref_acc);
+    sopts.use_tf_cache = true;
+    EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, sopts, "sc-lut"), data), ref_acc);
+
+    // The clones never touched the source model's hooks and the in-place
+    // servables restored them: a plain evaluate is repeatable and hook-free.
     EXPECT_EQ(vit::evaluate(model, data), vit::evaluate(model, data));
+  }
+}
+
+TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
+  const vit::VitConfig top = tiny_topology();
+  const vit::Dataset data = vit::make_synthetic_vision(40, top.classes, 75, top.image_size);
+  std::vector<int> idx(static_cast<std::size_t>(data.size()));
+  std::iota(idx.begin(), idx.end(), 0);
+  vit::VisionTransformer model = calibrated_model(top, 66, vit::take_batch(data, idx).images);
+
+  vit::ScServableOptions sopts;
+  sopts.threads = 1;
+  auto reg = std::make_shared<ModelRegistry>();
+  reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
+  reg->publish(vit::make_packed_ternary_servable(model, "w2a2-packed"));
+  reg->publish(vit::make_fp32_servable(model, "fp32"));
+  EngineOptions opts = quick_engine_opts();
+  opts.default_variant = "fp32";
+  InferenceEngine engine(reg, opts);
+
+  // Batches of 16 over 40 images: two full batches, then a partial tail.
+  const int batch_size = 16;
+  for (const char* variant : {"sc-lut", "w2a2-packed", "fp32"}) {
+    SCOPED_TRACE(variant);
+    int correct = 0;
+    for (int start = 0; start < data.size(); start += batch_size) {
+      std::vector<int> rows(static_cast<std::size_t>(std::min(batch_size, data.size() - start)));
+      std::iota(rows.begin(), rows.end(), start);
+      const vit::Batch batch = vit::take_batch(data, rows);
+      const std::vector<int> labels = engine.predict_batch(batch.images, variant);
+      for (std::size_t r = 0; r < labels.size(); ++r)
+        if (labels[r] == batch.labels[r]) ++correct;
+    }
+    EXPECT_EQ(vit::evaluate(*reg->get(variant), data, batch_size),
+              100.0 * correct / data.size());
   }
 }
 
