@@ -1,11 +1,11 @@
 // bench_gemm — the blocked/tiled GEMM kernel subsystem vs the seed's naive
-// loops, and the multiply-free packed-ternary serving path.
+// loops, and the W2A2 Linear::infer path that runs ternary codes through it.
 //
 // Three questions: (1) what does the cache-blocked, register-tiled kernel
 // layer buy over the seed's naive triple loops across square and ViT-shaped
-// products, (2) what does the packed-ternary Linear::infer path buy over the
-// PR-3 dense frozen snapshot it replaces on ternary layers, and (3) what does
-// GemmOptions row-band parallelism add on multi-core hosts. The seed loops
+// products, (2) what does a W2A2 Linear::infer cost next to the same layer
+// in fp32 at the bench topology's shapes, and (3) what does GemmOptions
+// row-band parallelism add on multi-core hosts. The seed loops
 // are measured through the ASCEND_GEMM=reference escape hatch
 // (gemm::set_backend), i.e. exactly the code the blocked kernels replaced.
 
@@ -112,38 +112,44 @@ void pool_parallel_table(bool fast) {
               "   scaling is bounded by the machine's core count)\n");
 }
 
-void packed_ternary_table(bool fast, bench::JsonWriter* json) {
-  // The PR-3 acceptance layer: 128x128, ternary weights AND activations
-  // (W2A2), serving at small batches. "dense frozen" is the PR-3 path
-  // (ASCEND_GEMM=reference: frozen dense snapshot through the naive matmul);
-  // "packed" is the multiply-free sign-plane kernel.
+void w2a2_linear_table(bool fast, bench::JsonWriter* json) {
+  // The bench topology's four encoder GEMMs (dim 64, mlp ratio 2) at 16
+  // rows (one 16-token image) and 256 rows (a batch of 16). "fp32" is the
+  // same layer with its quantizers off; "w2a2" is ternary weights AND
+  // activations, served as 0/±1 codes through the same blocked GEMM.
+  struct Layer {
+    const char* name;
+    int in, out;
+  };
+  const Layer layers[] = {{"qkv", 64, 192}, {"proj", 64, 64}, {"fc1", 64, 128}, {"fc2", 128, 64}};
   Rng rng(5);
-  Linear lin(128, 128, rng);
-  lin.set_weight_quant(QuantSpec::ternary());
-  lin.set_input_quant(QuantSpec::ternary());
-  std::printf("\n-- packed-ternary Linear::infer vs PR-3 dense frozen (128x128 W2A2) --\n");
-  std::printf("  %8s %14s %14s %9s\n", "batch", "dense us/call", "packed us/call", "speedup");
-  for (int batch : {1, 4, 16}) {
-    Tensor x({batch, 128});
-    rng.fill_normal(x, 0, 1);
-    (void)lin.forward(x);  // latch the LSQ steps (thaws snapshots)
-    const int iters = fast ? 200 : 2000;
-    gemm::set_backend(gemm::Backend::kReference);
-    const double t_dense =
-        seconds_per_call([&] { ::benchmark::DoNotOptimize(lin.infer(x).data()); }, iters);
-    gemm::set_backend(gemm::Backend::kBlocked);
-    lin.thaw();  // drop the dense snapshot so the packed planes rebuild
-    const double t_packed =
-        seconds_per_call([&] { ::benchmark::DoNotOptimize(lin.infer(x).data()); }, iters);
-    std::printf("  %8d %14.2f %14.2f %8.2fx\n", batch, t_dense * 1e6, t_packed * 1e6,
-                t_dense / t_packed);
-    if (json) {
-      const std::string base = "packed_ternary_b" + std::to_string(batch);
-      json->add(base + "_usec_per_call", t_packed * 1e6);
-      json->add(base + "_speedup", t_dense / t_packed);
+  gemm::set_backend(gemm::Backend::kBlocked);
+  std::printf("\n-- W2A2 Linear::infer (ternary codes through the blocked GEMM) --\n");
+  std::printf("  %-6s %6s %14s %14s %9s\n", "layer", "rows", "fp32 us/call", "w2a2 us/call",
+              "w2a2/fp32");
+  for (const Layer& l : layers) {
+    Linear fp(l.in, l.out, rng);
+    Linear w2a2 = fp;
+    w2a2.set_weight_quant(QuantSpec::ternary());
+    w2a2.set_input_quant(QuantSpec::ternary());
+    for (int rows : {16, 256}) {
+      Tensor x({rows, l.in});
+      rng.fill_normal(x, 0, 1);
+      (void)w2a2.forward(x);  // latch the LSQ steps (thaws snapshots)
+      const int iters = fast ? 50 : (rows == 16 ? 20000 : 2000);
+      const double t_fp =
+          seconds_per_call([&] { ::benchmark::DoNotOptimize(fp.infer(x).data()); }, iters);
+      const double t_w2a2 =
+          seconds_per_call([&] { ::benchmark::DoNotOptimize(w2a2.infer(x).data()); }, iters);
+      std::printf("  %-6s %6d %14.2f %14.2f %8.2fx\n", l.name, rows, t_fp * 1e6, t_w2a2 * 1e6,
+                  t_w2a2 / t_fp);
+      if (json) {
+        const std::string base = std::string("w2a2_") + l.name + "_m" + std::to_string(rows);
+        json->add(base + "_usec_per_call", t_w2a2 * 1e6);
+        json->add(base + "_vs_fp32", t_w2a2 / t_fp);
+      }
     }
   }
-  gemm::set_backend(gemm::Backend::kBlocked);
 }
 
 // Registered google-benchmark kernels for flag-driven runs.
@@ -169,31 +175,17 @@ void bm_gemm_reference_192(benchmark::State& state) {
 }
 BENCHMARK(bm_gemm_reference_192);
 
-void bm_linear_infer_packed_ternary(benchmark::State& state) {
-  Rng rng(5);
-  Linear lin(128, 128, rng);
-  lin.set_weight_quant(QuantSpec::ternary());
-  lin.set_input_quant(QuantSpec::ternary());
-  Tensor x({static_cast<int>(state.range(0)), 128});
-  rng.fill_normal(x, 0, 1);
-  (void)lin.forward(x);
-  gemm::set_backend(gemm::Backend::kBlocked);
-  (void)lin.infer(x);  // freeze the packed planes
-  for (auto _ : state) benchmark::DoNotOptimize(lin.infer(x).size());
-}
-BENCHMARK(bm_linear_infer_packed_ternary)->Arg(1)->Arg(16);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::parse_json_flag(argc, argv);
   bench::JsonWriter json;
-  bench::banner("GEMM kernel layer — blocked/tiled dense + packed ternary",
+  bench::banner("GEMM kernel layer — blocked/tiled dense + W2A2 ternary codes",
                 "serving extension (no table in the paper)");
   const bool fast = bench::fast_mode();
   dense_kernel_table(fast, &json);
   pool_parallel_table(fast);
-  packed_ternary_table(fast, &json);
+  w2a2_linear_table(fast, &json);
   if (!json_path.empty()) json.write(json_path);
   bench::run_timing_kernels(argc, argv);
   return 0;

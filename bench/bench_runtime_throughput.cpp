@@ -95,7 +95,7 @@ double images_per_sec_submit(VisionTransformer& model, const Dataset& data,
 }
 
 // Mixed-priority / multi-variant serving under saturation: one engine over a
-// registry holding the SC LUT-cached and the W2A2 packed-ternary variants,
+// registry holding the SC LUT-cached and the W2A2 variants,
 // hammered by interactive and batch-priority client streams at once. Reports
 // the engine's own ascend_request_latency_usec histograms per (variant,
 // priority) — p50/p95/p99/p99.9 with <= 3.2% relative bucket error — i.e.

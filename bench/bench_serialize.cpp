@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       "/tmp/ascend_bench_ckpt_" + std::to_string(::getpid()) + ".ckpt";
   serialize::save_model(model, path);
   const std::int64_t bytes = file_bytes(path);
-  std::printf("\n%d-layer dim-%d ViT, W2-A2-R16 with packed ternary planes: %lld bytes on disk\n",
+  std::printf("\n%d-layer dim-%d ViT, W2-A2-R16: %lld bytes on disk\n",
               cfg.layers, cfg.dim, static_cast<long long>(bytes));
   json.add("ckpt_bytes", bytes);
 

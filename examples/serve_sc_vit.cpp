@@ -3,8 +3,8 @@
 //
 // Trains a small W2-A2-R16 BN-ViT once, saves it to a versioned checkpoint,
 // and cold-starts four registered servable variants from that file (fp32
-// dense, W2A2 packed-ternary, SC LUT-cached, SC circuit-emulated) via
-// ModelRegistry::register_from_file — the packed/fp32 variants serve their
+// dense, W2A2 ternary codes, SC LUT-cached, SC circuit-emulated) via
+// ModelRegistry::register_from_file — the W2A2/fp32 variants serve their
 // weights zero-copy out of a read-only mmap of the checkpoint, exactly how a
 // production process would boot. One runtime::InferenceEngine stands over
 // the registry. Client threads then hammer it with mixed traffic — interactive
@@ -161,7 +161,7 @@ static int run_demo() {
               engine.default_variant().c_str());
 
   // Traffic mix: 2 interactive clients with 50 ms deadlines on the serving
-  // default, 2 batch-priority bulk clients on the cheap packed variant, and
+  // default, 2 batch-priority bulk clients on the cheap W2A2 variant, and
   // 4 normal clients spread across all four variants. Every client carries a
   // retry budget with a fallback variant, so a transient forward fault (e.g.
   // an armed ASCEND_FAILPOINTS schedule) degrades service instead of

@@ -61,7 +61,7 @@ int main() {
 
   // One eval-mode forward calibrates every LSQ step (Linear's forward always
   // runs the quantizer training path), giving the checkpoint non-trivial
-  // calibration state and frozen packed planes to carry.
+  // calibration state to carry.
   nn::Rng rng(7);
   nn::Tensor calib({8, cfg.patch_dim() * cfg.tokens()});
   rng.fill_uniform(calib, 0.0f, 1.0f);

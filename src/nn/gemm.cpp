@@ -1,8 +1,6 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -484,166 +482,6 @@ int recommended_threads(long long m, long long n, long long k) {
   (void)k;
 #endif
   return 1;
-}
-
-namespace {
-
-/// Popcount correlation of one activation sign pair against all weight
-/// columns: y[j] += scale * (|xp&P_j| + |xn&N_j| - |xp&N_j| - |xn&P_j|).
-/// W is the compile-time words-per-plane so the inner loop fully unrolls for
-/// the common serving widths (k <= 256).
-template <int W>
-[[gnu::always_inline]] inline void ternary_popcount_cols(const std::uint64_t* xp,
-                                                         const std::uint64_t* xn,
-                                                         const std::uint64_t* col_words, int n,
-                                                         float scale, float* yr) {
-  const std::uint64_t* col = col_words;
-  for (int j = 0; j < n; ++j, col += 2 * W) {
-    int acc = 0;
-    for (int t = 0; t < W; ++t) {
-      acc += std::popcount(xp[t] & col[t]);
-      acc += std::popcount(xn[t] & col[W + t]);
-      acc -= std::popcount(xp[t] & col[W + t]);
-      acc -= std::popcount(xn[t] & col[t]);
-    }
-    yr[j] += scale * static_cast<float>(acc);
-  }
-}
-
-[[gnu::always_inline]] inline void ternary_cols_body(const std::uint64_t* xp,
-                                                     const std::uint64_t* xn,
-                                                     const std::uint64_t* col_words, int n,
-                                                     int nwords, float scale, float* yr) {
-  switch (nwords) {
-    case 1:
-      ternary_popcount_cols<1>(xp, xn, col_words, n, scale, yr);
-      return;
-    case 2:
-      ternary_popcount_cols<2>(xp, xn, col_words, n, scale, yr);
-      return;
-    case 3:
-      ternary_popcount_cols<3>(xp, xn, col_words, n, scale, yr);
-      return;
-    case 4:
-      ternary_popcount_cols<4>(xp, xn, col_words, n, scale, yr);
-      return;
-    default:
-      break;
-  }
-  const std::uint64_t* col = col_words;
-  for (int j = 0; j < n; ++j, col += 2 * nwords) {
-    int acc = 0;
-    for (int t = 0; t < nwords; ++t) {
-      acc += std::popcount(xp[t] & col[t]);
-      acc += std::popcount(xn[t] & col[nwords + t]);
-      acc -= std::popcount(xp[t] & col[nwords + t]);
-      acc -= std::popcount(xn[t] & col[t]);
-    }
-    yr[j] += scale * static_cast<float>(acc);
-  }
-}
-
-using TernaryColsFn = void (*)(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-                               int, int, float, float*);
-
-// std::popcount lowers to a library call on baseline x86-64 (POPCNT arrived
-// with SSE4.2) — the hardware-popcount clone is selected at startup exactly
-// like the AVX2 GEMM micro-kernel.
-void ternary_cols_base(const std::uint64_t* xp, const std::uint64_t* xn,
-                       const std::uint64_t* col_words, int n, int nwords, float scale,
-                       float* yr) {
-  ternary_cols_body(xp, xn, col_words, n, nwords, scale, yr);
-}
-
-#ifdef ASCEND_GEMM_X86
-__attribute__((target("popcnt"))) void ternary_cols_popcnt(const std::uint64_t* xp,
-                                                           const std::uint64_t* xn,
-                                                           const std::uint64_t* col_words, int n,
-                                                           int nwords, float scale, float* yr) {
-  ternary_cols_body(xp, xn, col_words, n, nwords, scale, yr);
-}
-#endif
-
-TernaryColsFn ternary_cols() {
-  static const TernaryColsFn fn = [] {
-#ifdef ASCEND_GEMM_X86
-    if (__builtin_cpu_supports("popcnt")) return &ternary_cols_popcnt;
-#endif
-    return &ternary_cols_base;
-  }();
-  return fn;
-}
-
-/// Grow-only thread-local activation sign planes (same rationale as the
-/// dense pack scratch: the batch-1 serving path must not malloc per call).
-/// Returns 2*nwords words: xp at [0], xn at [nwords].
-std::uint64_t* sign_plane_scratch(int nwords) {
-  thread_local std::vector<std::uint64_t> buf;
-  const std::size_t need = 2 * static_cast<std::size_t>(nwords);
-  if (buf.size() < need) buf.resize(need);
-  return buf.data();
-}
-
-}  // namespace
-
-void ternary_matmul(const float* x, int m, int ldx, const PackedTernary& w, float* y, int ldy) {
-  const int k = w.rows, n = w.cols;
-  if (m <= 0 || k <= 0 || n <= 0) return;
-  const int nwords = w.words_per_plane;
-  std::uint64_t* const xp = sign_plane_scratch(nwords);
-  std::uint64_t* const xn = xp + nwords;
-  for (int r = 0; r < m; ++r) {
-    const float* xr = x + static_cast<std::size_t>(r) * ldx;
-    float* yr = y + static_cast<std::size_t>(r) * ldy;
-    // Every nonzero shares one magnitude, so the whole row contribution is
-    // step * mag * (integer count), computable with word-parallel
-    // AND/popcount over the sign planes — exact, no rounding.
-    float mag = 0.0f;
-    std::fill(xp, xp + nwords, 0u);
-    std::fill(xn, xn + nwords, 0u);
-    for (int i = 0; i < k; ++i) {
-      const float v = xr[i];
-      if (v == 0.0f) continue;
-      if (mag == 0.0f)
-        mag = std::fabs(v);
-      else if (std::fabs(v) != mag)
-        throw std::invalid_argument("ternary_matmul: activation row is not ternary");
-      std::uint64_t* plane = v > 0.0f ? xp : xn;
-      plane[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
-    }
-    if (mag == 0.0f) continue;  // all-zero row contributes nothing
-    ternary_cols()(xp, xn, w.col_words.data(), n, nwords, w.step * mag, yr);
-  }
-}
-
-void ternary_matmul_ternary_x(const float* x, int m, int ldx, float x_step,
-                              const PackedTernary& w, float* y, int ldy) {
-  const int k = w.rows, n = w.cols;
-  if (m <= 0 || k <= 0 || n <= 0) return;
-  const int nwords = w.words_per_plane;
-  const float s = std::max(x_step, 1e-6f);
-  // clamp(round(x / s), -1, +1) as sign thresholds: +1 iff x >= s/2, -1 iff
-  // x <= -s/2 (round halves away from zero). This skips materialising the
-  // fake-quantized activation tensor entirely — raw activations quantize
-  // straight into the sign planes.
-  const float hi = 0.5f * s;
-  const float scale = w.step * s;
-  std::uint64_t* const xp = sign_plane_scratch(nwords);
-  std::uint64_t* const xn = xp + nwords;
-  for (int r = 0; r < m; ++r) {
-    const float* xr = x + static_cast<std::size_t>(r) * ldx;
-    std::fill(xp, xp + nwords, 0u);
-    std::fill(xn, xn + nwords, 0u);
-    for (int i = 0; i < k; ++i) {
-      const float v = xr[i];
-      if (v >= hi)
-        xp[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
-      else if (v <= -hi)
-        xn[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
-    }
-    ternary_cols()(xp, xn, w.col_words.data(), n, nwords, scale,
-                   y + static_cast<std::size_t>(r) * ldy);
-  }
 }
 
 }  // namespace ascend::nn::gemm

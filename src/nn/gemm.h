@@ -1,6 +1,5 @@
 #pragma once
-// gemm.h — blocked/tiled f32 GEMM kernel subsystem and the multiply-free
-// packed-ternary matmul that serves ternary Linear layers.
+// gemm.h — blocked/tiled f32 GEMM kernel subsystem.
 //
 // Dense kernels are cache-blocked and register-tiled: A and B blocks are
 // packed into MR-/NR-interleaved panels so the micro-kernel's innermost loops
@@ -15,16 +14,12 @@
 // counts.
 //
 // Backend selection: the matmul/matmul_tn/matmul_nt wrappers in ops.h (and
-// Linear's packed-ternary serving path) consult backend(), initialised once
+// Linear's W2A2 code path) consult backend(), initialised once
 // from the ASCEND_GEMM environment variable — "reference" selects the seed's
 // naive scalar loops for bit-exact reproduction of pre-kernel results;
 // anything else (or unset) selects the blocked kernels. set_backend()
 // overrides programmatically (tests/benches; not thread-safe against
 // in-flight GEMM calls).
-
-#include <cstdint>
-
-#include "nn/quant.h"  // PackedTernary
 
 namespace ascend::runtime {
 class ThreadPool;  // optional row-band parallelism; resolved via the runtime lib
@@ -90,27 +85,5 @@ void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int l
 /// the seed's OpenMP heuristic (parallel above 16384 multiply-adds, serial
 /// below; always 1 without OpenMP).
 int recommended_threads(long long m, long long n, long long k);
-
-/// Multiply-free packed-ternary matmul:
-///   y[r, j] += step * (sum_{i in P_j} x[r, i] - sum_{i in N_j} x[r, i])
-/// with P_j/N_j the word-packed sign planes of `w` (see PackedTernary).
-/// x is row-major [m, w.rows] with row stride ldx; y is [m, w.cols] with row
-/// stride ldy and is accumulated into. Every row of x must be ternary: its
-/// nonzeros share one magnitude (ternary-quantized activations — the W2A2
-/// serving case), so each output is a word-parallel AND/popcount count times
-/// step * magnitude, exact and multiply-free. Throws std::invalid_argument on
-/// a row whose nonzeros differ in magnitude (rows before it are already
-/// accumulated into y).
-void ternary_matmul(const float* x, int m, int ldx, const PackedTernary& w, float* y, int ldy);
-
-/// Fused W2A2 serving kernel: quantizes the *raw* activations ternary with
-/// step `x_step` (levels -1/0/+1 via the thresholds x >= x_step/2 /
-/// x <= -x_step/2, i.e. clamp(round(x / x_step), -1, +1) with halves away
-/// from zero) straight into sign planes — no fake-quantized activation
-/// tensor is materialised — then popcount-correlates them against the weight
-/// planes: y[r, j] += w.step * x_step * (signed plane correlation). Agrees
-/// with quantize-then-ternary_matmul up to boundary rounding of x / x_step.
-void ternary_matmul_ternary_x(const float* x, int m, int ldx, float x_step,
-                              const PackedTernary& w, float* y, int ldy);
 
 }  // namespace ascend::nn::gemm

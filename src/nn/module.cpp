@@ -1,5 +1,6 @@
 #include "nn/module.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,28 +38,25 @@ Tensor Linear::forward(const Tensor& x) {
 
 Tensor Linear::infer(const Tensor& x) const {
   if (x.rank() != 2 || x.dim(1) != in_) throw std::invalid_argument("Linear::infer: bad input");
-  const bool ternary_w =
-      weight_quant_.enabled() && weight_quant_.spec().qn == -1 && weight_quant_.spec().qp == 1;
-  // The multiply-free kernel needs ternary activations too (the W2A2
-  // serving regime): it popcount-correlates one-magnitude rows. Ternary
-  // weights against full-precision or multi-bit activations serve dense.
-  const bool ternary_a =
-      input_quant_.enabled() && input_quant_.spec().qn == -1 && input_quant_.spec().qp == 1;
+  const auto ternary = [](const LsqQuantizer& q) {
+    return q.enabled() && q.spec().qn == -1 && q.spec().qp == 1;
+  };
   Tensor y;
-  if (ternary_w && ternary_a && gemm::backend() != gemm::Backend::kReference) {
-    // Serve the word-packed sign planes through the multiply-free kernel
-    // (adds/subtracts only; see gemm::ternary_matmul).
-    const PackedTernary& pt = weight_quant_.frozen_packed_ternary(w_.value);
-    y = Tensor({x.dim(0), out_});
-    const float a_step = input_quant_.step();
-    if (input_quant_.calibrated() && a_step > 0.0f) {
-      // W2A2: raw activations quantize straight into sign planes (no
-      // fake-quantized tensor), then popcount-correlate.
-      gemm::ternary_matmul_ternary_x(x.data(), x.dim(0), in_, a_step, pt, y.data(), out_);
-    } else {
-      const Tensor xq = input_quant_.infer(x);
-      gemm::ternary_matmul(xq.data(), xq.dim(0), in_, pt, y.data(), out_);
-    }
+  if (ternary(weight_quant_) && ternary(input_quant_) && input_quant_.calibrated() &&
+      gemm::backend() != gemm::Backend::kReference) {
+    // W2A2: multiply 0/±1 activation codes by the frozen 0/±1 weight codes.
+    // Every partial sum is an integer below 2^24, so the GEMM is exact in any
+    // order, and one multiply by fl(w_step * x_step) gives each output.
+    const TernaryCodes& wc = weight_quant_.frozen_ternary_codes(w_.value);
+    const float s = std::max(input_quant_.step(), 1e-6f);
+    // clamp(round(x / s), -1, +1) as sign thresholds (halves away from zero).
+    const float hi = 0.5f * s;
+    Tensor xc = Tensor::uninitialized(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      xc[i] = x[i] >= hi ? 1.0f : (x[i] <= -hi ? -1.0f : 0.0f);
+    y = matmul(xc, wc.levels);
+    const float scale = wc.step * s;
+    for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
   } else {
     // Weights are immutable while serving: quantize once, serve the snapshot.
     // A disabled input quantizer is the identity — use x directly instead of

@@ -30,13 +30,13 @@ namespace ascend::nn {
 /// serving, so infer() quantizes it through the weight quantizer's frozen
 /// snapshot (LsqQuantizer::frozen_infer) — built lazily on the first infer()
 /// and bit-exact with per-call re-quantization. Under ternary weight AND
-/// input specs (the W2A2 serving regime) infer() instead serves from the
-/// packed-ternary snapshot (LsqQuantizer::frozen_packed_ternary) through the
-/// multiply-free gemm::ternary_matmul kernel — adds/subtracts over
-/// word-packed sign bit-planes; dense blocked GEMM otherwise (including
-/// ternary weights against non-ternary activations, which that kernel
-/// rejects). ASCEND_GEMM=reference disables the packed path too, reproducing
-/// the seed's dense behaviour bit-exactly.
+/// calibrated ternary input specs (the W2A2 serving regime) infer() instead
+/// multiplies 0/±1 activation codes by the frozen weight codes
+/// (LsqQuantizer::frozen_ternary_codes) through the same blocked GEMM and
+/// scales the exact integer sums by fl(w_step * x_step) — one rounding per
+/// output, then the bias add. ASCEND_GEMM=reference serves the dense
+/// fake-quantized path instead, reproducing the seed's behaviour
+/// bit-exactly.
 /// Every snapshot is invalidated ("thawed") by any training-path
 /// forward()/backward(), by set_weight_quant()/set_input_quant() (the
 /// apply_precision path), and by thaw(). Mutating weight() directly outside

@@ -73,8 +73,8 @@ void LsqQuantizer::thaw() {
   std::lock_guard<std::mutex> lock(snap_mu_);
   snap_valid_.store(false, std::memory_order_release);
   snapshot_ = Tensor();
-  packed_valid_.store(false, std::memory_order_release);
-  packed_ = PackedTernary();
+  codes_valid_.store(false, std::memory_order_release);
+  codes_ = TernaryCodes();
 }
 
 const Tensor& LsqQuantizer::frozen_infer(const Tensor& x) const {
@@ -103,58 +103,36 @@ float lsq_init_step(const Tensor& x, int qp) {
 
 }  // namespace
 
-const PackedTernary& LsqQuantizer::frozen_packed_ternary(const Tensor& x) const {
+const TernaryCodes& LsqQuantizer::frozen_ternary_codes(const Tensor& x) const {
   if (!spec_.enabled || spec_.qn != -1 || spec_.qp != 1)
-    throw std::logic_error("LsqQuantizer::frozen_packed_ternary: ternary spec required");
+    throw std::logic_error("LsqQuantizer::frozen_ternary_codes: ternary spec required");
   if (x.rank() != 2 || x.dim(0) <= 0 || x.dim(1) <= 0)
     throw std::invalid_argument(
-        "LsqQuantizer::frozen_packed_ternary: non-empty rank-2 tensor required");
-  if (packed_valid_.load(std::memory_order_acquire)) return packed_;
+        "LsqQuantizer::frozen_ternary_codes: non-empty rank-2 tensor required");
+  if (codes_valid_.load(std::memory_order_acquire)) return codes_;
   std::lock_guard<std::mutex> lock(snap_mu_);
-  if (!packed_valid_.load(std::memory_order_relaxed)) {
+  if (!codes_valid_.load(std::memory_order_relaxed)) {
+    // Outlives every forward, like the dense snapshot.
+    runtime::HeapScope heap;
     const float step = initialized_ ? step_.value[0] : lsq_init_step(x, spec_.qp);
     const float s = std::max(step, 1e-6f);
-    const int rows = x.dim(0), cols = x.dim(1);
-    PackedTernary pt;
-    pt.rows = rows;
-    pt.cols = cols;
-    pt.step = s;
-    pt.plus.assign(static_cast<std::size_t>(cols), sc::BitVec(static_cast<std::size_t>(rows)));
-    pt.minus.assign(static_cast<std::size_t>(cols), sc::BitVec(static_cast<std::size_t>(rows)));
-    for (int i = 0; i < rows; ++i)
-      for (int j = 0; j < cols; ++j) {
-        const float q = std::clamp(std::round(x.at(i, j) / s), -1.0f, 1.0f);
-        if (q > 0.0f)
-          pt.plus[static_cast<std::size_t>(j)].set(static_cast<std::size_t>(i), true);
-        else if (q < 0.0f)
-          pt.minus[static_cast<std::size_t>(j)].set(static_cast<std::size_t>(i), true);
-      }
-    // Interleave the planes into one contiguous column-major word stream for
-    // the kernel (see PackedTernary::col_words).
-    const int wpp = static_cast<int>(pt.plus.front().word_count());
-    pt.words_per_plane = wpp;
-    pt.col_words.assign(static_cast<std::size_t>(cols) * 2 * wpp, 0u);
-    for (int j = 0; j < cols; ++j) {
-      std::uint64_t* dst = pt.col_words.data() + static_cast<std::size_t>(j) * 2 * wpp;
-      const std::uint64_t* pw = pt.plus[static_cast<std::size_t>(j)].words();
-      const std::uint64_t* nw = pt.minus[static_cast<std::size_t>(j)].words();
-      for (int t = 0; t < wpp; ++t) {
-        dst[t] = pw[t];
-        dst[wpp + t] = nw[t];
-      }
-    }
-    packed_ = std::move(pt);
-    packed_valid_.store(true, std::memory_order_release);
+    TernaryCodes tc;
+    tc.step = s;
+    tc.levels = Tensor::uninitialized(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      tc.levels[i] = std::clamp(std::round(x[i] / s), -1.0f, 1.0f);
+    codes_ = std::move(tc);
+    codes_valid_.store(true, std::memory_order_release);
   }
-  return packed_;
+  return codes_;
 }
 
 Tensor LsqQuantizer::forward(const Tensor& x) {
   if (!spec_.enabled) return x;
   // Training is about to move the step / the quantized tensor: any frozen
-  // serving snapshot (dense or packed) is stale from here on.
+  // serving snapshot (dense or codes) is stale from here on.
   if (snap_valid_.load(std::memory_order_relaxed) ||
-      packed_valid_.load(std::memory_order_relaxed))
+      codes_valid_.load(std::memory_order_relaxed))
     thaw();
   if (!initialized_) {
     step_.init_shape({1});
@@ -222,14 +200,6 @@ void LsqQuantizer::restore_calibration(QuantSpec spec, bool calibrated, float st
   } else {
     initialized_ = false;
   }
-}
-
-void LsqQuantizer::adopt_packed(PackedTernary pt) {
-  if (!spec_.enabled || spec_.qn != -1 || spec_.qp != 1)
-    throw std::logic_error("LsqQuantizer::adopt_packed: ternary spec required");
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  packed_ = std::move(pt);
-  packed_valid_.store(true, std::memory_order_release);
 }
 
 }  // namespace ascend::nn

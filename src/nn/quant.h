@@ -17,31 +17,17 @@
 #include <vector>
 
 #include "nn/tensor.h"
-#include "sc/bitvec.h"
 
 namespace ascend::nn {
 
-/// Word-packed form of a ternary-quantized rank-2 tensor Q[rows, cols],
-/// Q(i,j) in {-1, 0, +1} x step: two sign bit-planes per output column
-/// (`plus[j]` bit i set iff Q(i,j) == +1, `minus[j]` iff == -1) over the
-/// sc::BitVec word-packed machinery, plus the scalar step. Feeds the
-/// multiply-free gemm::ternary_matmul kernel:
-///   y_j = step * (sum_{i in P_j} x_i - sum_{i in N_j} x_i).
-struct PackedTernary {
-  int rows = 0;  ///< contraction length (Linear: in_features)
-  int cols = 0;  ///< output count (Linear: out_features)
+/// Integer-level form of a ternary-quantized rank-2 tensor: `levels` holds
+/// clamp(round(x / step), -1, +1) as 0/±1 floats and `step` the clamped
+/// step, so the quantized tensor is levels * step. A GEMM over such levels
+/// sums exact integers (every partial sum is below 2^24), which is what lets
+/// Linear::infer serve W2A2 layers through the dense blocked kernels.
+struct TernaryCodes {
+  Tensor levels;
   float step = 0.0f;
-  std::vector<sc::BitVec> plus;   ///< per column: +1 positions over rows bits
-  std::vector<sc::BitVec> minus;  ///< per column: -1 positions over rows bits
-
-  /// Kernel-friendly copy of the planes: per column j, words_per_plane plus
-  /// words followed by words_per_plane minus words, columns contiguous
-  /// (col_words[j * 2 * words_per_plane ...]). One linear stream, so the
-  /// matmul's column walk never chases per-BitVec storage pointers.
-  int words_per_plane = 0;
-  std::vector<std::uint64_t> col_words;
-
-  bool empty() const { return rows == 0 && cols == 0; }
 };
 
 /// Learnable parameter with gradient and AdamW state.
@@ -117,22 +103,22 @@ class LsqQuantizer {
   /// path). When the spec is disabled, returns `x` unchanged.
   const Tensor& frozen_infer(const Tensor& x) const;
 
-  /// Packed-ternary sibling of frozen_infer for a rank-2 weight matrix under
-  /// a ternary spec (qn == -1, qp == +1): quantizes `x` once into word-packed
-  /// sign bit-planes (see PackedTernary) and serves the packed snapshot on
-  /// every later call. Same invalidation contract and double-checked-build
-  /// thread safety as frozen_infer; the dense and packed snapshots are
-  /// independent (building one does not build the other) but are thawed
-  /// together. Throws on a non-ternary spec or non-rank-2 input.
-  const PackedTernary& frozen_packed_ternary(const Tensor& x) const;
+  /// Integer-level sibling of frozen_infer for a rank-2 weight matrix under
+  /// a ternary spec (qn == -1, qp == +1): quantizes `x` once into
+  /// TernaryCodes and serves that snapshot on every later call. Same
+  /// invalidation contract and double-checked-build thread safety as
+  /// frozen_infer; the dense and code snapshots are independent (building
+  /// one does not build the other) but are thawed together. Throws on a
+  /// non-ternary spec or a non-rank-2 input.
+  const TernaryCodes& frozen_ternary_codes(const Tensor& x) const;
 
-  /// Drop the frozen snapshots (dense and packed); the next frozen_infer /
-  /// frozen_packed_ternary re-quantizes.
+  /// Drop the frozen snapshots (dense and codes); the next frozen_infer /
+  /// frozen_ternary_codes re-quantizes.
   void thaw();
   /// True while a frozen snapshot is live (exposed for tests/benches).
   bool frozen() const { return snap_valid_.load(std::memory_order_acquire); }
-  /// True while a packed-ternary snapshot is live.
-  bool packed_frozen() const { return packed_valid_.load(std::memory_order_acquire); }
+  /// True while a ternary-code snapshot is live.
+  bool codes_frozen() const { return codes_valid_.load(std::memory_order_acquire); }
 
   float step() const { return step_.value.empty() ? 0.0f : step_.value[0]; }
   /// True once a training forward has initialised the step under the current
@@ -146,12 +132,6 @@ class LsqQuantizer {
   /// `step`. Thaws any frozen snapshot, like every other spec change.
   void restore_calibration(QuantSpec spec, bool calibrated, float step);
 
-  /// Adopt a deserialized packed-ternary snapshot as if frozen_packed_ternary
-  /// had just built it. The caller guarantees `pt` was packed from this
-  /// quantizer's (immutable-while-serving) weight matrix under the current
-  /// spec and step; the usual thaw events invalidate it as normal.
-  void adopt_packed(PackedTernary pt);
-
  private:
   QuantSpec spec_;
   Param step_;
@@ -159,14 +139,14 @@ class LsqQuantizer {
   // Caches from the last forward.
   Tensor cached_x_;
   Tensor cached_q_;  // integer levels as floats
-  // Frozen quantized snapshots (see frozen_infer / frozen_packed_ternary):
+  // Frozen quantized snapshots (see frozen_infer / frozen_ternary_codes):
   // guarded by snap_mu_ for building, published through the acquire/release
   // flags for lock-free reads.
   mutable std::mutex snap_mu_;
   mutable std::atomic<bool> snap_valid_{false};
   mutable Tensor snapshot_;
-  mutable std::atomic<bool> packed_valid_{false};
-  mutable PackedTernary packed_;
+  mutable std::atomic<bool> codes_valid_{false};
+  mutable TernaryCodes codes_;
 };
 
 }  // namespace ascend::nn

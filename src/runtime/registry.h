@@ -33,7 +33,7 @@ namespace ascend::runtime {
 /// precision/hook policy of the published variant.
 enum class VariantKind {
   kFp32,           ///< fake-quantization stripped, dense GEMM (fidelity ceiling)
-  kPackedTernary,  ///< W2A2 served multiply-free off packed sign planes
+  kPackedTernary,  ///< W2A2 served as ternary codes through the blocked GEMM
   kScLut,          ///< SC softmax/GELU from the transfer-function LUT cache
   kScEmulated,     ///< SC nonlinearities per-activation circuit emulation
 };

@@ -4,7 +4,7 @@
 // A Servable is anything the InferenceEngine can serve: a batched forward
 // plus enough shape metadata for the engine to assemble request payloads
 // into input tensors and validate them without knowing what the model is.
-// The ViT execution modes (fp32 blocked-GEMM, W2A2 packed-ternary, SC
+// The ViT execution modes (fp32 blocked-GEMM, W2A2 ternary codes, SC
 // circuit emulation, SC LUT-cached) are adapters over one trained model —
 // see vit/servable.h — but the engine only ever sees this interface, so a
 // registry can mix models and fidelity modes freely.

@@ -362,12 +362,9 @@ const GateSiLut& TfCache::gelu(int b, double input_lo, double input_hi, int inpu
   });
 }
 
-const GateSiLut& TfCache::gelu_block(const sc::GateAssistedSI& block, const std::string& key) {
-  return get_or_build(gelu_, key, [&] { return std::make_unique<GateSiLut>(block); });
-}
-
 const GateSiLut& TfCache::gate_si(const sc::GateAssistedSI& block) {
-  return gelu_block(block, gate_si_cache_key(block));
+  return get_or_build(gelu_, gate_si_cache_key(block),
+                      [&] { return std::make_unique<GateSiLut>(block); });
 }
 
 const BernsteinGeluLut& TfCache::bernstein(const sc::BernsteinGelu& block, std::size_t bsl,

@@ -61,9 +61,6 @@ class GateSiLut {
   std::vector<double> out_;  // lin_ + 1 entries
 };
 
-/// Historical name from when the only tabulated SI block was the GELU.
-using GeluLut = GateSiLut;
-
 /// Tabulated iterative-softmax datapath (Fig. 5). The multiplier / BSN /
 /// sub-sampler counts are exact O(1) integer maps and are evaluated through
 /// the sc:: count-level emulator directly; the four re-scaling blocks — whose
@@ -188,10 +185,6 @@ class TfCache {
  public:
   /// LUT for make_gelu_block(b, lo, hi, input_bsl).
   const GateSiLut& gelu(int b, double input_lo, double input_hi, int input_bsl);
-  /// LUT for an arbitrary synthesized gate-assisted SI block under a
-  /// caller-chosen key (callers that already have a stable name for the
-  /// block, e.g. the engine's per-config GELU hook).
-  const GateSiLut& gelu_block(const sc::GateAssistedSI& block, const std::string& key);
   /// LUT for an arbitrary gate-assisted SI block, keyed automatically from
   /// the block's parameters and count table (FNV-1a over the table).
   const GateSiLut& gate_si(const sc::GateAssistedSI& block);

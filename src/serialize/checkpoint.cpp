@@ -103,11 +103,6 @@ void CheckpointWriter::add_f32(const std::string& name, const std::vector<int>& 
   add_blob(name, DType::kF32, dims, data, n * sizeof(float));
 }
 
-void CheckpointWriter::add_u64(const std::string& name, const std::vector<int>& dims,
-                               const std::uint64_t* data, std::size_t count) {
-  add_blob(name, DType::kU64, dims, data, count * sizeof(std::uint64_t));
-}
-
 void CheckpointWriter::add_blob(const std::string& name, DType dtype, const std::vector<int>& dims,
                                 const void* data, std::size_t bytes) {
   if (name.empty() || name.size() > kMaxName)

@@ -50,7 +50,7 @@ constexpr std::size_t kMaxName = 79;       ///< record names are fixed 80-byte f
 
 enum class DType : std::uint32_t {
   kF32 = 0,  ///< float32 tensor data
-  kU64 = 1,  ///< raw 64-bit words (packed-ternary sign planes)
+  kU64 = 1,  ///< raw 64-bit words (sign planes in older W2A2 files)
 };
 
 /// Typed failure from any checkpoint open/validate/lookup. `kind()` tells a
@@ -95,9 +95,6 @@ class CheckpointWriter {
   void set_config(std::string text) { config_ = std::move(text); }
   /// Add a float32 tensor blob. Name must be unique and <= kMaxName chars.
   void add_f32(const std::string& name, const std::vector<int>& dims, const float* data);
-  /// Add a raw 64-bit word blob (dims describe the logical shape).
-  void add_u64(const std::string& name, const std::vector<int>& dims, const std::uint64_t* data,
-               std::size_t count);
   /// Serialize to `path` (atomic enough for tests: write then close; throws
   /// CheckpointError(kIo) on any filesystem failure).
   void write(const std::string& path) const;

@@ -9,7 +9,6 @@
 #include "serialize/model_io.h"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <sstream>
@@ -42,9 +41,7 @@ std::vector<int> dims_of(const Tensor& t) {
 struct Visitor {
   std::function<void(const std::string&, Param&)> param;
   std::function<void(const std::string&, Tensor&)> stat;  ///< BN running stats
-  /// `owner` is the Linear whose weights this quantizer serves (frozen
-  /// packed-plane records attach here); null for input/residual quantizers.
-  std::function<void(const std::string&, LsqQuantizer&, nn::Linear*)> quant;
+  std::function<void(const std::string&, LsqQuantizer&)> quant;
 };
 
 void visit_norm(const std::string& prefix, vit::NormLayer& norm, const Visitor& v) {
@@ -65,8 +62,8 @@ void visit_linear(const std::string& prefix, nn::Linear& lin, const Visitor& v,
   v.param(prefix + ".weight", lin.weight());
   if (!lin.bias().value.empty()) v.param(prefix + ".bias", lin.bias());
   if (with_quants) {
-    v.quant(prefix + ".wq", lin.weight_quant(), &lin);
-    v.quant(prefix + ".aq", lin.input_quant(), nullptr);
+    v.quant(prefix + ".wq", lin.weight_quant());
+    v.quant(prefix + ".aq", lin.input_quant());
   }
 }
 
@@ -82,11 +79,11 @@ void walk_model(vit::VisionTransformer& m, const Visitor& v) {
     visit_norm(p + ".norm1", blk.norm1(), v);
     visit_linear(p + ".msa.qkv", blk.msa().qkv(), v, true);
     visit_linear(p + ".msa.proj", blk.msa().proj(), v, true);
-    v.quant(p + ".rq1", blk.residual_quant1(), nullptr);
+    v.quant(p + ".rq1", blk.residual_quant1());
     visit_norm(p + ".norm2", blk.norm2(), v);
     visit_linear(p + ".mlp.fc1", blk.mlp().fc1(), v, true);
     visit_linear(p + ".mlp.fc2", blk.mlp().fc2(), v, true);
-    v.quant(p + ".rq2", blk.residual_quant2(), nullptr);
+    v.quant(p + ".rq2", blk.residual_quant2());
   }
   visit_norm("final_norm", m.final_norm(), v);
   visit_linear("head", m.head(), v, /*with_quants=*/false);
@@ -185,58 +182,6 @@ void restore_qstate(const CheckpointView& ck, const std::string& prefix, LsqQuan
   q.restore_calibration(spec, st[3] != 0.0f, st[4]);
 }
 
-bool ternary_weight_quant(const LsqQuantizer& q) {
-  return q.enabled() && q.spec().qn == -1 && q.spec().qp == 1;
-}
-
-// Frozen packed-ternary sign planes: the u64 `.packed` record carries
-// PackedTernary::col_words verbatim ({cols, 2, words_per_plane}); the f32
-// `.packed_meta` record carries {rows, cols, words_per_plane, step}.
-void save_packed(CheckpointWriter& w, const std::string& prefix, LsqQuantizer& q,
-                 nn::Linear& owner) {
-  const nn::PackedTernary& pt = q.frozen_packed_ternary(owner.weight().value);
-  const float meta[4] = {static_cast<float>(pt.rows), static_cast<float>(pt.cols),
-                         static_cast<float>(pt.words_per_plane), pt.step};
-  w.add_f32(prefix + ".packed_meta", {4}, meta);
-  w.add_u64(prefix + ".packed", {pt.cols, 2, pt.words_per_plane}, pt.col_words.data(),
-            pt.col_words.size());
-}
-
-void restore_packed(const CheckpointView& ck, const std::string& prefix, LsqQuantizer& q,
-                    nn::Linear& owner) {
-  const Record* rec = ck.find(prefix + ".packed");
-  if (!rec) return;  // planes are optional; cold start re-freezes lazily
-  const Tensor meta = ck.read_f32(prefix + ".packed_meta");
-  if (meta.size() != 4) fail(Kind::kSchema, "record '" + prefix + ".packed_meta' malformed");
-  nn::PackedTernary pt;
-  pt.rows = static_cast<int>(std::lround(meta[0]));
-  pt.cols = static_cast<int>(std::lround(meta[1]));
-  pt.words_per_plane = static_cast<int>(std::lround(meta[2]));
-  pt.step = meta[3];
-  if (rec->dtype != DType::kU64 || pt.rows != owner.in_features() ||
-      pt.cols != owner.out_features() || pt.words_per_plane != (pt.rows + 63) / 64 ||
-      rec->element_count() != static_cast<std::size_t>(pt.cols) * 2 * pt.words_per_plane)
-    fail(Kind::kSchema, "record '" + prefix + ".packed' shape inconsistent");
-  const auto* words = reinterpret_cast<const std::uint64_t*>(ck.payload(*rec));
-  pt.col_words.assign(words, words + rec->element_count());
-  // Rebuild the per-column BitVec planes from the interleaved word stream
-  // (the dense-fallback and introspection form of the same bits).
-  const std::size_t rows = static_cast<std::size_t>(pt.rows);
-  const int wpp = pt.words_per_plane;
-  pt.plus.assign(static_cast<std::size_t>(pt.cols), sc::BitVec(rows));
-  pt.minus.assign(static_cast<std::size_t>(pt.cols), sc::BitVec(rows));
-  for (int j = 0; j < pt.cols; ++j) {
-    const std::uint64_t* col = pt.col_words.data() + static_cast<std::size_t>(j) * 2 * wpp;
-    for (std::size_t i = 0; i < rows; ++i) {
-      if ((col[i >> 6] >> (i & 63)) & 1u)
-        pt.plus[static_cast<std::size_t>(j)].set(i, true);
-      if ((col[wpp + (i >> 6)] >> (i & 63)) & 1u)
-        pt.minus[static_cast<std::size_t>(j)].set(i, true);
-    }
-  }
-  q.adopt_packed(std::move(pt));
-}
-
 // ---------------------------------------------------------------------------
 // Load core shared by the eager and mmap paths.
 
@@ -260,17 +205,14 @@ std::unique_ptr<vit::VisionTransformer> load_common(const CheckpointView& ck,
   Visitor v;
   v.param = [&](const std::string& name, Param& p) { assign_tensor(ck, mapped, name, p.value); };
   v.stat = [&](const std::string& name, Tensor& t) { assign_tensor(ck, mapped, name, t); };
-  v.quant = [&](const std::string& name, LsqQuantizer& q, nn::Linear* owner) {
-    restore_qstate(ck, name, q);
-    if (owner && ternary_weight_quant(q)) restore_packed(ck, name, q, *owner);
-  };
+  v.quant = [&](const std::string& name, LsqQuantizer& q) { restore_qstate(ck, name, q); };
   walk_model(*model, v);
   return model;
 }
 
 }  // namespace
 
-void save_model(vit::VisionTransformer& model, const std::string& path, const SaveOptions& opts) {
+void save_model(vit::VisionTransformer& model, const std::string& path) {
   CheckpointWriter w;
   w.set_config(make_config(model));
   Visitor v;
@@ -278,10 +220,7 @@ void save_model(vit::VisionTransformer& model, const std::string& path, const Sa
     w.add_f32(name, dims_of(p.value), p.value.data());
   };
   v.stat = [&](const std::string& name, Tensor& t) { w.add_f32(name, dims_of(t), t.data()); };
-  v.quant = [&](const std::string& name, LsqQuantizer& q, nn::Linear* owner) {
-    save_qstate(w, name, q);
-    if (opts.include_packed && owner && ternary_weight_quant(q)) save_packed(w, name, q, *owner);
-  };
+  v.quant = [&](const std::string& name, LsqQuantizer& q) { save_qstate(w, name, q); };
   walk_model(model, v);
   w.write(path);
 }
@@ -339,7 +278,7 @@ std::uint64_t ModelRegistry::register_from_file(const std::string& variant_id,
           throw serialize::CheckpointError(
               serialize::CheckpointError::Kind::kSchema,
               "register_from_file('" + variant_id +
-                  "'): packed-ternary serving needs a W2-A2 checkpoint, got " + p.name());
+                  "'): W2A2 serving needs a W2-A2 checkpoint, got " + p.name());
         servable = vit::make_servable_over(std::move(model), variant_id, std::move(retain));
         break;
       }

@@ -13,7 +13,10 @@
 //   blocks.N.msa.{qkv,proj}.{wq,aq}.qstate      (LSQ calibration, 5 floats)
 //   blocks.N.mlp.{fc1,fc2}.{wq,aq}.qstate
 //   blocks.N.{rq1,rq2}.qstate                   (residual quantizers)
-//   <linear>.wq.packed / .packed_meta           (optional frozen sign planes)
+//
+// Readers look records up by name and ignore any they do not know, so older
+// files that still carry `<linear>.wq.packed` / `.packed_meta` (frozen sign
+// planes, no longer written) load unchanged.
 //
 // Topology + precision travel in the config block (key=value lines), so
 // load_model() reconstructs the full model from the file alone. Two load
@@ -36,18 +39,9 @@
 
 namespace ascend::serialize {
 
-struct SaveOptions {
-  /// Serialize frozen packed-ternary sign planes for every calibrated
-  /// ternary weight quantizer (building them if not yet frozen). Loading a
-  /// checkpoint that carries planes skips cold-start re-quantization; the
-  /// records are ignored by readers that don't want them.
-  bool include_packed = true;
-};
-
 /// Write `model` (topology, precision, weights, LSQ calibration, BN running
 /// statistics) to a version-1 checkpoint at `path`.
-void save_model(vit::VisionTransformer& model, const std::string& path,
-                const SaveOptions& opts = {});
+void save_model(vit::VisionTransformer& model, const std::string& path);
 
 /// Reconstruct a model eagerly from a checkpoint written by save_model.
 /// Throws CheckpointError (kSchema for a well-formed container whose records

@@ -391,17 +391,6 @@ bool Server::drain_rbuf(const std::shared_ptr<Connection>& conn) {
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn, RequestFrame&& frame) {
-  if (frame.drain()) {
-    // Graceful-drain control frame: acknowledge, then stop accepting. Work
-    // already accepted keeps resolving; wait_drained() unblocks when the
-    // last owed response has flushed.
-    ResponseFrame resp;
-    resp.status = Status::kOk;
-    resp.request_id = frame.request_id;
-    send_response(conn, resp, false);
-    drain();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
     ++open_requests_;
@@ -409,6 +398,18 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn, RequestFrame&
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     ++conn->in_flight;
+  }
+  if (frame.drain()) {
+    // Graceful-drain control frame: stop admitting first, so a client that
+    // sees the ack can rely on it. The ack is owed like any response, so
+    // wait_drained() also waits for it. Work already accepted keeps
+    // resolving.
+    drain();
+    ResponseFrame resp;
+    resp.status = Status::kOk;
+    resp.request_id = frame.request_id;
+    send_response(conn, resp, true);
+    return;
   }
   if (draining_.load()) {
     ResponseFrame resp;

@@ -6,8 +6,8 @@
 // BN statistics copied; hooks and precision per variant):
 //   * make_fp32_servable        — fake-quantization stripped; dense blocked
 //                                 GEMM all the way (the fidelity ceiling);
-//   * make_packed_ternary_servable — the W2A2 regime served multiply-free
-//                                 through the packed-ternary kernels;
+//   * make_packed_ternary_servable — the W2A2 regime served as ternary
+//                                 codes through the blocked GEMM;
 //   * make_sc_servable          — SC nonlinear blocks active: softmax /
 //                                 GELU served from the transfer-function
 //                                 LUT cache, or per-activation circuit
@@ -49,9 +49,9 @@ struct ScServableOptions {
 std::shared_ptr<runtime::Servable> make_fp32_servable(VisionTransformer& model,
                                                       std::string variant_id = "fp32");
 
-/// Multiply-free W2A2 variant: serving clone keeping the model's ternary
-/// weight/activation calibration; Linear layers route through the packed
-/// sign-plane kernels. Throws std::invalid_argument unless the model's
+/// W2A2 variant: serving clone keeping the model's ternary weight/activation
+/// calibration; Linear layers multiply 0/±1 codes through the blocked GEMM
+/// (see nn::Linear). Throws std::invalid_argument unless the model's
 /// precision is ternary W and A (w_bsl == 2 && a_bsl == 2).
 std::shared_ptr<runtime::Servable> make_packed_ternary_servable(
     VisionTransformer& model, std::string variant_id = "w2a2-packed");

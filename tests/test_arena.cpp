@@ -362,7 +362,7 @@ TEST(AllocFree, MmapBackedWeightsStayZeroAllocAtSteadyState) {
 
 TEST(TensorCopies, InferPathCopyCountPinned) {
   // The infer-path copy audit (ops.cpp, module.cpp, quant.cpp) eliminated
-  // every whole-tensor copy from the packed-ternary forward. Pin it at zero
+  // every whole-tensor copy from the W2A2 forward. Pin it at zero
   // so a future "Tensor y = x; mutate(y)" pattern re-fails review here.
   VariantRig rig;
   const auto& servable = rig.variants[0].second;  // w2a2-packed

@@ -609,7 +609,7 @@ TEST_F(ChaosTest, DisabledSiteAddsNoAllocations) {
 
 TEST_F(ChaosTest, SteadyStateForwardStaysAllocFreeWithFailpointsInTheBinary) {
   ASSERT_TRUE(alloc_counting_active());
-  // A real packed-ternary servable under an arena: the zero-alloc acceptance
+  // A real W2A2 servable under an arena: the zero-alloc acceptance
   // claim from the arena PR must survive the failpoint instrumentation, with
   // an *unrelated* site armed to prove armed machinery elsewhere does not
   // leak allocations into the forward path.

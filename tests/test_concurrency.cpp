@@ -571,7 +571,7 @@ TEST(SnapshotConcurrency, ConcurrentBatchNormFirstInferAgrees) {
       ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;
 }
 
-TEST(SnapshotConcurrency, ConcurrentPackedTernaryFirstInferAgrees) {
+TEST(SnapshotConcurrency, ConcurrentTernaryCodesFirstInferAgrees) {
   nn::Rng rng(34);
   nn::Linear lin(32, 24, rng);
   lin.set_weight_quant(nn::QuantSpec::ternary());
@@ -588,6 +588,7 @@ TEST(SnapshotConcurrency, ConcurrentPackedTernaryFirstInferAgrees) {
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = clin.infer(x); });
   for (auto& t : threads) t.join();
+  EXPECT_TRUE(lin.weight_quant().codes_frozen());
   for (int t = 1; t < kThreads; ++t)
     for (std::size_t i = 0; i < results[0].size(); ++i)
       ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;

@@ -1,12 +1,15 @@
 // Blocked/tiled GEMM kernel subsystem (nn/gemm.h): blocked kernels vs the
-// seed's reference loops across awkward shapes, packed-ternary vs dense
-// frozen Linear::infer equivalence, run-to-run / across-thread-count
-// determinism, and ASCEND_GEMM=reference bit-exactness vs the seed loops.
+// seed's reference loops across awkward shapes, the W2A2 ternary-code
+// Linear::infer path (bitwise against integer code counts), run-to-run /
+// across-thread-count determinism, and ASCEND_GEMM=reference bit-exactness
+// vs the seed loops.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -302,7 +305,82 @@ TEST(GemmDeterminism, ConcurrentPoolCallersAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed-ternary serving path
+// W2A2 Linear::infer, bitwise against integer code counts
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct W2a2Case {
+  int m, k, n;
+  float w_step, x_step;  ///< calibrated LSQ steps (clamped to 1e-6 when serving)
+  float x_scale;         ///< stddev of the random activations
+  float bias_scale;      ///< stddev of the bias, kept near the outputs' size
+};
+
+/// Recomputes every output of a calibrated W2A2 Linear::infer from integer
+/// code counts: y = fl(fl(w_step * x_step) * count) + bias, with the weight
+/// code clamp(round(w / w_step), -1, +1) and the activation code +1 iff
+/// x >= x_step/2, -1 iff x <= -x_step/2. Row 0 is all zeros; row 1 sits
+/// exactly on the thresholds and one float inside them.
+void expect_w2a2_infer_matches_counts(const W2a2Case& tc, std::uint64_t seed) {
+  BackendGuard guard;
+  gemm::set_backend(gemm::Backend::kBlocked);
+  Rng rng(seed);
+  Linear lin(tc.k, tc.n, rng);
+  lin.weight_quant().restore_calibration(QuantSpec::ternary(), true, tc.w_step);
+  lin.input_quant().restore_calibration(QuantSpec::ternary(), true, tc.x_step);
+  rng.fill_normal(lin.bias().value, 0.0f, tc.bias_scale);
+  const float sw = std::max(tc.w_step, 1e-6f), sx = std::max(tc.x_step, 1e-6f);
+  const float half = 0.5f * sx;
+
+  Tensor x = random_tensor({tc.m, tc.k}, rng);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= tc.x_scale;
+  for (int c = 0; c < tc.k; ++c) x.at(0, c) = 0.0f;
+  const float edges[4] = {half, -half, std::nextafter(half, 0.0f), std::nextafter(-half, 0.0f)};
+  for (int c = 0; c < tc.k; ++c) x.at(1, c) = edges[c % 4];
+
+  const Tensor y = lin.infer(x);
+  ASSERT_EQ(y.shape(), Shape({tc.m, tc.n}));
+  const float scale = sw * sx;
+  for (int r = 0; r < tc.m; ++r)
+    for (int c = 0; c < tc.n; ++c) {
+      int count = 0;
+      for (int i = 0; i < tc.k; ++i) {
+        const float v = x.at(r, i);
+        const int xc = v >= half ? 1 : (v <= -half ? -1 : 0);
+        const int wc =
+            static_cast<int>(std::clamp(std::round(lin.weight().value.at(i, c) / sw), -1.0f, 1.0f));
+        count += xc * wc;
+      }
+      float expect = scale * static_cast<float>(count);
+      expect += lin.bias().value[static_cast<std::size_t>(c)];
+      const float got = y.at(r, c);
+      ASSERT_EQ(std::memcmp(&got, &expect, sizeof(float)), 0)
+          << "row " << r << " col " << c << ": got " << got << ", want " << expect;
+    }
+}
+
+}  // namespace
+
+TEST(W2a2LinearInfer, BitwiseEqualsIntegerCodeCounts) {
+  const std::vector<W2a2Case> cases = {
+      // Weight steps near the init stddev sqrt(2/k), so most weight codes
+      // are nonzero and the counts span many integers.
+      {6, 100, 70, 0.14f, 0.6f, 1.0f, 1.0f},       // k > 64, not a multiple of 64
+      {3, 64, 33, 0.2f, 0.45f, 1.0f, 1.0f},        // k exactly one word
+      {37, 300, 129, 0.09f, 0.9f, 1.5f, 1.0f},     // k across the GEMM's contraction block
+      {4, 70, 17, 1e-9f, 1e-9f, 1e-6f, 1e-11f},    // both steps clamped to 1e-6
+      {2, 130, 5, 0.12f, 0.0f, 1e-6f, 1e-7f},      // activation step 0, clamped
+  };
+  std::uint64_t seed = 100;
+  for (const W2a2Case& tc : cases) {
+    SCOPED_TRACE(testing::Message() << "m=" << tc.m << " k=" << tc.k << " n=" << tc.n);
+    expect_w2a2_infer_matches_counts(tc, seed++);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ternary-code weight snapshot
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -321,7 +399,7 @@ Tensor dense_linear_control(Linear& lin, const Tensor& x) {
 
 }  // namespace
 
-TEST(PackedTernary, LinearInferMatchesDenseFrozenTernaryActivations) {
+TEST(TernaryCodes, LinearInferMatchesDenseFrozenTernaryActivations) {
   BackendGuard guard;
   gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(11);
@@ -331,38 +409,16 @@ TEST(PackedTernary, LinearInferMatchesDenseFrozenTernaryActivations) {
   Tensor x = random_tensor({5, 96}, rng);
   for (int c = 0; c < 96; ++c) x.at(2, c) = 0.0f;  // an all-zero row
   (void)lin.forward(x);  // latch the LSQ steps
-  const Tensor packed = lin.infer(x);
-  EXPECT_TRUE(lin.weight_quant().packed_frozen());
+  const Tensor codes = lin.infer(x);
+  EXPECT_TRUE(lin.weight_quant().codes_frozen());
+  EXPECT_FALSE(lin.weight_quant().frozen());  // the dense snapshot is not built
   const Tensor dense = dense_linear_control(lin, x);
-  EXPECT_LE(max_abs_diff(packed, dense), 1e-5f);
+  EXPECT_LE(max_abs_diff(codes, dense), 1e-5f);
 }
 
-TEST(PackedTernary, KernelRejectsRowsOfMixedMagnitude) {
-  // The kernel serves ternary activation rows only (one nonzero magnitude);
-  // Linear::infer routes nothing else to it (see module.cpp).
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
-  Rng rng(12);
-  LsqQuantizer q(QuantSpec::ternary());
-  Tensor w = random_tensor({70, 33}, rng);
-  (void)q.forward(w);  // latch the step
-  const PackedTernary& pt = q.frozen_packed_ternary(w);
-  Tensor ternary({1, 70});
-  for (int c = 0; c < 70; c += 3) ternary.at(0, c) = c % 2 ? 0.5f : -0.5f;
-  Tensor y({1, 33});
-  gemm::ternary_matmul(ternary.data(), 1, 70, pt, y.data(), 33);
-  EXPECT_LE(max_abs_diff(y, matmul(ternary, q.infer(w))), 1e-5f);
-
-  Tensor mixed({1, 70});
-  mixed.at(0, 5) = 0.5f;
-  mixed.at(0, 40) = -0.25f;
-  EXPECT_THROW(gemm::ternary_matmul(mixed.data(), 1, 70, pt, y.data(), 33),
-               std::invalid_argument);
-}
-
-TEST(PackedTernary, LinearServesDenseWhenActivationsNotTernary) {
+TEST(TernaryCodes, LinearServesDenseWhenActivationsNotTernary) {
   // Ternary weights + full-precision activations: the dense blocked path
-  // serves (no packed snapshot is built), and matches per-call dense
+  // serves (no code snapshot is built), and matches per-call dense
   // requantization bit-exactly.
   BackendGuard guard;
   gemm::set_backend(gemm::Backend::kBlocked);
@@ -372,13 +428,29 @@ TEST(PackedTernary, LinearServesDenseWhenActivationsNotTernary) {
   const Tensor x = random_tensor({3, 48}, rng);
   (void)lin.forward(x);
   const Tensor served = lin.infer(x);
-  EXPECT_FALSE(lin.weight_quant().packed_frozen());
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
   EXPECT_TRUE(lin.weight_quant().frozen());  // dense snapshot instead
   const Tensor dense = dense_linear_control(lin, x);
   expect_bitwise_equal(served, dense, "dense serving for non-ternary activations");
 }
 
-TEST(PackedTernary, DeterministicRunToRun) {
+TEST(TernaryCodes, UncalibratedInputServesDenseFakeQuant) {
+  // An input quantizer that never latched a step has no fixed activation
+  // step to scale codes by: the dense fake-quantized path serves instead.
+  BackendGuard guard;
+  gemm::set_backend(gemm::Backend::kBlocked);
+  Rng rng(21);
+  Linear lin(40, 24, rng);
+  lin.set_weight_quant(QuantSpec::ternary());
+  lin.set_input_quant(QuantSpec::ternary());
+  const Tensor x = random_tensor({3, 40}, rng);
+  ASSERT_FALSE(lin.input_quant().calibrated());
+  const Tensor served = lin.infer(x);
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+  expect_bitwise_equal(served, dense_linear_control(lin, x), "uncalibrated input serving");
+}
+
+TEST(TernaryCodes, DeterministicRunToRun) {
   BackendGuard guard;
   gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(13);
@@ -387,33 +459,26 @@ TEST(PackedTernary, DeterministicRunToRun) {
   lin.set_input_quant(QuantSpec::ternary());
   const Tensor x = random_tensor({3, 128}, rng);
   (void)lin.forward(x);
-  expect_bitwise_equal(lin.infer(x), lin.infer(x), "packed run-to-run");
+  expect_bitwise_equal(lin.infer(x), lin.infer(x), "codes run-to-run");
 }
 
-TEST(PackedTernary, PlanesMatchDenseQuantization) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
+TEST(TernaryCodes, LevelsMatchDenseQuantization) {
   Rng rng(14);
   LsqQuantizer q(QuantSpec::ternary());
   Tensor w = random_tensor({37, 21}, rng);
   (void)q.forward(w);  // latch the step
   const Tensor wq = q.infer(w);
-  const PackedTernary& pt = q.frozen_packed_ternary(w);
-  ASSERT_EQ(pt.rows, 37);
-  ASSERT_EQ(pt.cols, 21);
-  ASSERT_EQ(pt.plus.size(), 21u);
-  for (int i = 0; i < pt.rows; ++i)
-    for (int j = 0; j < pt.cols; ++j) {
-      const float v = wq.at(i, j);
-      EXPECT_EQ(pt.plus[static_cast<std::size_t>(j)].get(static_cast<std::size_t>(i)), v > 0.0f);
-      EXPECT_EQ(pt.minus[static_cast<std::size_t>(j)].get(static_cast<std::size_t>(i)), v < 0.0f);
-      if (v > 0.0f) {
-        EXPECT_FLOAT_EQ(v, pt.step);
-      }
-    }
+  const TernaryCodes& tc = q.frozen_ternary_codes(w);
+  ASSERT_EQ(tc.levels.shape(), w.shape());
+  EXPECT_EQ(tc.step, std::max(q.step(), 1e-6f));
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const float level = tc.levels[i];
+    ASSERT_TRUE(level == -1.0f || level == 0.0f || level == 1.0f) << "element " << i;
+    EXPECT_EQ(level * tc.step, wq[i]) << "element " << i;
+  }
 }
 
-TEST(PackedTernary, ThawRules) {
+TEST(TernaryCodes, ThawRules) {
   BackendGuard guard;
   gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(15);
@@ -422,33 +487,40 @@ TEST(PackedTernary, ThawRules) {
   lin.set_input_quant(QuantSpec::ternary());
   const Tensor x = random_tensor({2, 16}, rng);
   (void)lin.forward(x);
-  (void)lin.infer(x);  // freeze packed snapshot
-  ASSERT_TRUE(lin.weight_quant().packed_frozen());
+  (void)lin.infer(x);  // freeze the code snapshot
+  ASSERT_TRUE(lin.weight_quant().codes_frozen());
 
   // Training forward thaws.
   (void)lin.forward(x);
-  EXPECT_FALSE(lin.weight_quant().packed_frozen());
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
 
   // reset_spec (the apply_precision path) thaws.
   (void)lin.infer(x);
-  ASSERT_TRUE(lin.weight_quant().packed_frozen());
+  ASSERT_TRUE(lin.weight_quant().codes_frozen());
   lin.set_weight_quant(QuantSpec::ternary());
-  EXPECT_FALSE(lin.weight_quant().packed_frozen());
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+
+  // restore_calibration (the checkpoint load path) thaws.
+  (void)lin.forward(x);  // re-latch the step under the new spec
+  (void)lin.infer(x);
+  ASSERT_TRUE(lin.weight_quant().codes_frozen());
+  lin.weight_quant().restore_calibration(QuantSpec::ternary(), true, lin.weight_quant().step());
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
 
   // Manual thaw + weight edit: the rebuilt snapshot must see the new weights.
-  (void)lin.forward(x);  // re-latch the step under the new spec
   const Tensor before = lin.infer(x);
   for (std::size_t i = 0; i < lin.weight().value.size(); ++i)
     lin.weight().value[i] = -lin.weight().value[i];
   lin.thaw();
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
   const Tensor after = lin.infer(x);
   bool any_diff = false;
   for (std::size_t i = 0; i < after.size(); ++i) any_diff = any_diff || after[i] != before[i];
-  EXPECT_TRUE(any_diff) << "thaw must rebuild the packed planes from the edited weights";
+  EXPECT_TRUE(any_diff) << "thaw must rebuild the codes from the edited weights";
 }
 
-TEST(PackedTernary, ReferenceBackendServesDenseBitExactly) {
-  // ASCEND_GEMM=reference disables the packed path: Linear::infer must be
+TEST(TernaryCodes, ReferenceBackendServesDenseBitExactly) {
+  // ASCEND_GEMM=reference disables the code path: Linear::infer must be
   // bit-exact with the seed's dense frozen serving behaviour.
   BackendGuard guard;
   Rng rng(16);
@@ -459,19 +531,19 @@ TEST(PackedTernary, ReferenceBackendServesDenseBitExactly) {
   (void)lin.forward(x);
   gemm::set_backend(gemm::Backend::kReference);
   const Tensor served = lin.infer(x);
-  EXPECT_FALSE(lin.weight_quant().packed_frozen());
+  EXPECT_FALSE(lin.weight_quant().codes_frozen());
   const Tensor dense = dense_linear_control(lin, x);
   expect_bitwise_equal(served, dense, "reference backend dense serving");
 }
 
-TEST(PackedTernary, ThrowsOnNonTernarySpec) {
+TEST(TernaryCodes, ThrowsOnNonTernarySpec) {
   Rng rng(17);
   LsqQuantizer q16(QuantSpec::from_bsl(16));
   const Tensor w = random_tensor({4, 4}, rng);
-  EXPECT_THROW((void)q16.frozen_packed_ternary(w), std::logic_error);
+  EXPECT_THROW((void)q16.frozen_ternary_codes(w), std::logic_error);
   LsqQuantizer off;
-  EXPECT_THROW((void)off.frozen_packed_ternary(w), std::logic_error);
+  EXPECT_THROW((void)off.frozen_ternary_codes(w), std::logic_error);
   LsqQuantizer tern(QuantSpec::ternary());
-  EXPECT_THROW((void)tern.frozen_packed_ternary(Tensor({4, 0})), std::invalid_argument);
-  EXPECT_THROW((void)tern.frozen_packed_ternary(Tensor({4})), std::invalid_argument);
+  EXPECT_THROW((void)tern.frozen_ternary_codes(Tensor({4, 0})), std::invalid_argument);
+  EXPECT_THROW((void)tern.frozen_ternary_codes(Tensor({4})), std::invalid_argument);
 }

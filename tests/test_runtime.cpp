@@ -152,10 +152,10 @@ TEST(Batcher, RejectsBadConfig) {
 // tf_cache — the LUTs must be bit-exact with the circuit emulators.
 // ---------------------------------------------------------------------------
 
-TEST(GeluLut, BitExactWithCircuitEmulationAcrossBsls) {
+TEST(GateSiLut, BitExactWithCircuitEmulationAcrossBsls) {
   for (int b : {2, 4, 8, 16}) {
     const sc::GateAssistedSI block = sc::make_gelu_block(b, -4.0, 4.0, 16);
-    const GeluLut lut(block);
+    const GateSiLut lut(block);
     for (int i = 0; i <= 2000; ++i) {
       const double x = -5.0 + 10.0 * i / 2000.0;  // sweep past saturation
       ASSERT_EQ(lut(x), block.transfer(x)) << "B=" << b << " x=" << x;
@@ -163,9 +163,9 @@ TEST(GeluLut, BitExactWithCircuitEmulationAcrossBsls) {
   }
 }
 
-TEST(GeluLut, TableMatchesBitLevelGateLogic) {
+TEST(GateSiLut, TableMatchesBitLevelGateLogic) {
   const sc::GateAssistedSI block = sc::make_gelu_block(8, -4.0, 4.0, 16);
-  const GeluLut lut(block);
+  const GateSiLut lut(block);
   ASSERT_EQ(lut.table().size(), static_cast<std::size_t>(block.lin()) + 1);
   for (int n = 0; n <= block.lin(); ++n) {
     const sc::ThermStream in =
@@ -394,8 +394,8 @@ TEST(TfCache, ReturnsStableReferencesPerConfig) {
   const SoftmaxLut* c = &cache.softmax(cfg);
   EXPECT_NE(a, c);
   EXPECT_EQ(cache.size(), 2u);
-  const GeluLut* g1 = &cache.gelu(8, -4.0, 4.0, 16);
-  const GeluLut* g2 = &cache.gelu(8, -4.0, 4.0, 16);
+  const GateSiLut* g1 = &cache.gelu(8, -4.0, 4.0, 16);
+  const GateSiLut* g2 = &cache.gelu(8, -4.0, 4.0, 16);
   EXPECT_EQ(g1, g2);
   EXPECT_EQ(cache.size(), 3u);
 }

@@ -179,12 +179,15 @@ TEST(SerializeRoundTrip, W2A2PackedEagerAndMmapBitExact) {
   const std::string path = tmp_path("w2a2.ckpt");
   model.save(path);
 
+  // Sign-plane records are no longer written: a W2A2 checkpoint carries the
+  // weights and calibration only, and the code snapshot rebuilds on load.
+  serialize::CheckpointReader reader(path);
+  for (const serialize::Record& r : reader.records())
+    EXPECT_EQ(r.name.find(".packed"), std::string::npos) << r.name;
+
   const auto eager = vit::VisionTransformer::load(path);
   EXPECT_EQ(eager->precision().name(), model.precision().name());
   expect_same_logits(const_infer(*eager, input), ref);
-  // The checkpoint carried the frozen packed-ternary planes: the loaded
-  // model serves the multiply-free path without cold-start requantization.
-  EXPECT_TRUE(eager->blocks().front().msa().qkv().weight_quant().packed_frozen());
 
   serialize::MappedModel mapped = serialize::load_model_mmap(path);
   expect_same_logits(const_infer(*mapped.model, input), ref);
@@ -419,6 +422,11 @@ TEST(SerializeGolden, CommittedCheckpointStillLoads) {
 
   serialize::CheckpointReader reader(ckpt);
   EXPECT_EQ(reader.version(), 1u) << "bump scripts/make_golden_checkpoint.cpp deliberately";
+  // The fixture predates the ternary-code path and still carries frozen
+  // sign-plane records; readers must skip them.
+  const serialize::Record* planes = reader.find("blocks.0.msa.qkv.wq.packed");
+  ASSERT_NE(planes, nullptr);
+  EXPECT_EQ(planes->dtype, serialize::DType::kU64);
 
   for (const bool use_mmap : {false, true}) {
     std::unique_ptr<vit::VisionTransformer> model;
@@ -481,7 +489,7 @@ TEST(SerializeColdStart, RegisterFromFileServesAllFourVariants) {
   EXPECT_EQ(registry.register_from_file("w2a2", path, runtime::VariantKind::kPackedTernary), 2u);
 }
 
-TEST(SerializeColdStart, PackedTernaryKindRejectsFpCheckpoint) {
+TEST(SerializeColdStart, W2a2KindRejectsFpCheckpoint) {
   vit::VisionTransformer model(tiny_topology(), 91);  // fp precision
   const std::string path = tmp_path("fp_for_packed.ckpt");
   model.save(path);

@@ -2,7 +2,7 @@
 // ModelRegistry (publish / get / generation-counted hot-swap), the
 // priority/deadline-aware batcher scheduling, engine routing across
 // variants, per-priority stats, and the ViT servable adapters
-// (fp32 / packed-ternary / SC) built from one trained model.
+// (fp32 / W2A2 / SC) built from one trained model.
 
 #include <gtest/gtest.h>
 
@@ -286,6 +286,16 @@ EngineOptions quick_engine_opts() {
   return opts;
 }
 
+/// Polls until `engine` runs exactly `n` batch forwards; false after 5 s.
+bool wait_for_in_flight(const InferenceEngine& engine, int n) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (engine.in_flight() != n) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
 }  // namespace
 
 TEST(ServingEngine, RoutesRequestsToNamedVariants) {
@@ -343,7 +353,7 @@ TEST(ServingEngine, InteractiveServedBeforeQueuedBatchUnderSaturatedBoundedQueue
   // Occupy the only forward slot, then saturate the bounded queue with batch
   // traffic and add interactive arrivals behind it.
   auto blocker = engine.submit(payload(99));
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));  // blocker in flight
+  ASSERT_TRUE(wait_for_in_flight(engine, 1)) << "blocker never reached the forward slot";
   std::vector<std::future<Prediction>> futs;
   for (int i = 0; i < 4; ++i) futs.push_back(engine.submit(payload(10 + i), req(Priority::kBatch)));
   for (int i = 0; i < 2; ++i)
@@ -377,7 +387,7 @@ TEST(ServingEngine, ExpiredDeadlineFailsTypedWithoutRunningTheForward) {
   InferenceEngine engine(reg, opts);
 
   auto blocker = engine.submit(payload(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // blocker in flight
+  ASSERT_TRUE(wait_for_in_flight(engine, 1)) << "blocker never reached the forward slot";
   // Expires long before the blocker's 150 ms forward frees the slot.
   auto doomed = engine.submit(payload(2), req(Priority::kInteractive, {},
                                               std::chrono::microseconds(5'000)));
@@ -463,7 +473,7 @@ TEST(VitServables, CloneForServingIsBitExactWithSourceModel) {
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(got[i], ref[i]) << "logit " << i;
 }
 
-TEST(VitServables, PackedTernaryAdapterMatchesSourceAndFp32Differs) {
+TEST(VitServables, W2a2AdapterMatchesSourceAndFp32Differs) {
   const vit::VitConfig top = tiny_topology();
   const vit::Dataset data = vit::make_synthetic_vision(6, top.classes, 72, top.image_size);
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
