@@ -1,13 +1,13 @@
 // bench_gemm — the blocked/tiled GEMM kernel subsystem vs the seed's naive
 // loops, and the W2A2 Linear::infer path that runs ternary codes through it.
 //
-// Three questions: (1) what does the cache-blocked, register-tiled kernel
+// Two questions: (1) what does the cache-blocked, register-tiled kernel
 // layer buy over the seed's naive triple loops across square and ViT-shaped
-// products, (2) what does a W2A2 Linear::infer cost next to the same layer
-// in fp32 at the bench topology's shapes, and (3) what does GemmOptions
-// row-band parallelism add on multi-core hosts. The seed loops
-// are measured through the ASCEND_GEMM=reference escape hatch
-// (gemm::set_backend), i.e. exactly the code the blocked kernels replaced.
+// products, and (2) what does a W2A2 Linear::infer cost next to the same
+// layer in fp32 at the bench topology's shapes. The seed loops are measured
+// through the ASCEND_GEMM=reference escape hatch (gemm::set_backend), i.e.
+// exactly the code the blocked kernels replaced. Pin ASCEND_GEMM_KERNEL to
+// compare micro-kernel tiers.
 
 #include <chrono>
 #include <cstdio>
@@ -19,7 +19,6 @@
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/rng.h"
-#include "runtime/thread_pool.h"
 
 using namespace ascend;
 using namespace ascend::nn;
@@ -54,7 +53,8 @@ void dense_kernel_table(bool fast, bench::JsonWriter* json) {
       {"head  [64,64]x[64,10]", nullptr, 64, 64, 10},
   };
   Rng rng(2);
-  std::printf("\n-- dense f32 GEMM: blocked kernels vs seed naive loops (1 thread) --\n");
+  std::printf("\n-- dense f32 GEMM: blocked kernels (%s tier) vs seed naive loops --\n",
+              gemm::kernel_name());
   std::printf("  %-28s %12s %12s %12s %12s %9s\n", "shape (m x k x n)", "naive ms", "naive GF/s",
               "blocked ms", "blocked GF/s", "speedup");
   for (const auto& s : shapes) {
@@ -79,37 +79,6 @@ void dense_kernel_table(bool fast, bench::JsonWriter* json) {
     }
   }
   gemm::set_backend(gemm::Backend::kBlocked);
-}
-
-void pool_parallel_table(bool fast) {
-  const int m = 512, k = 192, n = 192;
-  Rng rng(3);
-  Tensor a({m, k}), b({k, n});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  const double flops = 2.0 * m * k * n;
-  const int iters = fast ? 5 : 20;
-  gemm::set_backend(gemm::Backend::kBlocked);
-  std::printf("\n-- GemmOptions row-band parallelism ([%d,%d]x[%d,%d], ThreadPool) --\n", m, k, k,
-              n);
-  std::printf("  %8s %12s %12s %10s\n", "threads", "ms/call", "GF/s", "scaling");
-  double base = 0.0;
-  for (int threads : {1, 2, 4}) {
-    runtime::ThreadPool pool(threads);
-    gemm::GemmOptions opts;
-    opts.pool = threads > 1 ? &pool : nullptr;
-    const double t = seconds_per_call(
-        [&] {
-          Tensor c({m, n});
-          gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, opts);
-          ::benchmark::DoNotOptimize(c.data());
-        },
-        iters);
-    if (threads == 1) base = t;
-    std::printf("  %8d %12.3f %12.2f %9.2fx\n", threads, t * 1e3, flops / t / 1e9, base / t);
-  }
-  std::printf("  (results are bit-identical across thread counts — asserted in test_gemm;\n"
-              "   scaling is bounded by the machine's core count)\n");
 }
 
 void w2a2_linear_table(bool fast, bench::JsonWriter* json) {
@@ -184,7 +153,6 @@ int main(int argc, char** argv) {
                 "serving extension (no table in the paper)");
   const bool fast = bench::fast_mode();
   dense_kernel_table(fast, &json);
-  pool_parallel_table(fast);
   w2a2_linear_table(fast, &json);
   if (!json_path.empty()) json.write(json_path);
   bench::run_timing_kernels(argc, argv);

@@ -1,24 +1,21 @@
-// bench_runtime_throughput — images/sec of the batched SC inference runtime.
+// bench_runtime_throughput — the batched SC inference runtime's two
+// host-robust serving invariants.
 //
-// Four questions: (1) what does the transfer-function LUT cache buy over
-// re-emulating the SC circuits per activation, (2) how does throughput scale
-// with the engine's worker-pool size, (3) what do concurrent batch forwards
-// through the re-entrant const infer path buy on the submit() serving path,
-// and (4) what latency separation does the priority scheduler deliver
-// between interactive and batch traffic when one engine serves several
-// registered variants under saturation. (1)-(3) run the full ViT forward
-// with the SC softmax + GELU hooks active, i.e. the serving hot path.
+// Two questions: (1) what does the transfer-function LUT cache buy over
+// re-emulating the SC circuits per activation (the full ViT forward with the
+// SC softmax + GELU hooks active, i.e. the serving hot path, on one worker),
+// and (2) how many heap allocations does a steady-state forward make, heap-
+// vs arena-backed. Both are ratios or exact counts, gated by
+// scripts/bench_compare.py. Wall-clock serving rates and latencies are
+// measured with run-to-run spread by the repository benchmark (perfbench/).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/ascend.h"
-#include "nn/gemm.h"
 #include "runtime/alloc_count.h"
 #include "runtime/arena.h"
 
@@ -42,206 +39,21 @@ ScInferenceConfig serving_sc_config() {
   return cfg;
 }
 
-// `model` served in place, its SC hooks running the per-activation work on a
-// pool of `threads` workers (LUT-cached, or per-activation circuit emulation
-// when `cached` is false).
-std::shared_ptr<runtime::Servable> in_place_servable(VisionTransformer& model,
-                                                     const ScInferenceConfig& sc_cfg, int threads,
-                                                     bool cached = true) {
+// `model` served in place, its SC hooks running the per-activation work on
+// one worker: LUT-cached, or per-activation circuit emulation when `cached`
+// is false.
+double images_per_sec(VisionTransformer& model, const Dataset& data,
+                      const ScInferenceConfig& sc_cfg, bool cached) {
+  runtime::ThreadPool pool(1);
   ScServableOptions sopts;
   sopts.use_tf_cache = cached;
-  sopts.threads = threads;
-  return make_sc_servable_in_place(model, sc_cfg, sopts);
-}
-
-double images_per_sec(VisionTransformer& model, const Dataset& data,
-                      const ScInferenceConfig& sc_cfg, int threads, bool cached) {
-  const auto servable = in_place_servable(model, sc_cfg, threads, cached);
+  sopts.pool = &pool;
+  const auto servable = make_sc_servable_in_place(model, sc_cfg, sopts);
   evaluate(*servable, data, 32);  // warm-up: builds LUTs / touches every code path
   const auto t0 = std::chrono::steady_clock::now();
   evaluate(*servable, data, 32);
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return data.size() / s;
-}
-
-// Drive the full dataset through the async submit() path and time the drain;
-// this is the path where EngineOptions::concurrent_forwards matters.
-double images_per_sec_submit(VisionTransformer& model, const Dataset& data,
-                             const ScInferenceConfig& sc_cfg, int threads,
-                             int concurrent_forwards) {
-  runtime::EngineOptions opts;
-  opts.max_batch = 16;
-  opts.max_delay = std::chrono::microseconds(500);
-  opts.concurrent_forwards = concurrent_forwards;
-  auto registry = std::make_shared<runtime::ModelRegistry>();
-  registry->publish(in_place_servable(model, sc_cfg, threads));
-  runtime::InferenceEngine engine(registry, opts);
-  const int pixels = data.images.dim(1);
-  auto drain = [&] {
-    std::vector<std::future<runtime::Prediction>> futs;
-    futs.reserve(static_cast<std::size_t>(data.size()));
-    for (int r = 0; r < data.size(); ++r) {
-      std::vector<float> img(static_cast<std::size_t>(pixels));
-      for (int p = 0; p < pixels; ++p) img[static_cast<std::size_t>(p)] = data.images.at(r, p);
-      futs.push_back(engine.submit(std::move(img)));
-    }
-    for (auto& f : futs) f.get();
-  };
-  drain();  // warm-up
-  const auto t0 = std::chrono::steady_clock::now();
-  drain();
-  const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return data.size() / s;
-}
-
-// Mixed-priority / multi-variant serving under saturation: one engine over a
-// registry holding the SC LUT-cached and the W2A2 variants,
-// hammered by interactive and batch-priority client streams at once. Reports
-// the engine's own ascend_request_latency_usec histograms per (variant,
-// priority) — p50/p95/p99/p99.9 with <= 3.2% relative bucket error — i.e.
-// the scheduling separation the priority queue buys, measured where a
-// production scrape would measure it.
-void mixed_priority_table(VisionTransformer& model, const Dataset& data,
-                          const ScInferenceConfig& sc_cfg, bench::JsonWriter* json) {
-  auto registry = std::make_shared<runtime::ModelRegistry>();
-  runtime::ThreadPool sc_pool(2);
-  ScServableOptions sopts;
-  sopts.pool = &sc_pool;
-  registry->publish(make_sc_servable(model, sc_cfg, sopts, "sc-lut"));
-  registry->publish(make_packed_ternary_servable(model, "w2a2-packed"));
-
-  runtime::EngineOptions opts;
-  opts.max_batch = 16;
-  opts.max_delay = std::chrono::microseconds(500);
-  opts.concurrent_forwards = 2;
-  opts.default_variant = "sc-lut";
-  runtime::InferenceEngine engine(registry, opts);
-
-  const int pixels = data.images.dim(1);
-  const int per_client = bench::fast_mode() ? 8 : 48;
-  // Two clients per (variant, priority) cell, each bursting its whole stream
-  // up-front (open-loop offered load): the queue holds a deep backlog, so
-  // the scheduler — not idle capacity — decides who waits. Engine latency is
-  // enqueue -> resolution, i.e. scheduling position plus service time.
-  struct Cell {
-    std::string variant;
-    runtime::Priority priority;
-  };
-  std::vector<Cell> cells;
-  for (const char* v : {"sc-lut", "w2a2-packed"})
-    for (runtime::Priority p : {runtime::Priority::kInteractive, runtime::Priority::kBatch})
-      for (int dup = 0; dup < 2; ++dup) cells.push_back({v, p});
-
-  std::vector<std::thread> clients;
-  for (const Cell& cell : cells) {
-    clients.emplace_back([&, per_client] {
-      runtime::RequestOptions ropts;
-      ropts.variant = cell.variant;
-      ropts.priority = cell.priority;
-      std::vector<std::future<runtime::Prediction>> futs;
-      futs.reserve(static_cast<std::size_t>(per_client));
-      for (int i = 0; i < per_client; ++i) {
-        const int r = i % data.size();
-        std::vector<float> img(static_cast<std::size_t>(pixels));
-        for (int p = 0; p < pixels; ++p) img[static_cast<std::size_t>(p)] = data.images.at(r, p);
-        futs.push_back(engine.submit(std::move(img), ropts));
-      }
-      for (auto& f : futs) (void)f.get();
-    });
-  }
-  for (auto& t : clients) t.join();
-
-  const runtime::metrics::RegistrySnapshot snap = engine.metrics()->snapshot();
-  std::printf("  %-14s %-12s %10s %10s %10s %10s %8s\n", "variant", "priority", "p50 ms",
-              "p95 ms", "p99 ms", "p99.9 ms", "served");
-  for (const char* v : {"sc-lut", "w2a2-packed"}) {
-    for (runtime::Priority p : {runtime::Priority::kInteractive, runtime::Priority::kBatch}) {
-      const runtime::metrics::HistogramSnapshot* h = snap.histogram(
-          "ascend_request_latency_usec",
-          {{"variant", v}, {"priority", runtime::priority_name(p)}});
-      if (!h) continue;
-      std::printf("  %-14s %-12s %10.2f %10.2f %10.2f %10.2f %8llu\n", v,
-                  runtime::priority_name(p), h->quantile(0.50) / 1e3, h->quantile(0.95) / 1e3,
-                  h->quantile(0.99) / 1e3, h->quantile(0.999) / 1e3,
-                  static_cast<unsigned long long>(h->count));
-      if (json) {
-        const std::string base =
-            std::string("latency_") + v + "_" + runtime::priority_name(p) + "_";
-        json->add(base + "p50_ms", h->quantile(0.50) / 1e3);
-        json->add(base + "p95_ms", h->quantile(0.95) / 1e3);
-        json->add(base + "p99_ms", h->quantile(0.99) / 1e3);
-        json->add(base + "p999_ms", h->quantile(0.999) / 1e3);
-      }
-    }
-  }
-  const runtime::EngineStats st = engine.stats();
-  std::printf("  (engine-side ascend_request_latency_usec histograms, <=3.2%% bucket error;\n"
-              "   %llu batches, avg fill %.1f, peak in-flight %d; interactive preempts batch\n"
-              "   in queue order — expect the interactive rows well below batch)\n",
-              static_cast<unsigned long long>(st.batches), st.avg_batch(), st.max_in_flight);
-}
-
-// Micro-kernel tier ladder (base / avx2 / avx512) on a ViT-ish MLP GEMM,
-// then the row-band GemmOptions scaling curve at the auto tier. The tiers
-// are bit-identical to each other (asserted in test_gemm), so this table is
-// pure throughput.
-void gemm_tier_table(bench::JsonWriter* json) {
-  using nn::gemm::Kernel;
-  const Kernel saved = nn::gemm::kernel();
-  const int n = 768, k = 192;
-  const int reps = bench::fast_mode() ? 8 : 48;
-  std::vector<float> a(512 * static_cast<std::size_t>(k));
-  std::vector<float> b(static_cast<std::size_t>(k) * n);
-  std::vector<float> c(512 * static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<float>((i * 37 % 113) - 56) / 64.0f;
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>((i * 53 % 127) - 63) / 64.0f;
-
-  auto gflops = [&](int m, const nn::gemm::GemmOptions& o) {
-    const std::size_t cn = static_cast<std::size_t>(m) * n;
-    std::memset(c.data(), 0, cn * sizeof(float));
-    nn::gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, o);  // warm
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      std::memset(c.data(), 0, cn * sizeof(float));
-      nn::gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, o);
-    }
-    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return 2.0 * m * n * k * reps / s / 1e9;
-  };
-
-  std::printf("  %-12s %12s   (m=128, n=%d, k=%d, serial)\n", "tier", "GFLOP/s", n, k);
-  struct TierRow {
-    Kernel kernel;
-    const char* name;
-  };
-  for (const TierRow row : {TierRow{Kernel::kBase, "base"}, TierRow{Kernel::kAvx2, "avx2"},
-                            TierRow{Kernel::kAvx512, "avx512"}}) {
-    if (!nn::gemm::kernel_supported(row.kernel)) {
-      std::printf("  %-12s %12s\n", row.name, "n/a (cpu)");
-      continue;
-    }
-    nn::gemm::set_kernel(row.kernel);
-    const double g = gflops(128, {});
-    std::printf("  %-12s %12.2f\n", row.name, g);
-    if (json) json->add(std::string("gemm_") + row.name + "_gflops", g);
-  }
-  nn::gemm::set_kernel(saved);
-  if (json) json->add("gemm_kernel", nn::gemm::kernel_name());
-
-  std::printf("  row-band scaling, %s tier, m=512 (host cores: %u)\n", nn::gemm::kernel_name(),
-              std::thread::hardware_concurrency());
-  double band1 = 0.0;
-  for (int threads : {1, 2, 4}) {
-    runtime::ThreadPool band_pool(threads);
-    nn::gemm::GemmOptions o;
-    o.threads = threads;
-    o.pool = &band_pool;
-    const double g = gflops(512, o);
-    if (threads == 1) band1 = g;
-    std::printf("  %-12s %12.2f %9.2fx\n", ("t=" + std::to_string(threads)).c_str(), g,
-                band1 > 0 ? g / band1 : 0.0);
-    if (json) json->add("gemm_rowband_t" + std::to_string(threads) + "_gflops", g);
-  }
 }
 
 // Steady-state heap allocations per forward, heap-backed vs arena-backed, on
@@ -392,7 +204,7 @@ int main(int argc, char** argv) {
   VisionTransformer model(cfg, 3);  // throughput does not depend on training
   model.apply_precision(PrecisionSpec::w2a2r16());
   const Dataset data = make_synthetic_vision(images, cfg.classes, 12);
-  // Latch the LSQ quantizer steps once so every engine below serves the same
+  // Latch the LSQ quantizer steps once so every servable below serves the same
   // calibrated model (the const infer path never initialises them).
   (void)model.forward(data.images, /*training=*/false);
   const ScInferenceConfig sc_cfg = serving_sc_config();
@@ -400,8 +212,8 @@ int main(int argc, char** argv) {
   std::printf("\n%d images, %d tokens, dim %d, %d layers (SC softmax + gate-SI GELU active)\n",
               images, cfg.tokens(), cfg.dim, cfg.layers);
 
-  const double uncached_1t = images_per_sec(model, data, sc_cfg, 1, /*cached=*/false);
-  const double cached_1t = images_per_sec(model, data, sc_cfg, 1, /*cached=*/true);
+  const double uncached_1t = images_per_sec(model, data, sc_cfg, /*cached=*/false);
+  const double cached_1t = images_per_sec(model, data, sc_cfg, /*cached=*/true);
   std::printf("\n-- transfer-function LUT cache (1 thread) --\n");
   std::printf("  %-28s %10.2f images/s\n", "per-activation emulation", uncached_1t);
   std::printf("  %-28s %10.2f images/s\n", "tf_cache LUTs", cached_1t);
@@ -409,41 +221,6 @@ int main(int argc, char** argv) {
   json.add("lut_cache_off_images_per_sec", uncached_1t);
   json.add("lut_cache_on_images_per_sec", cached_1t);
   json.add("lut_cache_speedup", cached_1t / uncached_1t);
-
-  std::printf("\n-- worker-pool scaling (LUT cache on) --\n");
-  std::printf("  %8s %14s %10s\n", "threads", "images/s", "scaling");
-  for (int threads : {1, 2, 4, 8}) {
-    const double ips = threads == 1 ? cached_1t : images_per_sec(model, data, sc_cfg, threads, true);
-    std::printf("  %8d %14.2f %9.2fx\n", threads, ips, ips / cached_1t);
-    json.add("scaling_t" + std::to_string(threads) + "_images_per_sec", ips);
-  }
-  std::printf("  (scaling is bounded by the machine's core count: %u)\n",
-              std::thread::hardware_concurrency());
-
-  std::printf("\n-- concurrent batch forwards (submit path, LUT cache on) --\n");
-  std::printf("  %8s %12s %12s %12s %12s\n", "threads", "cf=1 img/s", "cf=2 img/s",
-              "cf=4 img/s", "cf=2 gain");
-  for (int threads : {1, 2, 4}) {
-    double ips[3];
-    int col = 0;
-    for (int cf : {1, 2, 4}) {
-      ips[col] = images_per_sec_submit(model, data, sc_cfg, threads, cf);
-      json.add("submit_t" + std::to_string(threads) + "_cf" + std::to_string(cf) +
-                   "_images_per_sec",
-               ips[col]);
-      ++col;
-    }
-    std::printf("  %8d %12.2f %12.2f %12.2f %11.2fx\n", threads, ips[0], ips[1], ips[2],
-                ips[1] / ips[0]);
-  }
-  std::printf("  (>= 2 in-flight forwards beat the serialized path on multi-core hosts;\n"
-              "   bit-exactness of the concurrent infer path is asserted in test_concurrency)\n");
-
-  std::printf("\n-- mixed-priority / multi-variant serving under saturation --\n");
-  mixed_priority_table(model, data, sc_cfg, &json);
-
-  std::printf("\n-- GEMM micro-kernel tiers & row-band scaling --\n");
-  gemm_tier_table(&json);
 
   std::printf("\n-- steady-state allocations per forward (heap vs arena) --\n");
   allocation_audit(model, data, sc_cfg, &json);

@@ -7,8 +7,10 @@ Usage:
 
 The committed file is the checked-in BENCH_runtime.json; each --fresh file is
 the --json output of a bench binary from the current build. Only keys present
-in BOTH files are compared (a bench that did not run simply contributes
-nothing).
+in BOTH files are compared, with one exception: a GATED_SERIES key that the
+committed file carries must appear in at least one --fresh file, so a bench
+that silently skips a gated section (e.g. the allocation audit without the
+operator-new interposer) fails instead of passing unchecked.
 
 Two classes of series are GATED (the script exits 1 on a breach):
 
@@ -102,6 +104,10 @@ def main() -> int:
                     f"{key}: committed {old:g} -> fresh {new:g} "
                     f"(gated '{direction}', tolerance {args.max_regression:.0%})")
         print(f"{key:48s} {old:12g} {new:12g} {change_str:>9s}  {verdict}")
+
+    for key in sorted(k for k in GATED_SERIES if k in committed and k not in fresh):
+        print(f"{key:48s} {committed[key]!s:>12s} {'-':>12s} {'':>9s}  MISSING")
+        failures.append(f"{key}: gated series missing from every --fresh file")
 
     print(f"\n{compared} series compared, {len(GATED_SERIES)} gate definitions, "
           f"{len(failures)} failure(s)")

@@ -10,8 +10,6 @@
 #include <immintrin.h>
 #endif
 
-#include "runtime/thread_pool.h"
-
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -347,9 +345,24 @@ float* pack_scratch_b(std::size_t n) {
   return buf.data();
 }
 
+/// OpenMP team for one blocked GEMM: the whole machine above 16384
+/// multiply-adds, serial at or below it and inside an enclosing parallel
+/// region (see gemm.h).
+int team_width(int m, int n, int k) {
+#ifdef _OPENMP
+  if (omp_get_level() == 0 && static_cast<long long>(m) * n * k > 16384)
+    return omp_get_max_threads();
+#else
+  (void)m;
+  (void)n;
+  (void)k;
+#endif
+  return 1;
+}
+
 template <bool ATrans, bool BTrans>
 void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-                  int ldc, const GemmOptions& opts) {
+                  int ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   const Tile& t = tile();
   const int MR = t.mr, NR = t.nr;
@@ -361,6 +374,7 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
   }
   const int MC = 24 * MR;
   const int NC = 15 * NR;
+  const int threads = team_width(m, n, k);
   float* bpack = pack_scratch_b(static_cast<std::size_t>(KC) * NC);
   for (int jc = 0; jc < n; jc += NC) {
     const int nc = std::min(NC, n - jc);
@@ -397,18 +411,14 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
           }
         }
       };
-      if (opts.pool != nullptr && niblocks > 1) {
-        opts.pool->parallel_for(0, niblocks, run_iblocks);
-        continue;
-      }
 #ifdef _OPENMP
-      if (std::min(opts.threads, niblocks) > 1) {
-        // The team is opts.threads wide even when there are fewer i-blocks:
-        // a narrower team makes libgomp retire the surplus workers, and the
+      if (threads > 1 && niblocks > 1) {
+        // The team is `threads` wide even when there are fewer i-blocks: a
+        // narrower team makes libgomp retire the surplus workers, and the
         // fresh threads of the next full-width region (e.g. the per-head
         // attention loop) would rebuild their thread-local pack scratch —
         // heap allocations on every forward.
-#pragma omp parallel for schedule(static) num_threads(opts.threads)
+#pragma omp parallel for schedule(static) num_threads(threads)
         for (int ib = 0; ib < niblocks; ++ib) run_iblocks(ib, ib + 1);
         continue;
       }
@@ -420,11 +430,11 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
 
 template <bool ATrans, bool BTrans>
 void gemm_dispatch(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-                   int ldc, const GemmOptions& opts) {
+                   int ldc) {
   if (backend() == Backend::kReference)
     gemm_naive<ATrans, BTrans>(m, n, k, a, lda, b, ldb, c, ldc);
   else
-    gemm_blocked<ATrans, BTrans>(m, n, k, a, lda, b, ldb, c, ldc, opts);
+    gemm_blocked<ATrans, BTrans>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace
@@ -459,29 +469,18 @@ void set_kernel(Kernel k) {
 const char* kernel_name() { return tile_ref().name; }
 
 void gemm_nn(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-             int ldc, const GemmOptions& opts) {
-  gemm_dispatch<false, false>(m, n, k, a, lda, b, ldb, c, ldc, opts);
+             int ldc) {
+  gemm_dispatch<false, false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-             int ldc, const GemmOptions& opts) {
-  gemm_dispatch<true, false>(m, n, k, a, lda, b, ldb, c, ldc, opts);
+             int ldc) {
+  gemm_dispatch<true, false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-             int ldc, const GemmOptions& opts) {
-  gemm_dispatch<false, true>(m, n, k, a, lda, b, ldb, c, ldc, opts);
-}
-
-int recommended_threads(long long m, long long n, long long k) {
-#ifdef _OPENMP
-  if (m * n * k > 16384) return omp_get_max_threads();
-#else
-  (void)m;
-  (void)n;
-  (void)k;
-#endif
-  return 1;
+             int ldc) {
+  gemm_dispatch<false, true>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace ascend::nn::gemm

@@ -8,10 +8,14 @@
 //
 // Determinism: the accumulation order of every output element is fixed —
 // the contraction dimension is walked ascending inside each K block and K
-// blocks fold into C in ascending order. The optional row-band parallelism
-// (GemmOptions) partitions *rows*, which never changes any element's
-// operation order, so results are bit-identical run-to-run and across thread
-// counts.
+// blocks fold into C in ascending order. Parallelism partitions *rows*,
+// which never changes any element's operation order, so results are
+// bit-identical run-to-run and across thread counts.
+//
+// Threading: each call picks its own OpenMP team. Above 16384 multiply-adds
+// (m*n*k) the row bands run on omp_get_max_threads() threads; at or below
+// it, inside an enclosing parallel region (the per-head attention loops), or
+// without OpenMP, the call runs serially.
 //
 // Backend selection: the matmul/matmul_tn/matmul_nt wrappers in ops.h (and
 // Linear's W2A2 code path) consult backend(), initialised once
@@ -20,10 +24,6 @@
 // anything else (or unset) selects the blocked kernels. set_backend()
 // overrides programmatically (tests/benches; not thread-safe against
 // in-flight GEMM calls).
-
-namespace ascend::runtime {
-class ThreadPool;  // optional row-band parallelism; resolved via the runtime lib
-}
 
 namespace ascend::nn::gemm {
 
@@ -55,17 +55,6 @@ void set_kernel(Kernel k);
 /// reports the tier it resolved to.
 const char* kernel_name();
 
-/// Row-band parallelism knobs for one GEMM call. Default is serial. When
-/// `pool` is set, row bands run on it via ThreadPool::parallel_for (do not
-/// call from inside a task of the same pool — caller-waits would deadlock).
-/// Otherwise `threads > 1` uses OpenMP bands when the build has OpenMP and
-/// falls back to serial when it does not. Either way the row partitioning is
-/// numerically invisible (see determinism note above).
-struct GemmOptions {
-  int threads = 1;
-  runtime::ThreadPool* pool = nullptr;
-};
-
 /// Pointer-level strided kernels. All ACCUMULATE into C (callers pass
 /// zero-initialised or pre-loaded C); ld* are row strides of the *stored*
 /// matrices, which lets attention read Q/K/V panels straight out of a fused
@@ -73,17 +62,12 @@ struct GemmOptions {
 ///
 /// C[m,n] += A[m,k] * B[k,n].
 void gemm_nn(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-             int ldc, const GemmOptions& opts = {});
+             int ldc);
 /// C[m,n] += A^T * B with A stored [k,m].
 void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-             int ldc, const GemmOptions& opts = {});
+             int ldc);
 /// C[m,n] += A * B^T with B stored [n,k].
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-             int ldc, const GemmOptions& opts = {});
-
-/// Thread count the ops.h wrappers pass for an m*n*k-flop product: matches
-/// the seed's OpenMP heuristic (parallel above 16384 multiply-adds, serial
-/// below; always 1 without OpenMP).
-int recommended_threads(long long m, long long n, long long k);
+             int ldc);
 
 }  // namespace ascend::nn::gemm

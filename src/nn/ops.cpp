@@ -17,12 +17,6 @@ constexpr float kInvSqrt2Pi = 0.3989422804014327f;
 
 bool use_reference_gemm() { return gemm::backend() == gemm::Backend::kReference; }
 
-gemm::GemmOptions default_gemm_options(int m, int n, int k) {
-  gemm::GemmOptions opts;
-  opts.threads = gemm::recommended_threads(m, n, k);
-  return opts;
-}
-
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -35,7 +29,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   float* pc = c.data();
   if (!use_reference_gemm()) {
-    gemm::gemm_nn(m, n, k, pa, k, pb, n, pc, n, default_gemm_options(m, n, k));
+    gemm::gemm_nn(m, n, k, pa, k, pb, n, pc, n);
     return c;
   }
   // ASCEND_GEMM=reference: the seed's naive loops, verbatim.
@@ -62,7 +56,7 @@ Tensor matmul_tn(const Tensor& a_kxm, const Tensor& b_kxn) {
   const float* pb = b_kxn.data();
   float* pc = c.data();
   if (!use_reference_gemm()) {
-    gemm::gemm_tn(m, n, k, pa, m, pb, n, pc, n, default_gemm_options(m, n, k));
+    gemm::gemm_tn(m, n, k, pa, m, pb, n, pc, n);
     return c;
   }
 #pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
@@ -89,7 +83,7 @@ Tensor matmul_nt(const Tensor& a_mxn, const Tensor& b_kxn) {
   float* pc = c.data();
   if (!use_reference_gemm()) {
     // C[m, k] = A[m, n] * B[k, n]^T: contraction over n.
-    gemm::gemm_nt(m, k, n, pa, n, pb, n, pc, k, default_gemm_options(m, k, n));
+    gemm::gemm_nt(m, k, n, pa, n, pb, n, pc, k);
     return c;
   }
 #pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)

@@ -70,8 +70,8 @@ std::future<Prediction> Batcher::enqueue(std::vector<float> image, RequestOption
       // Negative budget: fail through the future without touching the queue,
       // so an expired-on-arrival request can never displace live work.
       lock.unlock();
-      req.promise.set_exception(std::make_exception_ptr(DeadlineExceededError{}));
       if (drop_observer_) drop_observer_(req.priority);
+      req.promise.set_exception(std::make_exception_ptr(DeadlineExceededError{}));
       return fut;
     }
     if (max_pending_ > 0 && static_cast<int>(queue_.size()) >= max_pending_) {
@@ -102,8 +102,8 @@ void Batcher::drop_expired(std::unique_lock<std::mutex>& lock, Clock::time_point
   if (max_pending_ > 0) space_cv_.notify_all();
   lock.unlock();
   for (Request& req : expired) {
-    req.promise.set_exception(std::make_exception_ptr(DeadlineExceededError{}));
     if (drop_observer_) drop_observer_(req.priority);
+    req.promise.set_exception(std::make_exception_ptr(DeadlineExceededError{}));
   }
   lock.lock();
 }

@@ -182,7 +182,9 @@ class Batcher {
 
   /// Observer for deadline-expired drops (stats); called outside the queue
   /// lock, from the thread that dropped the request (the dispatcher inside
-  /// next_batch, or a producer that enqueued an already-expired request).
+  /// next_batch, or a producer that enqueued an already-expired request),
+  /// before the request's future resolves — stats read after the future
+  /// already count the drop.
   /// Set before the dispatcher starts; not thread-safe against next_batch.
   void set_drop_observer(std::function<void(Priority)> observer);
 

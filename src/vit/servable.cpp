@@ -34,9 +34,9 @@ class VitServable final : public runtime::Servable {
   /// Installs the SC hooks from `cfg`; the model's hooks belong to this
   /// servable until destruction.
   void install_sc_hooks(const ScInferenceConfig& cfg, const ScServableOptions& opts) {
-    if (!opts.pool && !owned_pool_)
+    if (!opts.pool && !owned_pool_)  // hardware_concurrency() 0 clamps to 1
       owned_pool_ = std::make_unique<runtime::ThreadPool>(
-          opts.threads > 0 ? opts.threads : default_threads());
+          static_cast<int>(std::thread::hardware_concurrency()));
     runtime::ThreadPool* pool = opts.pool ? opts.pool : owned_pool_.get();
     runtime::TfCache* cache = opts.cache ? opts.cache : &runtime::global_tf_cache();
     hooks_installed_ = true;
@@ -118,11 +118,6 @@ class VitServable final : public runtime::Servable {
   const std::string& variant_id() const override { return variant_id_; }
 
  private:
-  static int default_threads() {
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? static_cast<int>(hc) : 1;
-  }
-
   // Declared before owned_ so it is destroyed *after* the model: when the
   // model's weights are borrowed views into an mmap'd checkpoint, the anchor
   // (the MmapCheckpoint) must outlive every tensor pointing into it.

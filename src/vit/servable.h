@@ -16,6 +16,10 @@
 // at it; requests then pick a variant per call (A/B fidelity, mixed
 // precision tiers) and variants hot-swap via ModelRegistry::publish.
 //
+// SC variants fan their per-activation work out over a runtime::ThreadPool:
+// the caller's (ScServableOptions::pool, which fixes the width) or, when none
+// is given, one the servable owns, sized to the hardware concurrency.
+//
 // make_sc_servable_in_place drives the *caller's* model instead of a clone
 // (hooks installed at construction, restored on destruction) —
 // vit::evaluate_sc serves through it.
@@ -35,10 +39,9 @@ namespace ascend::vit {
 struct ScServableOptions {
   bool use_tf_cache = true;  ///< false: bit-true per-activation circuit emulation
   /// Worker pool for the per-activation SC work inside each forward. When
-  /// null, the servable owns a pool of `threads` workers (0 = hardware
-  /// concurrency). An external pool must outlive the servable.
+  /// null, the servable owns a pool sized to the hardware concurrency; pass
+  /// a pool for any other width. An external pool must outlive the servable.
   runtime::ThreadPool* pool = nullptr;
-  int threads = 0;
   /// Transfer-function LUT cache to tabulate/serve from; null = the
   /// process-wide runtime::global_tf_cache(). Must outlive the servable.
   runtime::TfCache* cache = nullptr;

@@ -157,6 +157,7 @@ struct VariantRig {
   vit::Dataset data;
   nn::Tensor images;
   vit::VisionTransformer model;
+  ThreadPool sc_pool{1};  ///< the SC variants' hook pool; outlives `variants`
   std::vector<std::pair<const char*, std::shared_ptr<Servable>>> variants;
 
   explicit VariantRig(int samples = 6, std::uint64_t seed = 91,
@@ -171,7 +172,7 @@ struct VariantRig {
     model.apply_precision(vit::PrecisionSpec::w2a2r16());
     (void)model.forward(images, /*training=*/false);  // latch LSQ steps
     vit::ScServableOptions sopts;
-    sopts.threads = 1;
+    sopts.pool = &sc_pool;
     const vit::ScInferenceConfig sc = tiny_sc_config();
     variants.emplace_back("w2a2-packed", vit::make_packed_ternary_servable(model, "w2a2"));
     variants.emplace_back("sc-lut", vit::make_sc_servable(model, sc, sopts, "sc-lut"));

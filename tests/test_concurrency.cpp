@@ -11,8 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "nn/gemm.h"
 #include "nn/module.h"
+#include "nn/ops.h"
 #include "nn/rng.h"
 #include "runtime/batcher.h"
 #include "runtime/engine.h"
@@ -154,7 +154,8 @@ TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchPredictBatch) {
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(2000);
   opts.concurrent_forwards = 3;
-  InferenceEngine engine(in_place_sc_registry(model, cfg, 2), opts);
+  ThreadPool sc_pool(2);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -197,7 +198,8 @@ TEST(EngineConcurrency, ConcurrentPredictBatchCallersAgree) {
   const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 55, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  InferenceEngine engine(in_place_sc_registry(model, cfg, 2));
+  ThreadPool sc_pool(2);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool));
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -337,10 +339,11 @@ TEST(RegistryConcurrency, ConcurrentMultiVariantSubmitsMatchPerVariantReferences
   const vit::Batch all = vit::take_batch(data, idx);
   (void)model.forward(all.images, /*training=*/false);
 
+  ThreadPool sc_pool(2);
   auto reg = std::make_shared<ModelRegistry>();
   reg->publish(vit::make_packed_ternary_servable(model, "packed"));
   vit::ScServableOptions sopts;
-  sopts.threads = 2;
+  sopts.pool = &sc_pool;
   reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
   EngineOptions opts;
   opts.max_batch = 4;
@@ -522,7 +525,8 @@ TEST(EngineBackpressure, RejectPolicySurfacesThroughSubmit) {
   opts.concurrent_forwards = 1;
   opts.max_pending = 1;
   opts.overflow = OverflowPolicy::kReject;
-  InferenceEngine engine(in_place_sc_registry(model, cfg, 1), opts);
+  ThreadPool sc_pool(1);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   // Flood faster than one forward can drain; at least one submit must be
@@ -542,7 +546,7 @@ TEST(EngineBackpressure, RejectPolicySurfacesThroughSubmit) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen-snapshot double-checked builds and pool-parallel GEMM under threads
+// Frozen-snapshot double-checked builds and concurrent GEMM callers
 // (the TSan CI job drives these).
 // ---------------------------------------------------------------------------
 
@@ -594,31 +598,27 @@ TEST(SnapshotConcurrency, ConcurrentTernaryCodesFirstInferAgrees) {
       ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;
 }
 
-TEST(GemmConcurrency, PoolParallelCallersFromManyThreads) {
-  // Caller threads sharing one pool for row-band-parallel GEMM: TSan probes
-  // the pool handoff, and every caller must reproduce the serial product.
+TEST(GemmConcurrency, ConcurrentMatmulCallersAgree) {
+  // Caller threads issuing the same product at once, each sizing its own
+  // OpenMP team (serial in the TSan build, which probes the shared kernel
+  // state): every caller must reproduce the single-caller product bit-for-bit.
   nn::Rng rng(35);
   const int m = 320, k = 48, n = 40;
   nn::Tensor a({m, k}), b({k, n});
   rng.fill_normal(a, 0, 1);
   rng.fill_normal(b, 0, 1);
-  nn::Tensor serial({m, n});
-  nn::gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, serial.data(), n);
+  const nn::Tensor expected = nn::matmul(a, b);
 
-  runtime::ThreadPool pool(3);
   constexpr int kCallers = 4;
-  std::vector<nn::Tensor> results(kCallers, nn::Tensor({m, n}));
+  std::vector<nn::Tensor> results(kCallers);
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t)
-    callers.emplace_back([&, t] {
-      nn::gemm::GemmOptions opts;
-      opts.pool = &pool;
-      nn::gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n,
-                        results[static_cast<std::size_t>(t)].data(), n, opts);
-    });
+    callers.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = nn::matmul(a, b); });
   for (auto& t : callers) t.join();
-  for (int t = 0; t < kCallers; ++t)
-    for (std::size_t i = 0; i < serial.size(); ++i)
-      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], serial[i]) << "caller " << t;
+  for (int t = 0; t < kCallers; ++t) {
+    ASSERT_EQ(results[static_cast<std::size_t>(t)].shape(), expected.shape()) << "caller " << t;
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], expected[i]) << "caller " << t;
+  }
 }

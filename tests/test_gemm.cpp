@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "nn/attention.h"
@@ -20,7 +19,10 @@
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/rng.h"
-#include "runtime/thread_pool.h"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace ascend;
 using namespace ascend::nn;
@@ -31,6 +33,24 @@ namespace {
 struct BackendGuard {
   gemm::Backend saved = gemm::backend();
   ~BackendGuard() { gemm::set_backend(saved); }
+};
+
+/// OpenMP team width for the next parallel region; a no-op without OpenMP,
+/// where every GEMM is serial.
+void set_omp_threads(int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
+}
+
+/// Restores the OpenMP default team width on scope exit.
+struct OmpThreadsGuard {
+#ifdef _OPENMP
+  int saved = omp_get_max_threads();
+  ~OmpThreadsGuard() { omp_set_num_threads(saved); }
+#endif
 };
 
 Tensor random_tensor(std::vector<int> shape, Rng& rng) {
@@ -256,52 +276,56 @@ TEST(GemmDeterminism, BlockedBitIdenticalRunToRun) {
   expect_bitwise_equal(matmul_nt(a, bt), matmul_nt(a, bt), "nt run-to-run");
 }
 
-TEST(GemmDeterminism, BitIdenticalAcrossThreadCountsAndPools) {
+TEST(GemmDeterminism, BitIdenticalAcrossOpenMpTeamWidths) {
+  // matmul sizes its own OpenMP team from m*n*k; row bands never change an
+  // element's operation order, so every team width reproduces the serial
+  // product bit-for-bit.
   BackendGuard guard;
   gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(9);
-  // Tall enough for several row bands (MC is at most 144 rows per band).
+  // Tall enough for several row bands on every tier (MC <= 192 rows).
   const int m = 400, k = 96, n = 70;
   const Tensor a = random_tensor({m, k}, rng);
   const Tensor b = random_tensor({k, n}, rng);
+  const Tensor at = random_tensor({k, m}, rng);
+  const Tensor bt = random_tensor({n, k}, rng);
 
-  Tensor serial({m, n});
-  gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, serial.data(), n);
-
-  for (int threads : {1, 2, 3, 4}) {
-    runtime::ThreadPool pool(threads);
-    gemm::GemmOptions opts;
-    opts.pool = &pool;
-    Tensor c({m, n});
-    gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, opts);
-    expect_bitwise_equal(c, serial, "pool-parallel vs serial");
+  OmpThreadsGuard threads_guard;
+  set_omp_threads(1);
+  const Tensor serial = matmul(a, b);
+  const Tensor serial_tn = matmul_tn(at, b);
+  const Tensor serial_nt = matmul_nt(a, bt);
+  for (int threads : {2, 3, 4}) {
+    set_omp_threads(threads);
+    expect_bitwise_equal(matmul(a, b), serial, "nn team vs serial");
+    expect_bitwise_equal(matmul_tn(at, b), serial_tn, "tn team vs serial");
+    expect_bitwise_equal(matmul_nt(a, bt), serial_nt, "nt team vs serial");
   }
 }
 
-TEST(GemmDeterminism, ConcurrentPoolCallersAgree) {
-  // Two caller threads sharing one pool (the TSan job drives this): results
-  // must match the serial product bit-for-bit.
+TEST(GemmDeterminism, SerialInsideAnEnclosingParallelRegion) {
+  // A GEMM issued from inside a parallel region (the per-head attention
+  // loops) runs serially on its caller's thread; every caller must
+  // reproduce the serial product.
   BackendGuard guard;
   gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(10);
   const int m = 300, k = 64, n = 48;
   const Tensor a = random_tensor({m, k}, rng);
   const Tensor b = random_tensor({k, n}, rng);
-  Tensor serial({m, n});
-  gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, serial.data(), n);
+  OmpThreadsGuard threads_guard;
+  set_omp_threads(1);
+  const Tensor serial = matmul(a, b);
 
-  runtime::ThreadPool pool(3);
-  std::vector<Tensor> results(4, Tensor({m, n}));
-  std::vector<std::thread> callers;
-  callers.reserve(results.size());
-  for (auto& out : results)
-    callers.emplace_back([&, po = &out] {
-      gemm::GemmOptions opts;
-      opts.pool = &pool;
-      gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, po->data(), n, opts);
-    });
-  for (auto& t : callers) t.join();
-  for (const auto& out : results) expect_bitwise_equal(out, serial, "concurrent caller");
+  set_omp_threads(4);  // what a top-level GEMM of this size would use
+  std::vector<Tensor> results(4);
+#ifdef _OPENMP
+#pragma omp parallel num_threads(4)
+  results[static_cast<std::size_t>(omp_get_thread_num())] = matmul(a, b);
+#else
+  for (auto& out : results) out = matmul(a, b);
+#endif
+  for (const auto& out : results) expect_bitwise_equal(out, serial, "caller in parallel region");
 }
 
 // ---------------------------------------------------------------------------

@@ -479,7 +479,8 @@ TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   EngineOptions opts;
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds(5000);
-  InferenceEngine engine(in_place_sc_registry(model, cfg, 2), opts);
+  ThreadPool sc_pool(2);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -515,7 +516,8 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   EngineOptions opts;
   opts.max_batch = 2;  // force the good and the bad request into one batch
   opts.max_delay = std::chrono::microseconds(500'000);
-  InferenceEngine engine(in_place_sc_registry(model, cfg, 1), opts);
+  ThreadPool sc_pool(1);
+  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   auto good = engine.submit(std::vector<float>(static_cast<std::size_t>(pixels), 0.1f));

@@ -201,11 +201,12 @@ TEST(SerializeRoundTrip, ScVariantsBitExact) {
   const std::string path = tmp_path("sc.ckpt");
   model.save(path);
 
+  runtime::ThreadPool sc_pool(2);
   for (const bool use_tf_cache : {true, false}) {
     vit::ScInferenceConfig cfg;  // SC softmax on by default
     vit::ScServableOptions opts;
     opts.use_tf_cache = use_tf_cache;
-    opts.threads = 2;
+    opts.pool = &sc_pool;
     const auto ref_servable = vit::make_sc_servable(model, cfg, opts, "ref");
     const nn::Tensor ref = ref_servable->infer(input);
 
@@ -457,11 +458,12 @@ TEST(SerializeColdStart, RegisterFromFileServesAllFourVariants) {
   const std::string path = tmp_path("coldstart.ckpt");
   model.save(path);
 
+  runtime::ThreadPool sc_pool(2);  // outlives the registry's SC variants
   runtime::ModelRegistry registry;
   EXPECT_EQ(registry.register_from_file("fp32", path, runtime::VariantKind::kFp32), 1u);
   EXPECT_EQ(registry.register_from_file("w2a2", path, runtime::VariantKind::kPackedTernary), 1u);
   vit::ScServableOptions sc_opts;
-  sc_opts.threads = 2;
+  sc_opts.pool = &sc_pool;
   runtime::RegisterFromFileOptions opts;
   opts.sc_options = &sc_opts;
   EXPECT_EQ(registry.register_from_file("sc", path, runtime::VariantKind::kScLut, opts), 1u);

@@ -234,9 +234,11 @@ TEST(PriorityBatcher, MemberDeadlineClosesTheBatchEarlyAndIsServed) {
   // must close its batch ahead of the deadline and be served — the drop
   // path is reserved for requests the scheduler genuinely could not reach
   // in time.
-  Batcher b(64, std::chrono::microseconds(400'000));  // 400 ms batching budget
+  // The 100 ms deadline leaves room for the test thread to be descheduled
+  // between enqueue and next_batch without the member expiring first.
+  Batcher b(64, std::chrono::microseconds(2'000'000));  // 2 s batching budget
   auto tight = b.enqueue(payload(1), req(Priority::kNormal, {},
-                                         std::chrono::microseconds(25'000)));
+                                         std::chrono::microseconds(100'000)));
   auto lax = b.enqueue(payload(2), req(Priority::kNormal));
   const auto t0 = std::chrono::steady_clock::now();
   auto batch = b.next_batch();
@@ -244,7 +246,8 @@ TEST(PriorityBatcher, MemberDeadlineClosesTheBatchEarlyAndIsServed) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   ASSERT_EQ(batch.size(), 2u) << "the deadline member rides in the batch it forced closed";
   EXPECT_EQ(batch[0].image[0], 1.0f);
-  EXPECT_LT(ms, 300.0) << "batch must close near the 25 ms deadline, not the 400 ms budget";
+  EXPECT_EQ(batch[1].image[0], 2.0f);
+  EXPECT_LT(ms, 1000.0) << "batch must close near the 100 ms deadline, not the 2 s budget";
   b.close();
 }
 
@@ -520,8 +523,9 @@ TEST(VitServables, ScAdapterMatchesInPlaceServableAndLeavesSourceHookFree) {
 
     // Reference: the model served in place (hooks on `model`), LUT-cached;
     // the in-place circuit emulation and evaluate_sc must agree with it.
+    ThreadPool sc_pool(in.threads);
     vit::ScServableOptions sopts;
-    sopts.threads = in.threads;
+    sopts.pool = &sc_pool;
     const double ref_acc =
         vit::evaluate(*vit::make_sc_servable_in_place(model, cfg, sopts), data);
     EXPECT_EQ(vit::evaluate_sc(model, data, cfg), ref_acc);
@@ -546,8 +550,9 @@ TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
   std::iota(idx.begin(), idx.end(), 0);
   vit::VisionTransformer model = calibrated_model(top, 66, vit::take_batch(data, idx).images);
 
+  ThreadPool sc_pool(1);
   vit::ScServableOptions sopts;
-  sopts.threads = 1;
+  sopts.pool = &sc_pool;
   auto reg = std::make_shared<ModelRegistry>();
   reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
   reg->publish(vit::make_packed_ternary_servable(model, "w2a2-packed"));

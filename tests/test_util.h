@@ -30,13 +30,13 @@ inline double max_grad_error(nn::Tensor& x, const std::function<double()>& loss_
 }
 
 /// `model` served in place as a registry's sole SC variant, the hooks'
-/// per-activation work on a pool of `threads` workers; `use_tf_cache = false`
-/// serves the circuit emulators instead of the LUTs.
+/// per-activation work on `pool`, which must outlive the registry's users;
+/// `use_tf_cache = false` serves the circuit emulators instead of the LUTs.
 inline std::shared_ptr<runtime::ModelRegistry> in_place_sc_registry(
-    vit::VisionTransformer& model, const vit::ScInferenceConfig& cfg, int threads,
+    vit::VisionTransformer& model, const vit::ScInferenceConfig& cfg, runtime::ThreadPool& pool,
     bool use_tf_cache = true) {
   vit::ScServableOptions sopts;
-  sopts.threads = threads;
+  sopts.pool = &pool;
   sopts.use_tf_cache = use_tf_cache;
   auto registry = std::make_shared<runtime::ModelRegistry>();
   registry->publish(vit::make_sc_servable_in_place(model, cfg, sopts));
