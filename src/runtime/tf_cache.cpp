@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -30,6 +31,7 @@ GateSiLut::GateSiLut(const sc::GateAssistedSI& block)
   out_.reserve(static_cast<std::size_t>(lin_) + 1);
   for (int n = 0; n <= lin_; ++n)
     out_.push_back(block.apply(sc::ThermValue{n, lin_, block.alpha_in()}).value());
+  out_f_.assign(out_.begin(), out_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -38,13 +40,22 @@ GateSiLut::GateSiLut(const sc::GateAssistedSI& block)
 
 SoftmaxLut::SoftmaxLut(sc::SoftmaxIterConfig cfg) : cfg_(cfg) {
   cfg_.validate();
+  // The kernel holds counts and their products in int32: reject configs
+  // whose BSN-1 input or MUL-2 output length would overflow it.
+  const long long lz = static_cast<long long>(cfg_.bx) * cfg_.by / 2;
+  const long long lsum = cfg_.m * lz;
+  const long long lw = cfg_.by * (lsum / cfg_.s1) / 2;
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  if (lsum > kIntMax || lw > kIntMax)
+    throw std::invalid_argument("SoftmaxLut: Lsum or Lw does not fit in int");
   lay_ = sc::softmax_iter_layout(cfg_);
-  alpha_c_ = cfg_.alpha_y / cfg_.align_expand;
+  const double alpha_c = cfg_.alpha_y / cfg_.align_expand;
   const int cap = cfg_.by * cfg_.align_expand;
   y0_ones_ = sc::ThermValue::encode(1.0 / cfg_.m, cfg_.by, cfg_.alpha_y).ones;
 
-  // Derive each re-scaling site's operand grid by running the same op chain
-  // the emulator runs (counts are irrelevant; lengths/alphas are static).
+  // Derive every bundle's (length, alpha) by running the same op chain the
+  // emulator runs (counts are irrelevant; lengths/alphas are static), so
+  // each double matches the emulator's to the last bit.
   using sc::ThermValue;
   const ThermValue x0 = ThermValue::encode(0.0, cfg_.bx, cfg_.alpha_x);
   const ThermValue y0{y0_ones_, cfg_.by, cfg_.alpha_y};
@@ -52,15 +63,21 @@ SoftmaxLut::SoftmaxLut(sc::SoftmaxIterConfig cfg) : cfg_(cfg) {
   const ThermValue ssum0 = sc::subsample(
       sc::add(std::vector<ThermValue>(static_cast<std::size_t>(cfg_.m), z0)), cfg_.s1,
       cfg_.centered_subsample);
-  const ThermValue w0 =
-      sc::negate(sc::subsample(sc::mult(y0, ssum0), cfg_.s2, cfg_.centered_subsample));
+  const ThermValue mul2 = sc::mult(y0, ssum0);
+  const ThermValue w0 = sc::negate(sc::subsample(mul2, cfg_.s2, cfg_.centered_subsample));
   const ThermValue zk0 = sc::divide_by_const(z0, cfg_.k);
   const ThermValue wk0 = sc::divide_by_const(w0, cfg_.k);
 
-  la_ = sc::softmax_alignment_length(y0.alpha, y0.length, alpha_c_, cap);
-  lb_ = sc::softmax_alignment_length(zk0.alpha, zk0.length, alpha_c_, cap);
-  lc_ = sc::softmax_alignment_length(wk0.alpha, wk0.length, alpha_c_, cap);
-  lconcat_ = la_ + lb_ + lc_;
+  hx_ = cfg_.bx / 2;
+  hy_ = cfg_.by / 2;
+  hz_ = z0.length / 2;
+  s1_round_ = cfg_.s1 - 1 - (cfg_.centered_subsample ? (cfg_.s1 - 1) / 2 : cfg_.s1 - 1);
+  hs_ = ssum0.length / 2;
+  hw_ = mul2.length / 2;
+
+  const int la = sc::softmax_alignment_length(y0.alpha, y0.length, alpha_c, cap);
+  const int lb = sc::softmax_alignment_length(zk0.alpha, zk0.length, alpha_c, cap);
+  const int lc = sc::softmax_alignment_length(wk0.alpha, wk0.length, alpha_c, cap);
 
   // Tabulate the four re-scaling blocks by evaluating the circuit emulator at
   // every reachable input count.
@@ -73,10 +90,18 @@ SoftmaxLut::SoftmaxLut(sc::SoftmaxIterConfig cfg) : cfg_(cfg) {
               .ones;
     return lut;
   };
-  lut_y_ = tabulate(y0.length, y0.alpha, la_, alpha_c_);
-  lut_zk_ = tabulate(zk0.length, zk0.alpha, lb_, alpha_c_);
-  lut_wk_ = tabulate(wk0.length, wk0.alpha, lc_, alpha_c_);
-  lut_close_ = tabulate(lconcat_, alpha_c_, cfg_.by, cfg_.alpha_y);
+  lut_y_ = tabulate(y0.length, y0.alpha, la, alpha_c);
+  lut_zk_ = tabulate(zk0.length, zk0.alpha, lb, alpha_c);
+  lut_close_ = tabulate(la + lb + lc, alpha_c, cfg_.by, cfg_.alpha_y);
+  // MUL-2's s2 sub-sampler and negate, composed with the -y*sum(z)/k
+  // re-scaling block, indexed by the raw MUL-2 count.
+  const std::vector<int> lut_wk = tabulate(wk0.length, wk0.alpha, lc, alpha_c);
+  lut_w_.resize(static_cast<std::size_t>(mul2.length) + 1);
+  for (int n = 0; n <= mul2.length; ++n) {
+    const ThermValue w = sc::negate(sc::subsample(ThermValue{n, mul2.length, mul2.alpha},
+                                                  cfg_.s2, cfg_.centered_subsample));
+    lut_w_[static_cast<std::size_t>(n)] = lut_wk[static_cast<std::size_t>(w.ones)];
+  }
 
   y_value_.reserve(static_cast<std::size_t>(cfg_.by) + 1);
   for (int n = 0; n <= cfg_.by; ++n)
@@ -87,46 +112,52 @@ std::vector<double> SoftmaxLut::operator()(const std::vector<double>& x) const {
   if (static_cast<int>(x.size()) != cfg_.m)
     throw std::invalid_argument("SoftmaxLut: input size != m");
   std::vector<double> out(x.size());
-  (*this)(x.data(), out.data());
+  run(x.data(), 1, out.data());
   return out;
 }
 
-void SoftmaxLut::operator()(const double* x, double* out) const {
-  using sc::ThermValue;
+void SoftmaxLut::operator()(const double* x, double* out) const { run(x, 1, out); }
+
+void SoftmaxLut::rows(const float* scores, int rows, float* out) const { run(scores, rows, out); }
+
+template <typename T>
+void SoftmaxLut::run(const T* x, int rows, T* out) const {
   const std::size_t m = static_cast<std::size_t>(cfg_.m);
-  // Grow-only per-thread scratch: the hot serving path calls this once per
-  // attention row and must not touch the heap at steady state.
-  thread_local std::vector<ThermValue> xs;
-  thread_local std::vector<int> y;
-  thread_local std::vector<ThermValue> zs;
-  if (xs.size() < m) {
-    xs.resize(m);
-    zs.resize(m);
-    y.resize(m);
-  }
-  for (std::size_t i = 0; i < m; ++i) xs[i] = ThermValue::encode(x[i], cfg_.bx, cfg_.alpha_x);
-  for (std::size_t i = 0; i < m; ++i) y[i] = y0_ones_;
+  // Grow-only per-thread scratch: the serving hook calls this per chunk of
+  // attention rows and must not touch the heap at steady state.
+  thread_local std::vector<int> scratch;
+  if (scratch.size() < 3 * m) scratch.resize(3 * m);
+  int* const qx = scratch.data();  // signed x levels, fixed across iterations
+  int* const y = qx + m;           // y counts on the (By, alpha_y) grid
+  int* const z = y + m;            // MUL-1 counts
+  const int* const lut_y = lut_y_.data();
+  const int* const lut_zk = lut_zk_.data();
+  const int* const lut_w = lut_w_.data();
+  const int* const lut_close = lut_close_.data();
 
-  for (int j = 0; j < cfg_.k; ++j) {
-    // MUL-1 / BSN-1 / sub-sample: exact O(1) count maps via the emulator ops.
+  for (int r = 0; r < rows; ++r, x += m, out += m) {
     for (std::size_t i = 0; i < m; ++i)
-      zs[i] = sc::mult(xs[i], ThermValue{y[i], cfg_.by, cfg_.alpha_y});
-    const ThermValue ssum =
-        sc::subsample(sc::add(zs.data(), m), cfg_.s1, cfg_.centered_subsample);
-    for (std::size_t i = 0; i < m; ++i) {
-      const ThermValue yi{y[i], cfg_.by, cfg_.alpha_y};
-      const ThermValue w =
-          sc::negate(sc::subsample(sc::mult(yi, ssum), cfg_.s2, cfg_.centered_subsample));
-      // The four re-scaling blocks collapse to table lookups; BSN-2 is the
-      // count sum of the three aligned operands.
-      const int concat = lut_y_[static_cast<std::size_t>(y[i])] +
-                         lut_zk_[static_cast<std::size_t>(zs[i].ones)] +
-                         lut_wk_[static_cast<std::size_t>(w.ones)];
-      y[i] = lut_close_[static_cast<std::size_t>(concat)];
+      qx[i] = sc::ThermValue::encode(x[i], cfg_.bx, cfg_.alpha_x).ones - hx_;
+    std::fill(y, y + m, y0_ones_);
+    for (int j = 0; j < cfg_.k; ++j) {
+      // MUL-1 and BSN-1: z_i = qx_i * qy_i + Lz/2, summed over the row.
+      int sum = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        z[i] = qx[i] * (y[i] - hy_) + hz_;
+        sum += z[i];
+      }
+      // s1 sub-sampler, then the signed level of the sub-sampled sum.
+      const int qs = static_cast<int>((static_cast<long long>(sum) + s1_round_) / cfg_.s1) - hs_;
+      // MUL-2 count feeds the folded table; BSN-2 is the count sum of the
+      // three aligned operands, closed back onto the By grid.
+      for (std::size_t i = 0; i < m; ++i) {
+        const int qy = y[i] - hy_;
+        y[i] = lut_close[lut_y[y[i]] + lut_zk[z[i]] + lut_w[qy * qs + hw_]];
+      }
     }
+    for (std::size_t i = 0; i < m; ++i)
+      out[i] = static_cast<T>(y_value_[static_cast<std::size_t>(y[i])]);
   }
-
-  for (std::size_t i = 0; i < m; ++i) out[i] = y_value_[static_cast<std::size_t>(y[i])];
 }
 
 // ---------------------------------------------------------------------------

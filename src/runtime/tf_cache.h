@@ -51,6 +51,13 @@ class GateSiLut {
     return out_[static_cast<std::size_t>(sc::ThermValue::encode(x, lin_, alpha_in_).ones)];
   }
 
+  /// Batch twin for the serving GELU hook: out[i] =
+  /// static_cast<float>((*this)(x[i])) for i in [0, n); `out` may alias `x`.
+  void apply(const float* x, std::size_t n, float* out) const {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = out_f_[static_cast<std::size_t>(sc::ThermValue::encode(x[i], lin_, alpha_in_).ones)];
+  }
+
   int lin() const { return lin_; }
   double alpha_in() const { return alpha_in_; }
   const std::vector<double>& table() const { return out_; }
@@ -59,42 +66,59 @@ class GateSiLut {
   int lin_;
   double alpha_in_;
   std::vector<double> out_;  // lin_ + 1 entries
+  std::vector<float> out_f_; // out_ rounded to float, served by apply()
 };
 
-/// Tabulated iterative-softmax datapath (Fig. 5). The multiplier / BSN /
-/// sub-sampler counts are exact O(1) integer maps and are evaluated through
-/// the sc:: count-level emulator directly; the four re-scaling blocks — whose
-/// emulation re-derives a rational expand/subsample plan on every call — are
-/// tabulated per call site (their operand grids are static per config).
+/// Tabulated iterative-softmax datapath (Fig. 5), served in the count
+/// domain. Every alpha is static per config, so one iteration is pure integer
+/// arithmetic on ones-counts: MUL-1 is z = qx*qy + Lz/2 on signed levels,
+/// BSN-1 plus the s1 sub-sampler is one row sum and one divide, and MUL-2's
+/// count n = qy*qs + Lw/2 indexes a table that folds in the s2 sub-sampler,
+/// the negate and the -y*sum(z)/k re-scaling block. The other three
+/// re-scaling blocks are count -> count tables too, so an element costs one
+/// multiply-add per MUL and four gathers per iteration. Every table is built
+/// by running the sc:: circuit emulator over its reachable inputs, and the
+/// constructor derives the bundle lengths from the emulator's own op chain.
 class SoftmaxLut {
  public:
+  /// Throws std::invalid_argument for an invalid config, and for one whose
+  /// BSN-1 input (Lsum) or MUL-2 output (Lw) does not fit in int: the kernel
+  /// runs on int32 counts.
   explicit SoftmaxLut(sc::SoftmaxIterConfig cfg);
 
   /// Bit-exact with sc::softmax_iterative_sc(x, config()).
   std::vector<double> operator()(const std::vector<double>& x) const;
 
   /// Buffer-reuse twin: reads config().m values from `x`, writes config().m
-  /// values to `out` (may alias `x`). Uses thread-local grow-only scratch —
-  /// allocation-free at steady state, which is what the serving softmax hook
-  /// calls per attention row.
+  /// values to `out` (may alias `x`). Allocation-free at steady state.
   void operator()(const double* x, double* out) const;
+
+  /// Row-batched float entry for the serving softmax hook: `rows` consecutive
+  /// rows of config().m scores. Each output row equals the double overload's
+  /// result on the widened row, cast to float. `out` may alias `scores`.
+  void rows(const float* scores, int rows, float* out) const;
 
   const sc::SoftmaxIterConfig& config() const { return cfg_; }
   const sc::SoftmaxIterLayout& layout() const { return lay_; }
 
  private:
+  /// The one kernel behind every entry point.
+  template <typename T>
+  void run(const T* x, int rows, T* out) const;
+
   sc::SoftmaxIterConfig cfg_;
   sc::SoftmaxIterLayout lay_;
-  double alpha_c_ = 0.0;  // alignment-grid scale alpha_y / align_expand
-  int y0_ones_ = 0;       // encode(1/m, By, alpha_y)
-  // Alignment lengths derived by running the op chain itself (not the layout
-  // arithmetic) so every double matches the emulator's to the last bit.
-  int la_ = 0, lb_ = 0, lc_ = 0, lconcat_ = 0;
-  // Count -> count tables for the four re-scaling call sites.
-  std::vector<int> lut_y_;      // y operand (By grid)      -> La grid
-  std::vector<int> lut_zk_;     // z/k operand (Lz grid)    -> Lb grid
-  std::vector<int> lut_wk_;     // -y*sum(z)/k (Lw_sub grid)-> Lc grid
-  std::vector<int> lut_close_;  // BSN-2 output (Lconcat)   -> By grid
+  int y0_ones_ = 0;  // encode(1/m, By, alpha_y)
+  // Count-domain constants: half-lengths turn counts into signed levels.
+  int hx_ = 0, hy_ = 0, hz_ = 0;  // Bx/2, By/2, Lz/2
+  int s1_round_ = 0;              // s1 - 1 - tap offset: ssum = (sum + s1_round_) / s1
+  int hs_ = 0;                    // Lsum_sub/2
+  int hw_ = 0;                    // Lw/2
+  // Count -> count tables.
+  std::vector<int> lut_y_;      // y operand (By grid)        -> La grid
+  std::vector<int> lut_zk_;     // z/k operand (Lz grid)      -> Lb grid
+  std::vector<int> lut_w_;      // MUL-2 count n in [0, Lw]   -> Lc grid (s2, negate, /k folded)
+  std::vector<int> lut_close_;  // BSN-2 output (Lconcat)     -> By grid
   std::vector<double> y_value_; // decode table for the final (By, alpha_y) grid
 };
 

@@ -1,17 +1,12 @@
 #include "sc/therm_stream.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ascend::sc {
 
-ThermValue ThermValue::encode(double x, int length, double alpha) {
+void throw_bad_encode_args(int length) {
   if (length <= 0) throw std::invalid_argument("ThermValue::encode: length must be positive");
-  if (alpha <= 0) throw std::invalid_argument("ThermValue::encode: alpha must be positive");
-  const double level = x / alpha + length / 2.0;
-  const int n = static_cast<int>(std::lround(level));
-  return ThermValue{std::clamp(n, 0, length), length, alpha};
+  throw std::invalid_argument("ThermValue::encode: alpha must be positive");
 }
 
 ThermStream ThermStream::from_value(const ThermValue& v) {

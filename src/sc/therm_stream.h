@@ -16,11 +16,20 @@
 //   * ThermValue  — integer count + scale (fast path used inside network
 //                   evaluation). Tests assert the two paths agree exactly.
 
+#include <algorithm>
 #include <cstddef>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "sc/bitvec.h"
 
 namespace ascend::sc {
+
+/// Throws std::invalid_argument for a non-positive encode length or alpha
+/// (kept out of line so the inline encoder stays small).
+[[noreturn]] void throw_bad_encode_args(int length);
 
 /// Count-level twin of ThermStream: (ones count, length, scale).
 struct ThermValue {
@@ -36,8 +45,28 @@ struct ThermValue {
   double range() const { return alpha * length / 2.0; }
 
   /// Quantize `x` onto an L-bit thermometer grid with scale `alpha`
-  /// (round-to-nearest, saturating at the ends of the range).
-  static ThermValue encode(double x, int length, double alpha);
+  /// (round-half-away-from-zero, saturating at the ends of the range; NaN
+  /// encodes to 0 ones). Inline because the LUT-served nonlinear hooks call
+  /// it once per activation.
+  static ThermValue encode(double x, int length, double alpha) {
+    if (length <= 0 || alpha <= 0) throw_bad_encode_args(length);
+    // Saturate to [0, L] in double before narrowing, so |level| >= 2^31 and
+    // +-inf land on the right end; NaN maps to 0. Branch-free on SSE2
+    // (maxsd returns its second operand when the first is NaN): activations
+    // saturate in no predictable pattern, and a mispredicted clamp costs
+    // more than the rest of the encode.
+    const double level = x / alpha + length / 2.0;
+#if defined(__SSE2__)
+    const double c = _mm_cvtsd_f64(_mm_min_sd(_mm_max_sd(_mm_set_sd(level), _mm_setzero_pd()),
+                                              _mm_set_sd(static_cast<double>(length))));
+#else
+    const double c = std::min(std::max(0.0, level), static_cast<double>(length));
+#endif
+    // lround(c) without the libm call: c is in [0, L], so the truncation
+    // fits in int, c - t is exact, and a fraction of exactly 0.5 rounds up.
+    const int t = static_cast<int>(c);
+    return ThermValue{t + (c - t >= 0.5 ? 1 : 0), length, alpha};
+  }
 };
 
 /// Bit-level thermometer stream.

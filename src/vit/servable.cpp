@@ -48,26 +48,21 @@ class VitServable final : public runtime::Servable {
         const runtime::SoftmaxLut* lut = opts.use_tf_cache ? &cache->softmax(sm) : nullptr;
         model_->set_softmax_hook([sm, lut, pool](const Tensor& scores) {
           const int rows = scores.dim(0), m = scores.dim(1);
-          // `out` is carved from the forward's arena when one is installed;
-          // the row scratch is per-thread and grow-only — at steady state
+          // `out` is carved from the forward's arena when one is installed
+          // and the LUT reads the float scores directly, so at steady state
           // this hook performs zero heap allocations (the emulated
-          // softmax_iterative_sc fallback still allocates internally).
+          // softmax_iterative_sc fallback allocates internally).
           Tensor out = Tensor::uninitialized({rows, m});
           pool->parallel_for(0, rows, [&](int lo, int hi) {
-            thread_local std::vector<double> row, y;
-            if (row.size() < static_cast<std::size_t>(m)) {
-              row.resize(static_cast<std::size_t>(m));
-              y.resize(static_cast<std::size_t>(m));
+            const std::size_t off = static_cast<std::size_t>(lo) * static_cast<std::size_t>(m);
+            if (lut) {
+              lut->rows(scores.data() + off, hi - lo, out.data() + off);
+              return;
             }
+            std::vector<double> row(static_cast<std::size_t>(m));
             for (int r = lo; r < hi; ++r) {
               for (int c = 0; c < m; ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
-              if (lut) {
-                (*lut)(row.data(), y.data());
-              } else {
-                row.resize(static_cast<std::size_t>(m));
-                const auto yv = sc::softmax_iterative_sc(row, sm);
-                std::copy(yv.begin(), yv.end(), y.begin());
-              }
+              const auto y = sc::softmax_iterative_sc(row, sm);
               for (int c = 0; c < m; ++c)
                 out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
             }
@@ -90,9 +85,13 @@ class VitServable final : public runtime::Servable {
           if (!lut) block = std::make_unique<const sc::GateAssistedSI>(*proto);
           Tensor y = Tensor::uninitialized(x.shape());
           pool->parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
+            if (lut) {
+              lut->apply(x.data() + lo, static_cast<std::size_t>(hi - lo), y.data() + lo);
+              return;
+            }
             for (int i = lo; i < hi; ++i) {
               const std::size_t s = static_cast<std::size_t>(i);
-              y[s] = static_cast<float>(lut ? (*lut)(x[s]) : block->transfer(x[s]));
+              y[s] = static_cast<float>(block->transfer(x[s]));
             }
           });
           return y;

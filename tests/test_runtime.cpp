@@ -7,8 +7,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <random>
+#include <string>
 #include <thread>
 
 #include "runtime/batcher.h"
@@ -281,6 +285,168 @@ TEST(SoftmaxLut, RejectsWrongInputSize) {
   cfg.m = 16;
   const SoftmaxLut lut(cfg);
   EXPECT_THROW(lut(std::vector<double>(7, 0.0)), std::invalid_argument);
+}
+
+namespace {
+
+/// Random valid iterative-softmax config: s1 and s2 are drawn from the
+/// divisors that keep every sub-sampled bundle even (MUL-2 requires it) and
+/// the tables small.
+sc::SoftmaxIterConfig random_softmax_config(std::mt19937_64& rng) {
+  auto pick = [&rng](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  auto divisor = [&](int n, int max_quotient, bool even_quotient) {
+    std::vector<int> ds;
+    for (int d = 1; d <= n; ++d)
+      if (n % d == 0 && n / d <= max_quotient && (!even_quotient || (n / d) % 2 == 0))
+        ds.push_back(d);
+    return ds.empty() ? n : ds[static_cast<std::size_t>(pick(0, static_cast<int>(ds.size()) - 1))];
+  };
+  sc::SoftmaxIterConfig cfg;
+  cfg.m = pick(2, 24);
+  cfg.k = pick(1, 4);
+  cfg.bx = 2 * pick(1, 4);
+  cfg.by = 1 << pick(1, 5);
+  const int lsum = cfg.m * cfg.bx * cfg.by / 2;
+  cfg.s1 = divisor(lsum, 256, /*even_quotient=*/true);
+  cfg.s2 = divisor(cfg.by * (lsum / cfg.s1) / 2, 1 << 30, false);
+  cfg.alpha_x = std::uniform_real_distribution<double>(0.1, 3.0)(rng);
+  cfg.alpha_y = std::uniform_real_distribution<double>(0.25, 4.0)(rng) / cfg.m;
+  cfg.align_expand = 1 << pick(0, 3);
+  cfg.centered_subsample = pick(0, 1) == 1;
+  return cfg;
+}
+
+/// Sampled attention rows plus rows that exercise the input clamp: logits far
+/// past the x range, the float/double extremes, infinities and NaN.
+std::vector<std::vector<double>> differential_rows(const sc::SoftmaxIterConfig& cfg,
+                                                   std::uint64_t seed) {
+  std::vector<std::vector<double>> rows = sc::sample_attention_logits(cfg.m, 4, seed);
+  const double range = cfg.alpha_x * cfg.bx / 2;
+  const double extremes[] = {0.0,
+                             range,
+                             -range,
+                             3 * range,
+                             -3 * range,
+                             1e30,
+                             -1e30,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  std::vector<double> row(static_cast<std::size_t>(cfg.m));
+  for (std::size_t i = 0; i < row.size(); ++i) row[i] = extremes[(i + seed) % std::size(extremes)];
+  rows.push_back(row);
+  for (std::size_t i = 0; i < row.size(); ++i) row[i] = (i % 2 ? 1 : -1) * 5.0 * range;
+  rows.push_back(row);
+  return rows;
+}
+
+}  // namespace
+
+TEST(SoftmaxLut, RandomizedDifferentialAgainstEmulator) {
+  std::mt19937_64 rng(20240611);
+  int checked = 0, bit_level_checked = 0;
+  for (int c = 0; c < 300; ++c) {
+    const sc::SoftmaxIterConfig cfg = random_softmax_config(rng);
+    std::unique_ptr<SoftmaxLut> built;
+    try {
+      built = std::make_unique<SoftmaxLut>(cfg);
+    } catch (const std::exception&) {
+      // Some scale ratios have no balanced re-scaling plan: the circuit
+      // emulator must reject the same config.
+      EXPECT_ANY_THROW(sc::softmax_iterative_sc(std::vector<double>(cfg.m, 0.0), cfg))
+          << softmax_cache_key(cfg);
+      continue;
+    }
+    ++checked;
+    const SoftmaxLut& lut = *built;
+    const auto rows = differential_rows(cfg, static_cast<std::uint64_t>(c));
+    const std::size_t m = static_cast<std::size_t>(cfg.m);
+    // Rows narrowed to float are the float API's input; their widened copies
+    // are the double reference's.
+    std::vector<float> scores;
+    for (const auto& row : rows)
+      for (double v : row) scores.push_back(static_cast<float>(v));
+    std::vector<float> batched(scores.size());
+    lut.rows(scores.data(), static_cast<int>(rows.size()), batched.data());
+
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const std::string where = "config " + std::to_string(c) + " " + softmax_cache_key(cfg) +
+                                " row " + std::to_string(r);
+      // double API vs the count-level emulator.
+      const auto ref = sc::softmax_iterative_sc(rows[r], cfg);
+      ASSERT_EQ(lut(rows[r]), ref) << where;
+      std::vector<double> out(m);
+      lut(rows[r].data(), out.data());
+      ASSERT_EQ(out, ref) << where;
+
+      // float API vs the emulator on the widened float row, cast to float.
+      const float* srow = scores.data() + r * m;
+      const auto ref_f = sc::softmax_iterative_sc(std::vector<double>(srow, srow + m), cfg);
+      std::vector<float> single(m);
+      lut.rows(srow, 1, single.data());
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_EQ(single[i], static_cast<float>(ref_f[i])) << where << " i=" << i;
+        ASSERT_EQ(batched[r * m + i], single[i]) << where << " i=" << i << " (batched)";
+      }
+    }
+    // The bit-level circuit on the configs small enough to emulate cheaply.
+    if (cfg.m <= 8 && cfg.by <= 8 && cfg.bx <= 4) {
+      ++bit_level_checked;
+      for (const auto& row : rows) ASSERT_EQ(lut(row), sc::softmax_iterative_sc_bits(row, cfg));
+    }
+  }
+  EXPECT_GE(checked, 200);
+  EXPECT_GE(bit_level_checked, 5);
+}
+
+TEST(SoftmaxLut, RowsMayRunInPlace) {
+  sc::SoftmaxIterConfig cfg;
+  cfg.m = 16;
+  const SoftmaxLut lut(cfg);
+  const auto rows = sc::sample_attention_logits(cfg.m, 3, /*seed=*/17);
+  std::vector<float> buf;
+  for (const auto& row : rows)
+    for (double v : row) buf.push_back(static_cast<float>(v));
+  std::vector<float> expect(buf.size());
+  lut.rows(buf.data(), 3, expect.data());
+  lut.rows(buf.data(), 3, buf.data());
+  EXPECT_EQ(buf, expect);
+}
+
+TEST(SoftmaxLut, RejectsConfigsThatOverflowInt) {
+  sc::SoftmaxIterConfig cfg;  // Lsum = m * Bx*By/2 = 2^31
+  cfg.m = 1 << 20;
+  cfg.bx = 64;
+  cfg.by = 64;
+  ASSERT_NO_THROW(cfg.validate());
+  EXPECT_THROW(SoftmaxLut{cfg}, std::invalid_argument);
+
+  cfg = sc::SoftmaxIterConfig{};  // Lsum = 2^24 fits, Lw = By * Lsum / 2 = 2^31 does not
+  cfg.m = 1 << 16;
+  cfg.bx = 2;
+  cfg.by = 256;
+  cfg.s1 = 1;
+  ASSERT_NO_THROW(cfg.validate());
+  EXPECT_THROW(SoftmaxLut{cfg}, std::invalid_argument);
+}
+
+TEST(GateSiLut, FloatApplyMatchesCircuitEmulation) {
+  for (int b : {2, 8, 16}) {
+    const double range = 4.0;  // the block's input range is +-range
+    const sc::GateAssistedSI block = sc::make_gelu_block(b, -range, range, 16);
+    const GateSiLut lut(block);
+    std::vector<float> x;
+    for (int i = 0; i <= 3000; ++i)  // sweep past the +-range saturation points
+      x.push_back(static_cast<float>(-1.5 * range + 3.0 * range * i / 3000.0));
+    x.push_back(std::numeric_limits<float>::infinity());
+    x.push_back(-std::numeric_limits<float>::infinity());
+    std::vector<float> y(x.size());
+    lut.apply(x.data(), x.size(), y.data());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(y[i], static_cast<float>(block.transfer(x[i]))) << "B=" << b << " x=" << x[i];
+    lut.apply(x.data(), x.size(), x.data());  // in place
+    EXPECT_EQ(x, y);
+  }
 }
 
 TEST(SoftmaxFsmLut, BitExactWithEmulatorAcrossConfigs) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "sc/therm_stream.h"
@@ -27,6 +30,42 @@ TEST(ThermValue, RoundsToNearest) {
 TEST(ThermValue, SaturatesAtRange) {
   EXPECT_DOUBLE_EQ(ThermValue::encode(100.0, 8, 0.5).value(), 2.0);
   EXPECT_DOUBLE_EQ(ThermValue::encode(-100.0, 8, 0.5).value(), -2.0);
+}
+
+TEST(ThermValue, SaturatesBeyondIntRangeAndAtInfinity) {
+  // Levels past 2^31 must saturate in double, not wrap when narrowed to int.
+  EXPECT_EQ(ThermValue::encode(3e9, 8, 1.0).ones, 8);
+  EXPECT_EQ(ThermValue::encode(-3e9, 8, 1.0).ones, 0);
+  EXPECT_EQ(ThermValue::encode(1e300, 8, 1.0).ones, 8);
+  EXPECT_EQ(ThermValue::encode(-1e300, 8, 1.0).ones, 0);
+  EXPECT_EQ(ThermValue::encode(std::numeric_limits<double>::infinity(), 8, 1.0).ones, 8);
+  EXPECT_EQ(ThermValue::encode(-std::numeric_limits<double>::infinity(), 8, 1.0).ones, 0);
+  // Tiny alpha pushes an ordinary input past the int range too.
+  EXPECT_EQ(ThermValue::encode(1.0, 8, 1e-12).ones, 8);
+  EXPECT_EQ(ThermValue::encode(-1.0, 8, 1e-12).ones, 0);
+}
+
+TEST(ThermValue, NanEncodesToZeroOnes) {
+  EXPECT_EQ(ThermValue::encode(std::numeric_limits<double>::quiet_NaN(), 8, 1.0).ones, 0);
+}
+
+TEST(ThermValue, RoundsHalfAwayFromZeroLikeLround) {
+  // Grid L = 8, alpha = 1: level = x + 4. Exact halves round up (the level
+  // is non-negative after saturation); neighbours on either side do not.
+  for (int n = 0; n < 8; ++n) {
+    const double half = n + 0.5 - 4.0;
+    EXPECT_EQ(ThermValue::encode(half, 8, 1.0).ones, n + 1) << "x=" << half;
+    EXPECT_EQ(ThermValue::encode(half - 1e-9, 8, 1.0).ones, n) << "x=" << half;
+  }
+  // Agreement with std::lround over a dense in-range sweep, odd length too.
+  for (int l : {7, 8}) {
+    for (int i = -4000; i <= 4000; ++i) {
+      const double x = i * 0.00137;
+      const double level = x / 0.75 + l / 2.0;
+      const long expect = std::clamp(std::lround(level), 0L, static_cast<long>(l));
+      ASSERT_EQ(ThermValue::encode(x, l, 0.75).ones, expect) << "x=" << x << " L=" << l;
+    }
+  }
 }
 
 TEST(ThermValue, RepresentsLPlusOneValues) {
