@@ -28,54 +28,62 @@ Tensor Linear::forward(const Tensor& x) {
   cached_xq_ = input_quant_.forward(x);
   const Tensor wq = weight_quant_.forward(w_.value);
   Tensor y = matmul(cached_xq_, wq);
-  if (has_bias_) {
-    const int n = y.dim(0);
-    for (int r = 0; r < n; ++r)
-      for (int c = 0; c < out_; ++c) y.at(r, c) += b_.value[static_cast<std::size_t>(c)];
-  }
+  add_bias(y);
   return y;
+}
+
+bool Linear::serves_ternary_codes() const {
+  const auto ternary = [](const LsqQuantizer& q) {
+    return q.enabled() && q.spec().qn == -1 && q.spec().qp == 1;
+  };
+  return ternary(weight_quant_) && ternary(input_quant_) && input_quant_.calibrated() &&
+         gemm::backend() != gemm::Backend::kReference;
 }
 
 Tensor Linear::infer(const Tensor& x) const {
   if (x.rank() != 2 || x.dim(1) != in_) throw std::invalid_argument("Linear::infer: bad input");
-  const auto ternary = [](const LsqQuantizer& q) {
-    return q.enabled() && q.spec().qn == -1 && q.spec().qp == 1;
-  };
-  Tensor y;
-  if (ternary(weight_quant_) && ternary(input_quant_) && input_quant_.calibrated() &&
-      gemm::backend() != gemm::Backend::kReference) {
-    // W2A2: multiply 0/±1 activation codes by the frozen 0/±1 weight codes.
-    // Every partial sum is an integer below 2^24, so the GEMM is exact in any
-    // order, and one multiply by fl(w_step * x_step) gives each output.
-    const TernaryCodes& wc = weight_quant_.frozen_ternary_codes(w_.value);
-    const float s = std::max(input_quant_.step(), 1e-6f);
-    // clamp(round(x / s), -1, +1) as sign thresholds (halves away from zero).
-    const float hi = 0.5f * s;
+  if (serves_ternary_codes()) {
+    const float hi = 0.5f * input_quant_.serving_step();
     Tensor xc = Tensor::uninitialized(x.shape());
-    for (std::size_t i = 0; i < x.size(); ++i)
-      xc[i] = x[i] >= hi ? 1.0f : (x[i] <= -hi ? -1.0f : 0.0f);
-    y = matmul(xc, wc.levels);
-    const float scale = wc.step * s;
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
-  } else {
-    // Weights are immutable while serving: quantize once, serve the snapshot.
-    // A disabled input quantizer is the identity — use x directly instead of
-    // paying a whole-tensor copy through LsqQuantizer::infer.
-    Tensor xq_store;
-    const Tensor* xq = &x;
-    if (input_quant_.enabled()) {
-      xq_store = input_quant_.infer(x);
-      xq = &xq_store;
-    }
-    const Tensor& wq = weight_quant_.frozen_infer(w_.value);
-    y = matmul(*xq, wq);
+    for (std::size_t i = 0; i < x.size(); ++i) xc[i] = ternary_code(x[i], hi);
+    return infer_codes(xc);
   }
-  if (has_bias_) {
-    const int n = y.dim(0);
-    for (int r = 0; r < n; ++r)
-      for (int c = 0; c < out_; ++c) y.at(r, c) += b_.value[static_cast<std::size_t>(c)];
+  // Weights are immutable while serving: quantize once, serve the snapshot.
+  // A disabled input quantizer is the identity — use x directly instead of
+  // paying a whole-tensor copy through LsqQuantizer::infer.
+  Tensor xq_store;
+  const Tensor* xq = &x;
+  if (input_quant_.enabled()) {
+    xq_store = input_quant_.infer(x);
+    xq = &xq_store;
   }
+  const Tensor& wq = weight_quant_.frozen_infer(w_.value);
+  Tensor y = matmul(*xq, wq);
+  add_bias(y);
   return y;
+}
+
+Tensor Linear::infer_codes(const Tensor& codes) const {
+  if (codes.rank() != 2 || codes.dim(1) != in_)
+    throw std::invalid_argument("Linear::infer_codes: bad input");
+  if (!serves_ternary_codes())
+    throw std::logic_error("Linear::infer_codes: layer does not serve ternary codes");
+  // W2A2: multiply 0/±1 activation codes by the frozen 0/±1 weight codes.
+  // Every partial sum is an integer below 2^24, so the GEMM is exact in any
+  // order, and one multiply by fl(w_step * x_step) gives each output.
+  const TernaryCodes& wc = weight_quant_.frozen_ternary_codes(w_.value);
+  Tensor y = matmul(codes, wc.levels);
+  const float scale = wc.step * input_quant_.serving_step();
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
+  add_bias(y);
+  return y;
+}
+
+void Linear::add_bias(Tensor& y) const {
+  if (!has_bias_) return;
+  const int n = y.dim(0);
+  for (int r = 0; r < n; ++r)
+    for (int c = 0; c < out_; ++c) y.at(r, c) += b_.value[static_cast<std::size_t>(c)];
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

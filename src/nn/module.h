@@ -36,7 +36,9 @@ namespace ascend::nn {
 /// scales the exact integer sums by fl(w_step * x_step) — one rounding per
 /// output, then the bias add. ASCEND_GEMM=reference serves the dense
 /// fake-quantized path instead, reproducing the seed's behaviour
-/// bit-exactly.
+/// bit-exactly. A caller that can produce the activation codes more cheaply
+/// than x (vit::Mlp decides GELU's codes from fc1's output) hands them to
+/// infer_codes(), which runs the same GEMM -> scale -> bias tail.
 /// Every snapshot is invalidated ("thawed") by any training-path
 /// forward()/backward(), by set_weight_quant()/set_input_quant() (the
 /// apply_precision path), and by thaw(). Mutating weight() directly outside
@@ -50,6 +52,13 @@ class Linear {
   /// Re-entrant serving forward; quantized weights come from the frozen
   /// snapshot (see class comment), activations are quantized per call.
   Tensor infer(const Tensor& x) const;
+  /// True when infer() serves 0/±1 activation codes: ternary weight and
+  /// input specs, a calibrated input quantizer, and the blocked GEMM.
+  bool serves_ternary_codes() const;
+  /// infer() from activation codes already decided, i.e. elementwise
+  /// ternary_code(x, s/2) for the input step s; requires
+  /// serves_ternary_codes(). Bit-exact with infer(x).
+  Tensor infer_codes(const Tensor& codes) const;
 
   /// Replace the weight-quantizer spec; thaws the frozen weight snapshot.
   void set_weight_quant(QuantSpec spec) { weight_quant_.reset_spec(spec); }
@@ -63,6 +72,7 @@ class Linear {
   Param& bias() { return b_; }
   LsqQuantizer& weight_quant() { return weight_quant_; }
   LsqQuantizer& input_quant() { return input_quant_; }
+  const LsqQuantizer& input_quant() const { return input_quant_; }
   int in_features() const { return in_; }
   int out_features() const { return out_; }
 
@@ -74,6 +84,8 @@ class Linear {
   LsqQuantizer weight_quant_;
   LsqQuantizer input_quant_;
   Tensor cached_xq_;  // quantized input
+
+  void add_bias(Tensor& y) const;
 };
 
 /// LayerNorm over the last dimension of a rank-2 tensor (FP ViT baseline).

@@ -1,7 +1,12 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/gemm.h"
 
@@ -16,6 +21,11 @@ constexpr float kInvSqrt2 = 0.7071067811865475f;
 constexpr float kInvSqrt2Pi = 0.3989422804014327f;
 
 bool use_reference_gemm() { return gemm::backend() == gemm::Backend::kReference; }
+
+// GELU as the product gelu_forward rounds: half(v) * gate(v).
+inline float gelu_half(float v) { return 0.5f * v; }
+inline float gelu_gate(float v) { return 1.0f + std::erf(v * kInvSqrt2); }
+inline float gelu_value(float v) { return gelu_half(v) * gelu_gate(v); }
 
 }  // namespace
 
@@ -134,11 +144,127 @@ void add_inplace(Tensor& a, const Tensor& b) {
 
 Tensor gelu_forward(const Tensor& x) {
   Tensor y = Tensor::uninitialized(x.shape());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    const float v = x[i];
-    y[i] = 0.5f * v * (1.0f + std::erf(v * kInvSqrt2));
-  }
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = gelu_value(x[i]);
   return y;
+}
+
+namespace {
+
+// Order-preserving map between non-NaN floats and integers (-0 and +0 share
+// key 0), so bisection can walk the float line.
+std::int64_t float_key(float f) {
+  std::uint32_t b;
+  std::memcpy(&b, &f, sizeof b);
+  return (b >> 31) ? -static_cast<std::int64_t>(b & 0x7fffffffu) : static_cast<std::int64_t>(b);
+}
+
+float key_float(std::int64_t k) {
+  const std::uint32_t b = k < 0 ? 0x80000000u | static_cast<std::uint32_t>(-k)
+                                : static_cast<std::uint32_t>(k);
+  float f;
+  std::memcpy(&f, &b, sizeof f);
+  return f;
+}
+
+struct CodeRun {
+  std::int64_t lo, hi;  ///< float keys, inclusive
+  float code;
+};
+
+// Appends the runs of one code covering the floats with keys [ka, kb], which
+// lie on one side of zero. Over such a range half(v) and gate(v) are both
+// nondecreasing and gate(v) >= 0, and rounding a product is monotone in each
+// factor, so GELU is bounded by products of the end points: on v >= 0 by
+// gelu(a) and gelu(b); on v < 0 by half(a) * gate(b) and half(b) * gate(a).
+// The left bound is NaN only for -inf * 0, when every gate in the range is
+// 0 and every GELU codes 0. A range whose bounds share a code is one run;
+// any other range is split. A single float is always one run.
+void cover_codes(std::int64_t ka, std::int64_t kb, float half_step, std::vector<CodeRun>& runs) {
+  const float a = key_float(ka), b = key_float(kb);
+  const float lo = ka >= 0 ? gelu_value(a) : gelu_half(a) * gelu_gate(b);
+  const float hi = ka >= 0 ? gelu_value(b) : gelu_half(b) * gelu_gate(a);
+  const float code = ternary_code(lo, half_step);
+  if (code == ternary_code(hi, half_step)) {
+    if (!runs.empty() && runs.back().code == code && runs.back().hi + 1 == ka)
+      runs.back().hi = kb;
+    else
+      runs.push_back({ka, kb, code});
+    return;
+  }
+  const std::int64_t mid = ka + (kb - ka) / 2;
+  cover_codes(ka, mid, half_step, runs);
+  cover_codes(mid + 1, kb, half_step, runs);
+}
+
+}  // namespace
+
+GeluCodeCuts gelu_code_cuts(float half_step) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  std::vector<CodeRun> runs;
+  cover_codes(float_key(-kInf), -1, half_step, runs);
+  cover_codes(0, float_key(kInf), half_step, runs);
+
+  GeluCodeCuts cuts{half_step, kNaN, kNaN, kNaN, {kNaN, kNaN, kNaN}, {kNaN, kNaN, kNaN}};
+  const CodeRun* one = runs.back().code == 1.0f ? &runs.back() : nullptr;
+  const CodeRun* core = nullptr;  // the widest -1 run
+  for (const CodeRun& r : runs)
+    if (r.code == -1.0f && (core == nullptr || r.hi - r.lo > core->hi - core->lo)) core = &r;
+  if (one != nullptr) cuts.one_from = key_float(one->lo);
+  if (core != nullptr) {
+    cuts.minus_lo = key_float(core->lo);
+    cuts.minus_hi = key_float(core->hi);
+  }
+  // Every run the cut points code wrongly joins an exact window: one left
+  // and one right of the -1 core on v < 0, one on v >= 0.
+  std::int64_t win_lo[3], win_hi[3];
+  bool used[3] = {false, false, false};
+  for (const CodeRun& r : runs) {
+    const float cut_code = one != nullptr && r.lo >= one->lo
+                               ? 1.0f
+                               : (core != nullptr && r.lo >= core->lo && r.hi <= core->hi ? -1.0f
+                                                                                          : 0.0f);
+    if (r.code == cut_code) continue;
+    const int w = r.lo >= 0 ? 2 : (core != nullptr && r.lo > core->hi ? 1 : 0);
+    win_lo[w] = used[w] ? std::min(win_lo[w], r.lo) : r.lo;
+    win_hi[w] = used[w] ? std::max(win_hi[w], r.hi) : r.hi;
+    used[w] = true;
+  }
+  for (int w = 0; w < 3; ++w)
+    if (used[w]) {
+      cuts.exact_lo[w] = key_float(win_lo[w]);
+      cuts.exact_hi[w] = key_float(win_hi[w]);
+    }
+  return cuts;
+}
+
+void gelu_codes_inplace(Tensor& x, const GeluCodeCuts& cuts) {
+  const GeluCodeCuts k = cuts;  // a local copy cannot alias x's elements
+  const auto cut_code = [&k](float v) {
+    const float c = v >= k.one_from ? 1.0f : 0.0f;
+    return (v >= k.minus_lo) & (v <= k.minus_hi) ? -1.0f : c;
+  };
+  const auto in_window = [&k](float v) {
+    return ((v >= k.exact_lo[0]) & (v <= k.exact_hi[0])) |
+           ((v >= k.exact_lo[1]) & (v <= k.exact_hi[1])) |
+           ((v >= k.exact_lo[2]) & (v <= k.exact_hi[2]));
+  };
+  // Blocks small enough to stay in L1: a vectorized scan finds whether any
+  // element falls in a window; only such blocks take the scalar loop.
+  constexpr std::size_t kBlock = 256;
+  float* p = x.data();
+  const std::size_t n = x.size();
+  for (std::size_t b = 0; b < n; b += kBlock) {
+    const std::size_t e = std::min(n, b + kBlock);
+    int any = 0;
+    for (std::size_t i = b; i < e; ++i) any |= in_window(p[i]);
+    if (any == 0) {
+      for (std::size_t i = b; i < e; ++i) p[i] = cut_code(p[i]);
+    } else {
+      for (std::size_t i = b; i < e; ++i)
+        p[i] = in_window(p[i]) ? ternary_code(gelu_value(p[i]), k.half_step) : cut_code(p[i]);
+    }
+  }
 }
 
 Tensor gelu_backward(const Tensor& x, const Tensor& grad_y) {

@@ -75,6 +75,7 @@ void LsqQuantizer::thaw() {
   snapshot_ = Tensor();
   codes_valid_.store(false, std::memory_order_release);
   codes_ = TernaryCodes();
+  cuts_valid_.store(false, std::memory_order_release);
 }
 
 const Tensor& LsqQuantizer::frozen_infer(const Tensor& x) const {
@@ -92,6 +93,26 @@ const Tensor& LsqQuantizer::frozen_infer(const Tensor& x) const {
 }
 
 namespace {
+
+// clamp(round(x / s), qn, qp) — the LSQ level of x — without a branch.
+// round() and clamp() branch on magnitude, and activations a few steps
+// from zero mispredict those branches; this form compiles to straight-line
+// SSE2 that gcc vectorizes, and returns the same bits for every input:
+// - v is clamped to [qn-1, qp+1] before the float->int conversion, so the
+//   conversion is always defined; std::max(qn-1, v) sends NaN to qn-1;
+// - t = trunc(c), and |c - t| >= 0.5 rounds half away from zero;
+// - copysign(·, v) keeps round's sign, so -0.3 gives -0 like round();
+// - the final clamp is std::clamp's own comparison order, which keeps -0
+//   when qn == 0;
+// - a NaN quotient passes through, as it does through round and clamp.
+inline float lsq_level(float x, float s, float qn, float qp) {
+  const float v = x / s;
+  const float c = std::min(qp + 1.0f, std::max(qn - 1.0f, v));
+  const float t = static_cast<float>(static_cast<int>(c));
+  const float r = std::copysign(std::fabs(t) + (std::fabs(c - t) >= 0.5f ? 1.0f : 0.0f), v);
+  const float q = r < qn ? qn : (qp < r ? qp : r);
+  return std::isnan(v) ? v : q;
+}
 
 // LSQ init: s = 2 * mean|x| / sqrt(Qp).
 float lsq_init_step(const Tensor& x, int qp) {
@@ -119,20 +140,34 @@ const TernaryCodes& LsqQuantizer::frozen_ternary_codes(const Tensor& x) const {
     TernaryCodes tc;
     tc.step = s;
     tc.levels = Tensor::uninitialized(x.shape());
-    for (std::size_t i = 0; i < x.size(); ++i)
-      tc.levels[i] = std::clamp(std::round(x[i] / s), -1.0f, 1.0f);
+    const float* px = x.data();
+    float* pl = tc.levels.data();
+    const float qn = static_cast<float>(spec_.qn), qp = static_cast<float>(spec_.qp);
+    for (std::size_t i = 0; i < x.size(); ++i) pl[i] = lsq_level(px[i], s, qn, qp);
     codes_ = std::move(tc);
     codes_valid_.store(true, std::memory_order_release);
   }
   return codes_;
 }
 
+const GeluCodeCuts& LsqQuantizer::frozen_gelu_code_cuts() const {
+  if (!spec_.enabled || spec_.qn != -1 || spec_.qp != 1)
+    throw std::logic_error("LsqQuantizer::frozen_gelu_code_cuts: ternary spec required");
+  if (cuts_valid_.load(std::memory_order_acquire)) return cuts_;
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  if (!cuts_valid_.load(std::memory_order_relaxed)) {
+    cuts_ = gelu_code_cuts(0.5f * serving_step());
+    cuts_valid_.store(true, std::memory_order_release);
+  }
+  return cuts_;
+}
+
 Tensor LsqQuantizer::forward(const Tensor& x) {
   if (!spec_.enabled) return x;
   // Training is about to move the step / the quantized tensor: any frozen
-  // serving snapshot (dense or codes) is stale from here on.
+  // serving snapshot (dense, codes or cuts) is stale from here on.
   if (snap_valid_.load(std::memory_order_relaxed) ||
-      codes_valid_.load(std::memory_order_relaxed))
+      codes_valid_.load(std::memory_order_relaxed) || cuts_valid_.load(std::memory_order_relaxed))
     thaw();
   if (!initialized_) {
     step_.init_shape({1});
@@ -141,14 +176,17 @@ Tensor LsqQuantizer::forward(const Tensor& x) {
     initialized_ = true;
   }
   const float s = std::max(step_.value[0], 1e-6f);
+  const float qn = static_cast<float>(spec_.qn), qp = static_cast<float>(spec_.qp);
   cached_x_ = x;
   cached_q_ = Tensor(x.shape());
   Tensor out(x.shape());
+  const float* px = x.data();
+  float* pq = cached_q_.data();
+  float* po = out.data();
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const float q = std::clamp(std::round(x[i] / s), static_cast<float>(spec_.qn),
-                               static_cast<float>(spec_.qp));
-    cached_q_[i] = q;
-    out[i] = q * s;
+    const float q = lsq_level(px[i], s, qn, qp);
+    pq[i] = q;
+    po[i] = q * s;
   }
   return out;
 }
@@ -157,12 +195,11 @@ Tensor LsqQuantizer::infer(const Tensor& x) const {
   if (!spec_.enabled) return x;
   const float step = initialized_ ? step_.value[0] : lsq_init_step(x, spec_.qp);
   const float s = std::max(step, 1e-6f);
+  const float qn = static_cast<float>(spec_.qn), qp = static_cast<float>(spec_.qp);
   Tensor out = Tensor::uninitialized(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float q = std::clamp(std::round(x[i] / s), static_cast<float>(spec_.qn),
-                               static_cast<float>(spec_.qp));
-    out[i] = q * s;
-  }
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::size_t i = 0; i < x.size(); ++i) po[i] = lsq_level(px[i], s, qn, qp) * s;
   return out;
 }
 

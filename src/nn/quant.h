@@ -12,10 +12,12 @@
 //           dL/ds = sum g * (q - x/s * inside) * gradscale,
 //           gradscale = 1/sqrt(numel * Qp).
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <vector>
 
+#include "nn/ops.h"
 #include "nn/tensor.h"
 
 namespace ascend::nn {
@@ -112,15 +114,27 @@ class LsqQuantizer {
   /// non-ternary spec or a non-rank-2 input.
   const TernaryCodes& frozen_ternary_codes(const Tensor& x) const;
 
-  /// Drop the frozen snapshots (dense and codes); the next frozen_infer /
-  /// frozen_ternary_codes re-quantizes.
+  /// Where GELU's output codes under this ternary quantizer change (see
+  /// nn::gelu_code_cuts) at half of serving_step(), the threshold Linear's
+  /// W2A2 input codes use. Computed once per step and served from a
+  /// snapshot with the same double-checked build and the same thaw events
+  /// as frozen_ternary_codes. Throws on a non-ternary spec.
+  const GeluCodeCuts& frozen_gelu_code_cuts() const;
+
+  /// Drop the frozen snapshots (dense, codes and GELU code cuts); the next
+  /// frozen_* call rebuilds.
   void thaw();
   /// True while a frozen snapshot is live (exposed for tests/benches).
   bool frozen() const { return snap_valid_.load(std::memory_order_acquire); }
   /// True while a ternary-code snapshot is live.
   bool codes_frozen() const { return codes_valid_.load(std::memory_order_acquire); }
+  /// True while a GELU code-cut snapshot is live.
+  bool cuts_frozen() const { return cuts_valid_.load(std::memory_order_acquire); }
 
   float step() const { return step_.value.empty() ? 0.0f : step_.value[0]; }
+  /// step() floored at 1e-6: the step the ternary code paths threshold at
+  /// (Linear's W2A2 input codes, frozen_gelu_code_cuts).
+  float serving_step() const { return std::max(step(), 1e-6f); }
   /// True once a training forward has initialised the step under the current
   /// spec (reset_spec de-calibrates; step() may still return the old value).
   bool calibrated() const { return initialized_; }
@@ -139,7 +153,8 @@ class LsqQuantizer {
   // Caches from the last forward.
   Tensor cached_x_;
   Tensor cached_q_;  // integer levels as floats
-  // Frozen quantized snapshots (see frozen_infer / frozen_ternary_codes):
+  // Frozen snapshots (see frozen_infer / frozen_ternary_codes /
+  // frozen_gelu_code_cuts):
   // guarded by snap_mu_ for building, published through the acquire/release
   // flags for lock-free reads.
   mutable std::mutex snap_mu_;
@@ -147,6 +162,8 @@ class LsqQuantizer {
   mutable Tensor snapshot_;
   mutable std::atomic<bool> codes_valid_{false};
   mutable TernaryCodes codes_;
+  mutable std::atomic<bool> cuts_valid_{false};
+  mutable GeluCodeCuts cuts_{};
 };
 
 }  // namespace ascend::nn

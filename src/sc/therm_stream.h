@@ -51,13 +51,17 @@ struct ThermValue {
   static ThermValue encode(double x, int length, double alpha) {
     if (length <= 0 || alpha <= 0) throw_bad_encode_args(length);
     // Saturate to [0, L] in double before narrowing, so |level| >= 2^31 and
-    // +-inf land on the right end; NaN maps to 0. Branch-free on SSE2
-    // (maxsd returns its second operand when the first is NaN): activations
-    // saturate in no predictable pattern, and a mispredicted clamp costs
-    // more than the rest of the encode.
+    // +-inf land on the right end; NaN maps to 0. Branch-free on SSE2:
+    // activations saturate in no predictable pattern, and a mispredicted
+    // clamp costs more than the rest of the encode. An ordered-compare mask
+    // zeroes NaN before maxsd sees it: gcc folds maxsd on a constant NaN to
+    // NaN rather than to the hardware's second operand, and the int
+    // conversion below would then be undefined.
     const double level = x / alpha + length / 2.0;
 #if defined(__SSE2__)
-    const double c = _mm_cvtsd_f64(_mm_min_sd(_mm_max_sd(_mm_set_sd(level), _mm_setzero_pd()),
+    const __m128d lv = _mm_set_sd(level);
+    const __m128d ordered = _mm_and_pd(_mm_cmpord_sd(lv, lv), lv);
+    const double c = _mm_cvtsd_f64(_mm_min_sd(_mm_max_sd(ordered, _mm_setzero_pd()),
                                               _mm_set_sd(static_cast<double>(length))));
 #else
     const double c = std::min(std::max(0.0, level), static_cast<double>(length));

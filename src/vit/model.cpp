@@ -53,8 +53,14 @@ Tensor Mlp::forward(const Tensor& x) {
 
 Tensor Mlp::infer(const Tensor& x) const {
   Tensor h = fc1_.infer(x);
-  h = hook_ ? hook_(h) : gelu_.infer(h);
-  return fc2_.infer(h);
+  if (hook_) return fc2_.infer(hook_(h));
+  if (fc2_.serves_ternary_codes()) {
+    // W2A2: fc2 consumes only the ternary code of GELU(h), which the cut
+    // points decide without erf for all but a narrow band of elements.
+    nn::gelu_codes_inplace(h, fc2_.input_quant().frozen_gelu_code_cuts());
+    return fc2_.infer_codes(h);
+  }
+  return fc2_.infer(gelu_.infer(h));
 }
 
 Tensor Mlp::backward(const Tensor& grad) {
@@ -91,17 +97,22 @@ Tensor EncoderBlock::forward(const Tensor& x, int batch, int tokens, bool traini
 Tensor EncoderBlock::infer(const Tensor& x, int batch, int tokens) const {
   // Layer-group phase spans: no-ops (one thread-local read each) unless the
   // engine traces this forward — see runtime/metrics/trace.h.
+  // A disabled residual quantizer is the identity: skip it rather than pay
+  // the whole-tensor copy LsqQuantizer::infer returns.
   Tensor x1;
   {
     runtime::trace::ScopedSpan span("msa");
     Tensor a = norm1_.infer(x);
     a = msa_.infer(a, batch, tokens);
-    x1 = rq1_.infer(nn::add(x, a));
+    x1 = nn::add(x, a);
+    if (rq1_.enabled()) x1 = rq1_.infer(x1);
   }
   runtime::trace::ScopedSpan span("mlp");
   Tensor b = norm2_.infer(x1);
   b = mlp_.infer(b);
-  return rq2_.infer(nn::add(x1, b));
+  Tensor out = nn::add(x1, b);
+  if (rq2_.enabled()) return rq2_.infer(out);
+  return out;
 }
 
 Tensor EncoderBlock::backward(const Tensor& grad) {

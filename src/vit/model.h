@@ -43,7 +43,10 @@ class NormLayer {
 };
 
 /// MLP block: fc1 -> GELU -> fc2, with an optional inference-time GELU hook
-/// (SC gate-assisted-SI emulation).
+/// (SC gate-assisted-SI emulation). Without a hook, when fc2 serves ternary
+/// codes (nn::Linear::serves_ternary_codes), infer() decides fc2's 0/±1
+/// input codes straight from fc1's output through the fc2 input
+/// quantizer's GELU code cuts, bit-exact with GELU followed by fc2.infer.
 class Mlp {
  public:
   Mlp(int dim, int hidden, nn::Rng& rng);

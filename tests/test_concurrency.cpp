@@ -598,6 +598,36 @@ TEST(SnapshotConcurrency, ConcurrentTernaryCodesFirstInferAgrees) {
       ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;
 }
 
+TEST(SnapshotConcurrency, ConcurrentGeluCodeCutsFirstInferAgrees) {
+  // W2A2 MLP: every thread's first infer races the fc2 input quantizer's
+  // GELU code-cut build; every result must equal the unfused serial path.
+  nn::Rng rng(36);
+  vit::Mlp mlp(16, 48, rng);
+  for (nn::Linear* lin : {&mlp.fc1(), &mlp.fc2()}) {
+    lin->set_weight_quant(nn::QuantSpec::ternary());
+    lin->set_input_quant(nn::QuantSpec::ternary());
+  }
+  nn::Tensor x({12, 16});
+  rng.fill_normal(x, 0, 1.5f);
+  (void)mlp.forward(x);  // latch steps; thaws any snapshot
+  ASSERT_TRUE(mlp.fc2().serves_ternary_codes());
+  ASSERT_FALSE(mlp.fc2().input_quant().cuts_frozen());
+
+  constexpr int kThreads = 8;
+  std::vector<nn::Tensor> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  const vit::Mlp& cmlp = mlp;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = cmlp.infer(x); });
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(mlp.fc2().input_quant().cuts_frozen());
+  const nn::Tensor unfused = mlp.fc2().infer(nn::Gelu().infer(mlp.fc1().infer(x)));
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < unfused.size(); ++i)
+      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], unfused[i]) << "thread " << t;
+}
+
 TEST(GemmConcurrency, ConcurrentMatmulCallersAgree) {
   // Caller threads issuing the same product at once, each sizing its own
   // OpenMP team (serial in the TSan build, which probes the shared kernel

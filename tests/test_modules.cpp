@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
+#include "nn/gemm.h"
 #include "nn/module.h"
 #include "test_util.h"
+#include "vit/model.h"
 
 using namespace ascend::nn;
+namespace vit = ascend::vit;
 
 namespace {
 
@@ -313,4 +325,193 @@ TEST(InferPath, GeluBitExactWithForward) {
   Tensor x({3, 7});
   rng.fill_normal(x, 0, 2);
   expect_bitwise_equal(gelu.infer(x), gelu.forward(x), "gelu");
+}
+
+// ---------------------------------------------------------------------------
+// GELU decided straight into fc2's ternary codes.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+float bits_float(std::uint32_t b) {
+  float f;
+  std::memcpy(&f, &b, sizeof f);
+  return f;
+}
+
+/// Steps across every regime of the cuts: the 1e-6 step clamp, half steps
+/// below GELU's minimum magnitude (-1 codes exist), the edge of that
+/// minimum, ordinary steps, and half steps past 6 where GELU(v) == v.
+const std::vector<float>& cut_steps() {
+  static const std::vector<float> steps = {1e-9f, 1e-6f, 0.01f, 0.2f,  0.3399f, 0.34f,
+                                           1.0f,  2.5f,  12.0f, 13.0f, 134.0f,  1e4f};
+  return steps;
+}
+
+float gelu_of(float v) { return gelu_forward(Tensor({1}, v))[0]; }
+
+/// ternary_code(gelu_forward(x)) against gelu_codes_inplace over `x`,
+/// element by element (NaN inputs code 0 on both sides).
+void expect_codes_match(const Tensor& x, const GeluCodeCuts& cuts, const char* what) {
+  const Tensor g = gelu_forward(x);
+  Tensor codes = x;
+  gelu_codes_inplace(codes, cuts);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    ASSERT_EQ(codes[i], ternary_code(g[i], cuts.half_step))
+        << what << ": v=" << std::hexfloat << x[i] << " half_step=" << cuts.half_step;
+}
+
+}  // namespace
+
+TEST(GeluCodes, EveryFloatNearEveryCutMatchesGeluThenThreshold) {
+  constexpr std::int64_t kUlps = std::int64_t{1} << 20;
+  for (const float step : cut_steps()) {
+    const float half = 0.5f * std::max(step, 1e-6f);
+    const GeluCodeCuts cuts = gelu_code_cuts(half);
+    ASSERT_FALSE(std::isnan(cuts.one_from)) << "no +1 cut at half_step " << half;
+    // -1 codes exist when s/2 is below |min GELU| ~ 0.16997.
+    if (half < 0.1699f || half > 0.1701f) {
+      EXPECT_EQ(!std::isnan(cuts.minus_lo), half < 0.1699f) << "half_step " << half;
+    }
+    std::vector<float> crossings = {cuts.one_from};
+    if (!std::isnan(cuts.minus_lo)) {
+      crossings.push_back(cuts.minus_lo);
+      crossings.push_back(cuts.minus_hi);
+    }
+    for (const float c : crossings) {
+      std::uint32_t bits;
+      std::memcpy(&bits, &c, sizeof bits);
+      // Walk the float line through the crossing: away from zero for
+      // negatives means larger bit patterns, so walk by signed key.
+      const std::int64_t key = (bits >> 31) ? -static_cast<std::int64_t>(bits & 0x7fffffffu)
+                                            : static_cast<std::int64_t>(bits);
+      Tensor x = Tensor::uninitialized({1, static_cast<int>(2 * kUlps + 1)});
+      for (std::int64_t d = -kUlps; d <= kUlps; ++d) {
+        const std::int64_t k = key + d;
+        x[static_cast<std::size_t>(d + kUlps)] =
+            k < 0 ? bits_float(0x80000000u | static_cast<std::uint32_t>(-k))
+                  : bits_float(static_cast<std::uint32_t>(k));
+      }
+      expect_codes_match(x, cuts, "near a cut");
+      // The cut is a change of code: the code at the cut differs from the
+      // code at one end of the walk.
+      const float at = ternary_code(gelu_of(c), half);
+      EXPECT_TRUE(ternary_code(gelu_of(x[0]), half) != at ||
+                  ternary_code(gelu_of(x[x.size() - 1]), half) != at)
+          << "crossing " << c << " at half_step " << half;
+    }
+  }
+}
+
+TEST(GeluCodes, RandomFloatsAndSpecialsMatchGeluThenThreshold) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::mt19937 gen(77);
+  // Uniform bit patterns cover the whole range: both signs, every exponent,
+  // denormals, infinities and NaNs.
+  Tensor x = Tensor::uninitialized({1, 1000000});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = bits_float(static_cast<std::uint32_t>(gen()));
+  const std::vector<float> specials = {0.0f,    -0.0f,    kInf,         -kInf,
+                                       std::numeric_limits<float>::quiet_NaN(),
+                                       FLT_MAX, -FLT_MAX, FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                                       FLT_MIN, -FLT_MIN, -0.7517916f,  6.0f};
+  std::copy(specials.begin(), specials.end(), x.data());
+  for (const float step : cut_steps()) {
+    const GeluCodeCuts cuts = gelu_code_cuts(0.5f * std::max(step, 1e-6f));
+    expect_codes_match(x, cuts, "random bits");
+    // Ordinary activations, dense around the cuts of this step.
+    Tensor act({64, 512});
+    Rng rng(static_cast<std::uint64_t>(step * 1e6f) + 3);
+    rng.fill_normal(act, 0.0f, 2.0f * std::max(step, 0.5f));
+    expect_codes_match(act, cuts, "normal activations");
+  }
+}
+
+namespace {
+
+/// fc1 -> GELU -> fc2 with W2A2 specs, calibrated by one training forward;
+/// fc2's input step is then pinned to `fc2_step`.
+struct W2a2Mlp {
+  Rng rng{91};
+  vit::Mlp mlp{16, 64, rng};
+  Tensor x{{24, 16}};
+
+  explicit W2a2Mlp(float fc2_step) {
+    for (Linear* lin : {&mlp.fc1(), &mlp.fc2()}) {
+      lin->set_weight_quant(QuantSpec::ternary());
+      lin->set_input_quant(QuantSpec::ternary());
+    }
+    rng.fill_normal(x, 0.0f, 1.5f);
+    (void)mlp.forward(x);  // latch every step
+    mlp.fc2().input_quant().restore_calibration(QuantSpec::ternary(), true, fc2_step);
+  }
+
+  /// The unfused reference: GELU materialised, then fc2's own threshold.
+  Tensor unfused() { return mlp.fc2().infer(Gelu().infer(mlp.fc1().infer(x))); }
+};
+
+}  // namespace
+
+/// Selects a GEMM backend for one scope, restoring the previous one.
+class BackendScope {
+ public:
+  explicit BackendScope(gemm::Backend b) : saved_(gemm::backend()) { gemm::set_backend(b); }
+  ~BackendScope() { gemm::set_backend(saved_); }
+
+ private:
+  gemm::Backend saved_;
+};
+
+TEST(MlpInfer, GeluCodePathBitExactWithUnfusedPath) {
+  const BackendScope blocked(gemm::Backend::kBlocked);
+  for (const float step : {1e-9f, 0.05f, 0.3f, 0.9f, 2.5f, 40.0f}) {
+    W2a2Mlp rig(step);
+    ASSERT_TRUE(rig.mlp.fc2().serves_ternary_codes());
+    const vit::Mlp& cmlp = rig.mlp;
+    expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "fused GELU codes");
+    EXPECT_TRUE(rig.mlp.fc2().input_quant().cuts_frozen());
+  }
+}
+
+TEST(MlpInfer, DensePathWhenFc2ServesNoCodes) {
+  // ASCEND_GEMM=reference: Linear serves the dense fake-quantized path, and
+  // so must the MLP.
+  {
+    W2a2Mlp rig(0.3f);
+    const BackendScope reference(gemm::Backend::kReference);
+    EXPECT_FALSE(rig.mlp.fc2().serves_ternary_codes());
+    const vit::Mlp& cmlp = rig.mlp;
+    expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "reference backend");
+    EXPECT_FALSE(rig.mlp.fc2().input_quant().cuts_frozen());
+  }
+  // An uncalibrated fc2 input quantizer derives its step from each batch.
+  {
+    W2a2Mlp rig(0.3f);
+    rig.mlp.fc2().set_input_quant(QuantSpec::ternary());
+    EXPECT_FALSE(rig.mlp.fc2().serves_ternary_codes());
+    const vit::Mlp& cmlp = rig.mlp;
+    expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "uncalibrated fc2 input");
+  }
+}
+
+TEST(MlpInfer, GeluCutsThawWithTheInputStep) {
+  const BackendScope blocked(gemm::Backend::kBlocked);
+  W2a2Mlp rig(2.5f);
+  const vit::Mlp& cmlp = rig.mlp;
+  (void)cmlp.infer(rig.x);
+  LsqQuantizer& q = rig.mlp.fc2().input_quant();
+  ASSERT_TRUE(q.cuts_frozen());
+  // A new step drops the cuts, and the next infer serves the new step's
+  // codes; a training forward and thaw() drop them too.
+  q.restore_calibration(QuantSpec::ternary(), true, 0.3f);
+  EXPECT_FALSE(q.cuts_frozen());
+  expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "after restore_calibration");
+  EXPECT_EQ(q.frozen_gelu_code_cuts().half_step, 0.15f);
+  (void)rig.mlp.forward(rig.x);
+  EXPECT_FALSE(q.cuts_frozen());
+  (void)q.frozen_gelu_code_cuts();
+  ASSERT_TRUE(q.cuts_frozen());
+  q.thaw();
+  EXPECT_FALSE(q.cuts_frozen());
+  EXPECT_THROW((void)LsqQuantizer(QuantSpec::from_bsl(16)).frozen_gelu_code_cuts(),
+               std::logic_error);
 }

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "nn/quant.h"
 #include "nn/rng.h"
@@ -202,4 +208,103 @@ TEST(LsqQuantizerTest, QuantizationErrorShrinksWithBsl) {
   };
   EXPECT_GT(mean_err(2), mean_err(8));
   EXPECT_GT(mean_err(8), mean_err(32));
+}
+
+// ---------------------------------------------------------------------------
+// The branch-free rounding against clamp(round(x / s), qn, qp), bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool same_bits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+float reference_level(float x, float s, const QuantSpec& spec) {
+  return std::clamp(std::round(x / s), static_cast<float>(spec.qn), static_cast<float>(spec.qp));
+}
+
+QuantSpec make_spec(int qn, int qp) {
+  QuantSpec spec;
+  spec.enabled = true;
+  spec.qn = qn;
+  spec.qp = qp;
+  return spec;
+}
+
+/// Quantizes `xs` at `step` through infer, forward and (ternary specs)
+/// frozen_ternary_codes, and compares each against the reference rounding.
+void expect_rounding_matches(const QuantSpec& spec, float step, const std::vector<float>& xs) {
+  Tensor x = Tensor::uninitialized({1, static_cast<int>(xs.size())});
+  std::copy(xs.begin(), xs.end(), x.data());
+  LsqQuantizer q;
+  q.restore_calibration(spec, /*calibrated=*/true, step);
+  const float s = std::max(step, 1e-6f);
+  const Tensor inferred = q.infer(x);
+  const Tensor trained = q.forward(x);
+  const bool ternary = spec.qn == -1 && spec.qp == 1;
+  const Tensor* levels = ternary ? &q.frozen_ternary_codes(x).levels : nullptr;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float level = reference_level(xs[i], s, spec);
+    const float want = level * s;
+    ASSERT_TRUE(same_bits(inferred[i], want))
+        << "infer x=" << xs[i] << " s=" << s << " qn=" << spec.qn << " qp=" << spec.qp
+        << " got " << inferred[i] << " want " << want;
+    ASSERT_TRUE(same_bits(trained[i], want)) << "forward x=" << xs[i] << " s=" << s;
+    if (levels != nullptr) {
+      ASSERT_TRUE(same_bits((*levels)[i], level)) << "codes x=" << xs[i] << " s=" << s;
+    }
+  }
+}
+
+const std::vector<QuantSpec>& rounding_specs() {
+  static const std::vector<QuantSpec> specs = {QuantSpec::ternary(), QuantSpec::from_bsl(16),
+                                               make_spec(0, 3), make_spec(-4, 1)};
+  return specs;
+}
+
+}  // namespace
+
+TEST(LsqRounding, RandomDrawsMatchRoundAndClamp) {
+  std::mt19937 gen(2024);
+  std::uniform_real_distribution<float> log_step(std::log(1e-6f), std::log(1e3f));
+  std::uniform_real_distribution<float> log_spread(std::log(0.1f), std::log(100.0f));
+  std::bernoulli_distribution negative(0.5);
+  std::size_t draws = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const QuantSpec& spec = rounding_specs()[static_cast<std::size_t>(trial) % rounding_specs().size()];
+    const float step = std::exp(log_step(gen));
+    std::vector<float> xs(1024);
+    for (float& v : xs) {
+      const float mag = std::exp(log_spread(gen)) * step;
+      v = negative(gen) ? -mag : mag;
+    }
+    expect_rounding_matches(spec, step, xs);
+    draws += xs.size();
+  }
+  EXPECT_GE(draws, 100000u);
+}
+
+TEST(LsqRounding, EdgeValuesMatchRoundAndClamp) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float steps[] = {1e-9f, 1e-6f, 3e-4f, 0.0371f, 1.0f, 2.5f, 134.0f, 1e3f};
+  for (const QuantSpec& spec : rounding_specs()) {
+    for (const float step : steps) {
+      const float s = std::max(step, 1e-6f);
+      std::vector<float> xs = {0.0f,  -0.0f, kInf,       -kInf, std::numeric_limits<float>::quiet_NaN(),
+                               FLT_MAX, -FLT_MAX, FLT_TRUE_MIN, -FLT_TRUE_MIN, 1e-40f, -1e-40f,
+                               FLT_MIN, -FLT_MIN, s * 2147483648.0f, -s * 2147483648.0f,
+                               s * 3e9f, -s * 3e9f, s * 1e30f, -s * 1e30f};
+      // Every half step out to one level past the clip, and the floats next
+      // to it on both sides.
+      for (int k = -(std::max(-spec.qn, spec.qp) + 2); k <= std::max(-spec.qn, spec.qp) + 1; ++k) {
+        const float half = (static_cast<float>(k) + 0.5f) * s;
+        xs.push_back(half);
+        xs.push_back(std::nextafter(half, kInf));
+        xs.push_back(std::nextafter(half, -kInf));
+      }
+      expect_rounding_matches(spec, step, xs);
+    }
+  }
 }
