@@ -71,8 +71,12 @@ void allocation_audit(VisionTransformer& model, const Dataset& data,
   ScServableOptions sopts;
   sopts.pool = &sc_pool;
   std::vector<std::pair<std::string, std::shared_ptr<runtime::Servable>>> variants;
-  variants.emplace_back("sc-lut", make_sc_servable(model, sc_cfg, sopts, "sc-lut"));
-  variants.emplace_back("w2a2-packed", make_packed_ternary_servable(model, "w2a2-packed"));
+  variants.emplace_back("sc-lut", make_servable(model.clone_for_serving(),
+                                                runtime::VariantKind::kScLut, "sc-lut", sc_cfg,
+                                                sopts));
+  variants.emplace_back("w2a2-packed", make_servable(model.clone_for_serving(),
+                                                     runtime::VariantKind::kPackedTernary,
+                                                     "w2a2-packed"));
 
   std::printf("  %-14s %18s %18s\n", "variant", "heap allocs/fwd", "arena allocs/fwd");
   runtime::Arena arena;

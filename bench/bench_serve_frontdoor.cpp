@@ -181,7 +181,10 @@ int main(int argc, char** argv) {
   sopts.engine.max_pending = 128;
   sopts.engine.default_variant = "fp32";
   serve::ShardSet shards(
-      [&](int, runtime::ModelRegistry& reg) { reg.publish(vit::make_fp32_servable(model)); },
+      [&](int, runtime::ModelRegistry& reg) {
+        reg.publish(
+            vit::make_servable(model.clone_for_serving(), runtime::VariantKind::kFp32, "fp32"));
+      },
       sopts);
   serve::Server server(shards, {.completion_threads = 4});
 
@@ -263,7 +266,11 @@ int main(int argc, char** argv) {
     std::thread publisher([&] {
       std::this_thread::sleep_for(duration / 3);
       const serve::PublishAllResult r = shards.rolling_publish(
-          [&](int) { return vit::make_fp32_servable(model); }, &canary);
+          [&](int) {
+            return vit::make_servable(model.clone_for_serving(), runtime::VariantKind::kFp32,
+                                      "fp32");
+          },
+          &canary);
       publish_ok.store(r.published);
     });
     rolling = run_open_loop(server, capacity * 0.9, threads, conns_per_thread, duration, payload);

@@ -38,28 +38,38 @@ void gather_qkv(const Tensor& qkv_out, int batch, int tokens, int heads, int dim
     }
 }
 
+/// Start of head g = b*heads + h's panel: b*batch_stride + h*head_stride.
+std::size_t panel_offset(int g, int heads, std::size_t batch_stride, std::size_t head_stride) {
+  return static_cast<std::size_t>(g / heads) * batch_stride +
+         static_cast<std::size_t>(g % heads) * head_stride;
+}
+
 /// Scores per (batch, head): S = Q K^T / sqrt(dh), flattened to [B*H*T, T].
-/// Q/K rows are read with stride ldq/ldk, so callers can pass either the
-/// gathered [B*H*T, dh] caches (stride dh) or panels of the fused qkv output
-/// (stride 3*dim).
-Tensor attention_scores_strided(const float* q, int ldq, std::size_t q_head_stride, const float* k,
-                                int ldk, std::size_t k_head_stride, int bh, int tokens, int dh) {
+/// Head (b, h)'s Q/K panels start at panel_offset and their rows are `ld`
+/// apart, so callers can pass either the gathered [B*H*T, dh] caches
+/// (strides H*T*dh / T*dh, ld dh) or panels of the fused qkv output
+/// (strides T*3dim / dh, ld 3*dim).
+Tensor attention_scores_strided(const float* q, const float* k, int ld,
+                                std::size_t batch_stride, std::size_t head_stride, int batch,
+                                int heads, int tokens, int dh) {
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  const int bh = batch * heads;
   Tensor scores({bh * tokens, tokens});
 #pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
+    const std::size_t off = panel_offset(g, heads, batch_stride, head_stride);
     float* s = scores.data() + static_cast<std::size_t>(g) * tokens * tokens;
-    gemm::gemm_nt(tokens, tokens, dh, q + static_cast<std::size_t>(g) * q_head_stride, ldq,
-                  k + static_cast<std::size_t>(g) * k_head_stride, ldk, s, tokens);
+    gemm::gemm_nt(tokens, tokens, dh, q + off, ld, k + off, ld, s, tokens);
     for (int i = 0; i < tokens * tokens; ++i) s[i] *= inv_sqrt_dh;
   }
   return scores;
 }
 
-/// Context: attn * V, merged back to [B*T, dim]. V rows read with stride ldv.
-Tensor attention_context_strided(const Tensor& attn, const float* v, int ldv,
-                                 std::size_t v_head_stride, int batch, int heads, int tokens,
-                                 int dim, int dh) {
+/// Context: attn * V, merged back to [B*T, dim]. V panels are addressed like
+/// attention_scores_strided's Q/K.
+Tensor attention_context_strided(const Tensor& attn, const float* v, int ld,
+                                 std::size_t batch_stride, std::size_t head_stride, int batch,
+                                 int heads, int tokens, int dim, int dh) {
   const int bh = batch * heads;
   Tensor ctx({batch * tokens, dim});
 #pragma omp parallel for schedule(static)
@@ -68,8 +78,8 @@ Tensor attention_context_strided(const Tensor& attn, const float* v, int ldv,
     const int h = g % heads;
     const float* a = attn.data() + static_cast<std::size_t>(g) * tokens * tokens;
     float* out = ctx.data() + static_cast<std::size_t>(b) * tokens * dim + h * dh;
-    gemm::gemm_nn(tokens, dh, tokens, a, tokens, v + static_cast<std::size_t>(g) * v_head_stride,
-                  ldv, out, dim);
+    const float* vh = v + panel_offset(g, heads, batch_stride, head_stride);
+    gemm::gemm_nn(tokens, dh, tokens, a, tokens, vh, ld, out, dim);
   }
   return ctx;
 }
@@ -92,13 +102,13 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, int batch, int tokens) {
     throw std::invalid_argument("MSA::forward: bad input shape");
   batch_ = batch;
   tokens_ = tokens;
-  const int bh = batch * heads_;
 
   const Tensor qkv_out = qkv_.forward(x);  // [B*T, 3*dim]
   gather_qkv(qkv_out, batch, tokens, heads_, dim_, dh_, cached_q_, cached_k_, cached_v_);
   const std::size_t head_stride = static_cast<std::size_t>(tokens) * dh_;
-  const Tensor scores = attention_scores_strided(cached_q_.data(), dh_, head_stride,
-                                                 cached_k_.data(), dh_, head_stride, bh, tokens,
+  const std::size_t batch_stride = heads_ * head_stride;
+  const Tensor scores = attention_scores_strided(cached_q_.data(), cached_k_.data(), dh_,
+                                                 batch_stride, head_stride, batch, heads_, tokens,
                                                  dh_);
 
   used_hook_ = static_cast<bool>(hook_);
@@ -109,15 +119,14 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, int batch, int tokens) {
   else
     cached_attn_ = softmax_rows(scores);
 
-  const Tensor ctx = attention_context_strided(cached_attn_, cached_v_.data(), dh_, head_stride,
-                                               batch, heads_, tokens, dim_, dh_);
+  const Tensor ctx = attention_context_strided(cached_attn_, cached_v_.data(), dh_, batch_stride,
+                                               head_stride, batch, heads_, tokens, dim_, dh_);
   return proj_.forward(ctx);
 }
 
 Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) const {
   if (x.rank() != 2 || x.dim(1) != dim_ || x.dim(0) != batch * tokens)
     throw std::invalid_argument("MSA::infer: bad input shape");
-  const int bh = batch * heads_;
 
   // The serving path never materialises per-head Q/K/V tensors: the strided
   // GEMM kernels read each head's Q/K/V panel straight out of the fused
@@ -125,18 +134,10 @@ Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) con
   // [B*T, dim] output, so the only allocations are scores/attn/ctx.
   const Tensor qkv_out = qkv_.infer(x);  // [B*T, 3*dim]
   const int ld = 3 * dim_;
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh_));
-  Tensor scores({bh * tokens, tokens});
-#pragma omp parallel for schedule(static)
-  for (int g = 0; g < bh; ++g) {
-    const int b = g / heads_;
-    const int h = g % heads_;
-    const float* base =
-        qkv_out.data() + static_cast<std::size_t>(b) * tokens * ld + static_cast<std::size_t>(h) * dh_;
-    float* s = scores.data() + static_cast<std::size_t>(g) * tokens * tokens;
-    gemm::gemm_nt(tokens, tokens, dh_, base, ld, base + dim_, ld, s, tokens);
-    for (int i = 0; i < tokens * tokens; ++i) s[i] *= inv_sqrt_dh;
-  }
+  const std::size_t batch_stride = static_cast<std::size_t>(tokens) * ld;
+  const float* q = qkv_out.data();
+  const Tensor scores = attention_scores_strided(q, q + dim_, ld, batch_stride, dh_, batch,
+                                                 heads_, tokens, dh_);
 
   Tensor attn;
   if (hook_)
@@ -146,17 +147,8 @@ Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) con
   else
     attn = softmax_rows(scores);
 
-  Tensor ctx({batch * tokens, dim_});
-#pragma omp parallel for schedule(static)
-  for (int g = 0; g < bh; ++g) {
-    const int b = g / heads_;
-    const int h = g % heads_;
-    const float* v = qkv_out.data() + static_cast<std::size_t>(b) * tokens * ld + 2 * dim_ +
-                     static_cast<std::size_t>(h) * dh_;
-    gemm::gemm_nn(tokens, dh_, tokens, attn.data() + static_cast<std::size_t>(g) * tokens * tokens,
-                  tokens, v, ld,
-                  ctx.data() + static_cast<std::size_t>(b) * tokens * dim_ + h * dh_, dim_);
-  }
+  const Tensor ctx = attention_context_strided(attn, q + 2 * dim_, ld, batch_stride, dh_, batch,
+                                               heads_, tokens, dim_, dh_);
   return proj_.infer(ctx);
 }
 

@@ -27,10 +27,10 @@ struct ScServableOptions;
 
 namespace ascend::runtime {
 
-/// Serving personality applied to a model cold-started from a checkpoint by
-/// ModelRegistry::register_from_file. Mirrors the vit::make_*_servable
-/// family: the checkpoint supplies weights + calibration, the kind picks the
-/// precision/hook policy of the published variant.
+/// Serving personality of a ViT variant. vit::make_servable maps each kind
+/// to its precision/hook policy; ModelRegistry::register_from_file passes it
+/// through, so the checkpoint supplies weights + calibration and the kind
+/// picks how the published variant serves them.
 enum class VariantKind {
   kFp32,           ///< fake-quantization stripped, dense GEMM (fidelity ceiling)
   kPackedTernary,  ///< W2A2 served as ternary codes through the blocked GEMM
@@ -125,7 +125,9 @@ class ModelRegistry {
   /// Cold-start a variant from a checkpoint file: load the model (zero-copy
   /// mmap by default), shape it per `kind`, and publish() it under
   /// `variant_id` — including atomically hot-swapping a live variant to the
-  /// fresh mapping. Throws serialize::CheckpointError on a bad file.
+  /// fresh mapping. Throws serialize::CheckpointError on a bad file, kSchema
+  /// also when vit::make_servable refuses the loaded model for `kind` (e.g.
+  /// a non-W2-A2 file for kPackedTernary).
   /// Defined in the serialize library (src/serialize/model_io.cpp), which
   /// layers above this header — link `serialize` (or `core`) to use it.
   std::uint64_t register_from_file(const std::string& variant_id, const std::string& path,

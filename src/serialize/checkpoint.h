@@ -159,7 +159,7 @@ class CheckpointReader final : public CheckpointView {
 /// Read-only mmap of a checkpoint: weight blobs are served zero-copy as
 /// borrowed nn::Tensor views into the mapping. The mapping must outlive
 /// every view handed out — serving code anchors it with a shared_ptr held
-/// by the Servable (see vit::make_servable_over), so registry hot-swaps
+/// by the Servable (see vit::make_servable), so registry hot-swaps
 /// keep the old mapping alive until the last in-flight forward drops its
 /// snapshot. Mapped pages are PROT_READ: writing through a view faults.
 class MmapCheckpoint final : public CheckpointView {

@@ -267,30 +267,14 @@ std::uint64_t ModelRegistry::register_from_file(const std::string& variant_id,
       model = serialize::load_model(path);
     }
 
-    switch (kind) {
-      case VariantKind::kFp32:
-        model->apply_precision(vit::PrecisionSpec::fp());
-        servable = vit::make_servable_over(std::move(model), variant_id, std::move(retain));
-        break;
-      case VariantKind::kPackedTernary: {
-        const vit::PrecisionSpec& p = model->precision();
-        if (p.w_bsl != 2 || p.a_bsl != 2)
-          throw serialize::CheckpointError(
-              serialize::CheckpointError::Kind::kSchema,
-              "register_from_file('" + variant_id +
-                  "'): W2A2 serving needs a W2-A2 checkpoint, got " + p.name());
-        servable = vit::make_servable_over(std::move(model), variant_id, std::move(retain));
-        break;
-      }
-      case VariantKind::kScLut:
-      case VariantKind::kScEmulated: {
-        vit::ScInferenceConfig cfg = opts.sc_config ? *opts.sc_config : vit::ScInferenceConfig{};
-        vit::ScServableOptions so = opts.sc_options ? *opts.sc_options : vit::ScServableOptions{};
-        so.use_tf_cache = kind == VariantKind::kScLut;
-        servable = vit::make_sc_servable_over(std::move(model), cfg, std::move(so), variant_id,
-                                              std::move(retain));
-        break;
-      }
+    const vit::ScInferenceConfig sc = opts.sc_config ? *opts.sc_config : vit::ScInferenceConfig{};
+    const vit::ScServableOptions so = opts.sc_options ? *opts.sc_options : vit::ScServableOptions{};
+    try {
+      servable = vit::make_servable(std::move(model), kind, variant_id, sc, so, std::move(retain));
+    } catch (const std::invalid_argument& e) {
+      // The file is well formed but its model cannot serve as `kind`.
+      throw serialize::CheckpointError(serialize::CheckpointError::Kind::kSchema,
+                                       "register_from_file('" + variant_id + "'): " + e.what());
     }
   } catch (...) {
     // Failed cold start: nothing was published, the incumbent (if any) keeps

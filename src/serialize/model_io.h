@@ -28,7 +28,7 @@
 //                        views into a read-only mapping; the returned
 //                        MappedModel carries the mapping and it MUST outlive
 //                        the model (serving anchors it in the Servable, see
-//                        vit::make_servable_over).
+//                        vit::make_servable).
 // Both produce models whose infer() is bit-exact with the saved model's.
 
 #include <memory>

@@ -13,11 +13,12 @@ namespace {
 
 using nn::Tensor;
 
-/// Servable over a VisionTransformer — owned serving clone or a caller-owned
-/// instance — with optional SC nonlinear-block hooks installed on it for the
-/// servable's lifetime. infer() is const and re-entrant: the model's const
-/// infer path writes no member state, and the hooks only read immutable LUTs
-/// (or copy per-call emulator instances from an immutable prototype).
+/// Servable over a VisionTransformer — an adopted serving model or a
+/// caller-owned instance — with optional SC nonlinear-block hooks installed
+/// on it for the servable's lifetime. infer() is const and re-entrant: the
+/// model's const infer path writes no member state, and the hooks only read
+/// immutable LUTs (or copy per-call emulator instances from an immutable
+/// prototype).
 class VitServable final : public runtime::Servable {
  public:
   VitServable(VisionTransformer* model, std::unique_ptr<VisionTransformer> owned,
@@ -132,33 +133,33 @@ class VitServable final : public runtime::Servable {
 
 }  // namespace
 
-std::shared_ptr<runtime::Servable> make_fp32_servable(VisionTransformer& model,
-                                                      std::string variant_id) {
-  std::unique_ptr<VisionTransformer> clone = model.clone_for_serving();
-  clone->apply_precision(PrecisionSpec::fp());
-  VisionTransformer* raw = clone.get();
-  return std::make_shared<VitServable>(raw, std::move(clone), std::move(variant_id));
-}
-
-std::shared_ptr<runtime::Servable> make_packed_ternary_servable(VisionTransformer& model,
-                                                                std::string variant_id) {
-  const PrecisionSpec& p = model.precision();
-  if (p.w_bsl != 2 || p.a_bsl != 2)
-    throw std::invalid_argument(
-        "make_packed_ternary_servable: model precision must be ternary W2-A2, got " + p.name());
-  std::unique_ptr<VisionTransformer> clone = model.clone_for_serving();
-  VisionTransformer* raw = clone.get();
-  return std::make_shared<VitServable>(raw, std::move(clone), std::move(variant_id));
-}
-
-std::shared_ptr<runtime::Servable> make_sc_servable(VisionTransformer& model,
-                                                    const ScInferenceConfig& cfg,
-                                                    ScServableOptions opts,
-                                                    std::string variant_id) {
-  std::unique_ptr<VisionTransformer> clone = model.clone_for_serving();
-  VisionTransformer* raw = clone.get();
-  auto servable = std::make_shared<VitServable>(raw, std::move(clone), std::move(variant_id));
-  servable->install_sc_hooks(cfg, opts);
+std::shared_ptr<runtime::Servable> make_servable(std::unique_ptr<VisionTransformer> model,
+                                                 runtime::VariantKind kind,
+                                                 std::string variant_id,
+                                                 const ScInferenceConfig& sc,
+                                                 ScServableOptions sc_opts,
+                                                 std::shared_ptr<const void> retain) {
+  using runtime::VariantKind;
+  VisionTransformer* raw = model.get();
+  auto servable = std::make_shared<VitServable>(raw, std::move(model), std::move(variant_id),
+                                                std::move(retain));
+  switch (kind) {
+    case VariantKind::kFp32:
+      raw->apply_precision(PrecisionSpec::fp());
+      break;
+    case VariantKind::kPackedTernary: {
+      const PrecisionSpec& p = raw->precision();
+      if (p.w_bsl != 2 || p.a_bsl != 2)
+        throw std::invalid_argument("make_servable: W2A2 serving needs a W2-A2 model, got " +
+                                    p.name());
+      break;
+    }
+    case VariantKind::kScLut:
+    case VariantKind::kScEmulated:
+      sc_opts.use_tf_cache = kind == VariantKind::kScLut;
+      servable->install_sc_hooks(sc, sc_opts);
+      break;
+  }
   return servable;
 }
 
@@ -167,26 +168,6 @@ std::shared_ptr<runtime::Servable> make_sc_servable_in_place(VisionTransformer& 
                                                              ScServableOptions opts,
                                                              std::string variant_id) {
   auto servable = std::make_shared<VitServable>(&model, nullptr, std::move(variant_id));
-  servable->install_sc_hooks(cfg, opts);
-  return servable;
-}
-
-std::shared_ptr<runtime::Servable> make_servable_over(std::unique_ptr<VisionTransformer> model,
-                                                      std::string variant_id,
-                                                      std::shared_ptr<const void> retain) {
-  VisionTransformer* raw = model.get();
-  return std::make_shared<VitServable>(raw, std::move(model), std::move(variant_id),
-                                       std::move(retain));
-}
-
-std::shared_ptr<runtime::Servable> make_sc_servable_over(std::unique_ptr<VisionTransformer> model,
-                                                         const ScInferenceConfig& cfg,
-                                                         ScServableOptions opts,
-                                                         std::string variant_id,
-                                                         std::shared_ptr<const void> retain) {
-  VisionTransformer* raw = model.get();
-  auto servable = std::make_shared<VitServable>(raw, std::move(model), std::move(variant_id),
-                                                std::move(retain));
   servable->install_sc_hooks(cfg, opts);
   return servable;
 }

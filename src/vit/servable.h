@@ -2,16 +2,18 @@
 // servable.h — ViT adapters for the model-agnostic serving API.
 //
 // One trained vit::VisionTransformer fans out into named runtime::Servable
-// variants, each a private serving clone (weights, quantizer calibration and
-// BN statistics copied; hooks and precision per variant):
-//   * make_fp32_servable        — fake-quantization stripped; dense blocked
-//                                 GEMM all the way (the fidelity ceiling);
-//   * make_packed_ternary_servable — the W2A2 regime served as ternary
-//                                 codes through the blocked GEMM;
-//   * make_sc_servable          — SC nonlinear blocks active: softmax /
-//                                 GELU served from the transfer-function
-//                                 LUT cache, or per-activation circuit
-//                                 emulation when `use_tf_cache` is false.
+// variants. make_servable adopts a serving model — a clone_for_serving() of
+// an in-memory model, or one cold-started from a checkpoint — and applies the
+// precision and hooks of its runtime::VariantKind:
+//   * kFp32          — fake-quantization stripped; dense blocked GEMM all
+//                      the way (the fidelity ceiling);
+//   * kPackedTernary — the W2A2 regime served as ternary codes through the
+//                      blocked GEMM;
+//   * kScLut         — SC softmax / GELU served from the transfer-function
+//                      LUT cache;
+//   * kScEmulated    — SC softmax / GELU by per-activation circuit emulation.
+// This is the one place a kind maps to a precision or hook policy;
+// ModelRegistry::register_from_file loads a file and hands the model here.
 // Register any mix in a runtime::ModelRegistry and point an InferenceEngine
 // at it; requests then pick a variant per call (A/B fidelity, mixed
 // precision tiers) and variants hot-swap via ModelRegistry::publish.
@@ -20,13 +22,14 @@
 // the caller's (ScServableOptions::pool, which fixes the width) or, when none
 // is given, one the servable owns, sized to the hardware concurrency.
 //
-// make_sc_servable_in_place drives the *caller's* model instead of a clone
-// (hooks installed at construction, restored on destruction) —
+// make_sc_servable_in_place drives the *caller's* model instead of an adopted
+// one (hooks installed at construction, restored on destruction) —
 // vit::evaluate_sc serves through it.
 
 #include <memory>
 #include <string>
 
+#include "runtime/registry.h"
 #include "runtime/servable.h"
 #include "runtime/tf_cache.h"
 #include "runtime/thread_pool.h"
@@ -37,7 +40,9 @@ namespace ascend::vit {
 
 /// How an SC servable runs its nonlinear blocks.
 struct ScServableOptions {
-  bool use_tf_cache = true;  ///< false: bit-true per-activation circuit emulation
+  /// false: bit-true per-activation circuit emulation. Read only by
+  /// make_sc_servable_in_place; make_servable takes it from the kind.
+  bool use_tf_cache = true;
   /// Worker pool for the per-activation SC work inside each forward. When
   /// null, the servable owns a pool sized to the hardware concurrency; pass
   /// a pool for any other width. An external pool must outlive the servable.
@@ -47,48 +52,29 @@ struct ScServableOptions {
   runtime::TfCache* cache = nullptr;
 };
 
-/// Full-precision dense variant: serving clone with fake-quantization
-/// stripped (PrecisionSpec::fp()), exact softmax/GELU.
-std::shared_ptr<runtime::Servable> make_fp32_servable(VisionTransformer& model,
-                                                      std::string variant_id = "fp32");
-
-/// W2A2 variant: serving clone keeping the model's ternary weight/activation
-/// calibration; Linear layers multiply 0/±1 codes through the blocked GEMM
-/// (see nn::Linear). Throws std::invalid_argument unless the model's
-/// precision is ternary W and A (w_bsl == 2 && a_bsl == 2).
-std::shared_ptr<runtime::Servable> make_packed_ternary_servable(
-    VisionTransformer& model, std::string variant_id = "w2a2-packed");
-
-/// SC-emulated variant: serving clone with the SC softmax/GELU hooks from
-/// `cfg` installed on it (LUT-cached or circuit-emulated per `opts`).
-std::shared_ptr<runtime::Servable> make_sc_servable(VisionTransformer& model,
-                                                    const ScInferenceConfig& cfg,
-                                                    ScServableOptions opts = {},
-                                                    std::string variant_id = "sc");
+/// Servable owning `model` and serving it as `kind`. kFp32 applies
+/// PrecisionSpec::fp() to the model; kPackedTernary keeps its calibration and
+/// throws std::invalid_argument unless its precision is ternary W and A
+/// (w_bsl == 2 && a_bsl == 2); kScLut / kScEmulated install the SC
+/// softmax/GELU hooks from `sc` (LUT-cached / circuit-emulated; `sc_opts`
+/// supplies the pool and cache). `sc` and `sc_opts` are ignored by the other
+/// kinds. `retain` is an opaque lifetime anchor destroyed strictly after the
+/// model: passing the MmapCheckpoint of a load_model_mmap keeps the mapped
+/// weight views valid for every in-flight forward, including across a
+/// ModelRegistry hot-swap to a newer mapping.
+std::shared_ptr<runtime::Servable> make_servable(std::unique_ptr<VisionTransformer> model,
+                                                 runtime::VariantKind kind,
+                                                 std::string variant_id,
+                                                 const ScInferenceConfig& sc = {},
+                                                 ScServableOptions sc_opts = {},
+                                                 std::shared_ptr<const void> retain = nullptr);
 
 /// SC servable over the caller's model itself (no clone): exclusive use of
 /// the model's hooks while alive, restored on destruction. The model must
-/// outlive the servable; use make_sc_servable for multi-variant registries.
+/// outlive the servable; use make_servable for multi-variant registries.
 std::shared_ptr<runtime::Servable> make_sc_servable_in_place(VisionTransformer& model,
                                                              const ScInferenceConfig& cfg,
                                                              ScServableOptions opts = {},
                                                              std::string variant_id = "sc");
-
-/// Servable taking ownership of an already-prepared serving model — no
-/// clone, no precision change. Built for checkpoint cold-start
-/// (serialize::load_model / load_model_mmap): `retain` is an opaque lifetime
-/// anchor destroyed strictly after the model, so passing the MmapCheckpoint
-/// keeps mapped weight views valid for every in-flight forward, including
-/// across a ModelRegistry hot-swap to a newer mapping.
-std::shared_ptr<runtime::Servable> make_servable_over(std::unique_ptr<VisionTransformer> model,
-                                                      std::string variant_id,
-                                                      std::shared_ptr<const void> retain = nullptr);
-
-/// make_servable_over with the SC nonlinear-block hooks from `cfg` installed
-/// on the adopted model (LUT-cached or circuit-emulated per `opts`).
-std::shared_ptr<runtime::Servable> make_sc_servable_over(
-    std::unique_ptr<VisionTransformer> model, const ScInferenceConfig& cfg,
-    ScServableOptions opts, std::string variant_id,
-    std::shared_ptr<const void> retain = nullptr);
 
 }  // namespace ascend::vit

@@ -174,11 +174,15 @@ struct VariantRig {
     vit::ScServableOptions sopts;
     sopts.pool = &sc_pool;
     const vit::ScInferenceConfig sc = tiny_sc_config();
-    variants.emplace_back("w2a2-packed", vit::make_packed_ternary_servable(model, "w2a2"));
-    variants.emplace_back("sc-lut", vit::make_sc_servable(model, sc, sopts, "sc-lut"));
-    sopts.use_tf_cache = false;
-    variants.emplace_back("sc-emu", vit::make_sc_servable(model, sc, sopts, "sc-emu"));
-    variants.emplace_back("fp32", vit::make_fp32_servable(model, "fp32"));
+    variants.emplace_back("w2a2-packed", vit::make_servable(model.clone_for_serving(),
+                                                            VariantKind::kPackedTernary, "w2a2"));
+    variants.emplace_back("sc-lut", vit::make_servable(model.clone_for_serving(),
+                                                       VariantKind::kScLut, "sc-lut", sc, sopts));
+    variants.emplace_back("sc-emu", vit::make_servable(model.clone_for_serving(),
+                                                       VariantKind::kScEmulated, "sc-emu", sc,
+                                                       sopts));
+    variants.emplace_back(
+        "fp32", vit::make_servable(model.clone_for_serving(), VariantKind::kFp32, "fp32"));
   }
 };
 

@@ -97,3 +97,21 @@ TEST(Msa, SoftmaxHookOverrides) {
   (void)msa.forward(x, 1, 2);
   EXPECT_NO_THROW(msa.backward(Tensor({2, 4})));
 }
+
+// forward reads Q/K/V out of the gathered per-head caches, infer straight out
+// of the fused qkv panels; both must produce the same bits.
+TEST(Msa, InferBitExactWithForward) {
+  const int batch = 2, tokens = 5;
+  for (const SoftmaxKind kind : {SoftmaxKind::kExact, SoftmaxKind::kApprox}) {
+    SCOPED_TRACE(kind == SoftmaxKind::kExact ? "exact" : "approx");
+    Rng rng(6);
+    MultiHeadSelfAttention msa(8, 2, rng, /*approx_k=*/2);
+    msa.set_softmax_kind(kind);
+    Tensor x({batch * tokens, 8});
+    rng.fill_normal(x, 0, 1.0);
+    const Tensor got = msa.infer(x, batch, tokens);
+    const Tensor want = msa.forward(x, batch, tokens);
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "element " << i;
+  }
+}

@@ -627,7 +627,8 @@ TEST_F(ChaosTest, SteadyStateForwardStaysAllocFreeWithFailpointsInTheBinary) {
   vit::VisionTransformer model(top, 19);
   model.apply_precision(vit::PrecisionSpec::w2a2r16());
   (void)model.forward(images, /*training=*/false);  // latch LSQ steps
-  const auto servable = vit::make_packed_ternary_servable(model, "w2a2");
+  const auto servable =
+      vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "w2a2");
 
   failpoint::arm("ckpt.crc", "p0.5,seed1,err");  // armed, but not on this path
 

@@ -234,7 +234,7 @@ TEST(RegistryConcurrency, HotSwapMidTrafficIsBitExactWithQuiescedServing) {
   (void)model.forward(all.images, /*training=*/false);  // latch the LSQ steps
 
   auto reg = std::make_shared<ModelRegistry>();
-  reg->publish(vit::make_packed_ternary_servable(model, "m"));
+  reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "m"));
   EngineOptions opts;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
@@ -264,7 +264,7 @@ TEST(RegistryConcurrency, HotSwapMidTrafficIsBitExactWithQuiescedServing) {
     });
   }
   for (int swap = 0; swap < 8; ++swap) {
-    reg->publish(vit::make_packed_ternary_servable(model, "m"));
+    reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "m"));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   for (auto& th : clients) th.join();
@@ -341,10 +341,12 @@ TEST(RegistryConcurrency, ConcurrentMultiVariantSubmitsMatchPerVariantReferences
 
   ThreadPool sc_pool(2);
   auto reg = std::make_shared<ModelRegistry>();
-  reg->publish(vit::make_packed_ternary_servable(model, "packed"));
+  reg->publish(
+      vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "packed"));
   vit::ScServableOptions sopts;
   sopts.pool = &sc_pool;
-  reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
+  reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kScLut, "sc-lut",
+                                  tiny_sc_config(), sopts));
   EngineOptions opts;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);

@@ -19,6 +19,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/rng.h"
@@ -202,17 +203,17 @@ TEST(SerializeRoundTrip, ScVariantsBitExact) {
   model.save(path);
 
   runtime::ThreadPool sc_pool(2);
-  for (const bool use_tf_cache : {true, false}) {
+  for (const runtime::VariantKind kind :
+       {runtime::VariantKind::kScLut, runtime::VariantKind::kScEmulated}) {
     vit::ScInferenceConfig cfg;  // SC softmax on by default
     vit::ScServableOptions opts;
-    opts.use_tf_cache = use_tf_cache;
     opts.pool = &sc_pool;
-    const auto ref_servable = vit::make_sc_servable(model, cfg, opts, "ref");
+    const auto ref_servable = vit::make_servable(model.clone_for_serving(), kind, "ref", cfg, opts);
     const nn::Tensor ref = ref_servable->infer(input);
 
     serialize::MappedModel mapped = serialize::load_model_mmap(path);
-    const auto got_servable = vit::make_sc_servable_over(std::move(mapped.model), cfg, opts,
-                                                         "got", mapped.mapping);
+    const auto got_servable =
+        vit::make_servable(std::move(mapped.model), kind, "got", cfg, opts, mapped.mapping);
     expect_same_logits(got_servable->infer(input), ref);
   }
 }
@@ -481,11 +482,21 @@ TEST(SerializeColdStart, RegisterFromFileServesAllFourVariants) {
   for (std::size_t i = 0; i < ref.size(); ++i) any_diff |= fp[i] != ref[i];
   EXPECT_TRUE(any_diff) << "fp32 variant did not strip quantization";
 
-  // The SC variants must match servables built the pre-checkpoint way from
-  // the in-memory model (same hooks, same LUT cache).
-  vit::ScInferenceConfig sc_cfg;
-  expect_same_logits(registry.get("sc")->infer(input),
-                     vit::make_sc_servable(model, sc_cfg, sc_opts, "ref")->infer(input));
+  // Every kind must match the same kind built from the in-memory model
+  // (same precision, same hooks, same LUT cache).
+  const vit::ScInferenceConfig sc_cfg;
+  const std::pair<const char*, runtime::VariantKind> kinds[] = {
+      {"fp32", runtime::VariantKind::kFp32},
+      {"w2a2", runtime::VariantKind::kPackedTernary},
+      {"sc", runtime::VariantKind::kScLut},
+      {"sc-emu", runtime::VariantKind::kScEmulated},
+  };
+  for (const auto& [id, kind] : kinds) {
+    SCOPED_TRACE(id);
+    const auto in_memory =
+        vit::make_servable(model.clone_for_serving(), kind, "ref", sc_cfg, sc_opts);
+    expect_same_logits(registry.get(id)->infer(input), in_memory->infer(input));
+  }
 
   // Cold-started variants hot-swap like any publish: generation advances.
   EXPECT_EQ(registry.register_from_file("w2a2", path, runtime::VariantKind::kPackedTernary), 2u);

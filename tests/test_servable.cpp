@@ -484,14 +484,15 @@ TEST(VitServables, W2a2AdapterMatchesSourceAndFp32Differs) {
   const vit::Batch all = vit::take_batch(data, idx);
   vit::VisionTransformer model = calibrated_model(top, 62, all.images);
 
-  const auto packed = vit::make_packed_ternary_servable(model, "w2a2");
+  const auto packed =
+      vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "w2a2");
   EXPECT_EQ(packed->input_dim(), top.channels * top.image_size * top.image_size);
   EXPECT_EQ(packed->output_dim(), top.classes);
   const nn::Tensor ref = static_cast<const vit::VisionTransformer&>(model).infer(all.images);
   const nn::Tensor got = packed->infer(all.images);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(got[i], ref[i]) << "logit " << i;
 
-  const auto fp32 = vit::make_fp32_servable(model, "fp32");
+  const auto fp32 = vit::make_servable(model.clone_for_serving(), VariantKind::kFp32, "fp32");
   const nn::Tensor fp = fp32->infer(all.images);
   ASSERT_EQ(fp.shape(), ref.shape());
   bool any_diff = false;
@@ -503,7 +504,9 @@ TEST(VitServables, W2a2AdapterMatchesSourceAndFp32Differs) {
   EXPECT_EQ(model.precision().name(), vit::PrecisionSpec::w2a2r16().name());
 
   vit::VisionTransformer fp_model(top, /*seed=*/63);
-  EXPECT_THROW(vit::make_packed_ternary_servable(fp_model), std::invalid_argument);
+  EXPECT_THROW(
+      vit::make_servable(fp_model.clone_for_serving(), VariantKind::kPackedTernary, "w2a2"),
+      std::invalid_argument);
 }
 
 TEST(VitServables, ScAdapterMatchesInPlaceServableAndLeavesSourceHookFree) {
@@ -533,14 +536,57 @@ TEST(VitServables, ScAdapterMatchesInPlaceServableAndLeavesSourceHookFree) {
     EXPECT_EQ(vit::evaluate(*vit::make_sc_servable_in_place(model, cfg, sopts), data), ref_acc);
 
     // Cloned SC adapters, circuit-emulated and LUT-cached.
-    EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, sopts, "sc-emu"), data), ref_acc);
-    sopts.use_tf_cache = true;
-    EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, sopts, "sc-lut"), data), ref_acc);
+    EXPECT_EQ(vit::evaluate(*vit::make_servable(model.clone_for_serving(),
+                                                VariantKind::kScEmulated, "sc-emu", cfg, sopts),
+                            data),
+              ref_acc);
+    EXPECT_EQ(vit::evaluate(*vit::make_servable(model.clone_for_serving(), VariantKind::kScLut,
+                                                "sc-lut", cfg, sopts),
+                            data),
+              ref_acc);
 
     // The clones never touched the source model's hooks and the in-place
     // servables restored them: a plain evaluate is repeatable and hook-free.
     EXPECT_EQ(vit::evaluate(model, data), vit::evaluate(model, data));
   }
+}
+
+TEST(VitServables, FailedHookInstallRollsBackTheHalfInstalledHooks) {
+  const vit::VitConfig top = tiny_topology();
+  const vit::Dataset data = vit::make_synthetic_vision(4, top.classes, 76, top.image_size);
+  std::vector<int> idx(static_cast<std::size_t>(data.size()));
+  std::iota(idx.begin(), idx.end(), 0);
+  const nn::Tensor images = vit::take_batch(data, idx).images;
+  vit::VisionTransformer model(top, /*seed=*/67);
+  const vit::VisionTransformer& served = model;
+  const nn::Tensor plain = served.infer(images);
+
+  ThreadPool sc_pool(1);
+  vit::ScServableOptions sopts;
+  sopts.pool = &sc_pool;
+  {
+    // The SC softmax hook alone changes the logits, so a leftover one shows.
+    vit::ScInferenceConfig softmax_only = tiny_sc_config();
+    softmax_only.use_sc_gelu = false;
+    const nn::Tensor sc = vit::make_sc_servable_in_place(model, softmax_only, sopts)->infer(images);
+    bool any_diff = false;
+    for (std::size_t i = 0; i < plain.size(); ++i) any_diff |= sc[i] != plain[i];
+    ASSERT_TRUE(any_diff);
+  }
+
+  // The softmax hook installs first, then the GELU block rejects its BSL.
+  vit::ScInferenceConfig bad = tiny_sc_config();
+  bad.gelu_bsl = 1;
+  for (const bool use_tf_cache : {true, false}) {
+    SCOPED_TRACE(use_tf_cache ? "lut" : "emulated");
+    sopts.use_tf_cache = use_tf_cache;
+    EXPECT_THROW(vit::make_sc_servable_in_place(model, bad, sopts), std::invalid_argument);
+    const nn::Tensor after = served.infer(images);
+    for (std::size_t i = 0; i < plain.size(); ++i) ASSERT_EQ(after[i], plain[i]) << "logit " << i;
+  }
+  for (const VariantKind kind : {VariantKind::kScLut, VariantKind::kScEmulated})
+    EXPECT_THROW(vit::make_servable(model.clone_for_serving(), kind, "sc", bad, sopts),
+                 std::invalid_argument);
 }
 
 TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
@@ -554,9 +600,11 @@ TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
   vit::ScServableOptions sopts;
   sopts.pool = &sc_pool;
   auto reg = std::make_shared<ModelRegistry>();
-  reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
-  reg->publish(vit::make_packed_ternary_servable(model, "w2a2-packed"));
-  reg->publish(vit::make_fp32_servable(model, "fp32"));
+  reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kScLut, "sc-lut",
+                                  tiny_sc_config(), sopts));
+  reg->publish(
+      vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "w2a2-packed"));
+  reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kFp32, "fp32"));
   EngineOptions opts = quick_engine_opts();
   opts.default_variant = "fp32";
   InferenceEngine engine(reg, opts);
@@ -588,12 +636,12 @@ TEST(VitServables, HotSwapRefreezesWithoutChangingResults) {
   vit::VisionTransformer model = calibrated_model(top, 65, all.images);
 
   auto reg = std::make_shared<ModelRegistry>();
-  reg->publish(vit::make_packed_ternary_servable(model, "m"));
+  reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "m"));
   InferenceEngine engine(reg, quick_engine_opts());
   const std::vector<int> before = engine.predict_batch(all.images);
   // Re-publish a freshly cloned servable (new frozen snapshots, same
   // weights): generation bumps, results stay bit-identical.
-  reg->publish(vit::make_packed_ternary_servable(model, "m"));
+  reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "m"));
   EXPECT_EQ(reg->generation("m"), 2u);
   EXPECT_EQ(engine.predict_batch(all.images), before);
 }
