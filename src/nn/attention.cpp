@@ -111,13 +111,8 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, int batch, int tokens) {
                                                  batch_stride, head_stride, batch, heads_, tokens,
                                                  dh_);
 
-  used_hook_ = static_cast<bool>(hook_);
-  if (used_hook_)
-    cached_attn_ = hook_(scores);
-  else if (softmax_kind_ == SoftmaxKind::kApprox)
-    cached_attn_ = approx_sm_.forward(scores);
-  else
-    cached_attn_ = softmax_rows(scores);
+  cached_attn_ = softmax_kind_ == SoftmaxKind::kApprox ? approx_sm_.forward(scores)
+                                                       : softmax_rows(scores);
 
   const Tensor ctx = attention_context_strided(cached_attn_, cached_v_.data(), dh_, batch_stride,
                                                head_stride, batch, heads_, tokens, dim_, dh_);
@@ -153,8 +148,6 @@ Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) con
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
-  if (used_hook_)
-    throw std::logic_error("MSA::backward: cannot backprop through a softmax hook");
   const int batch = batch_, tokens = tokens_;
   const int bh = batch * heads_;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh_));

@@ -2,9 +2,10 @@
 // attention.h — multi-head self-attention with swappable softmax.
 //
 // The softmax over attention scores can be (a) exact, (b) the differentiable
-// iterative approximation (training stage 2), or (c) an arbitrary
-// inference-time hook — which is how the SC-circuit emulation of
-// vit/sc_inference.h injects the bit-true softmax block per configuration.
+// iterative approximation (training stage 2), or (c) an arbitrary hook on
+// the const infer() path only — which is how the SC servables of
+// vit/servable.h inject the bit-true softmax block per configuration.
+// forward()/backward() (training, vit::evaluate(model)) never call the hook.
 
 #include <functional>
 #include <vector>
@@ -15,6 +16,10 @@
 namespace ascend::nn {
 
 enum class SoftmaxKind { kExact, kApprox };
+
+/// A nonlinear block substituted on the const infer path (the SC softmax
+/// and GELU of vit/servable.h); empty = no substitution.
+using InferHook = std::function<Tensor(const Tensor&)>;
 
 class MultiHeadSelfAttention {
  public:
@@ -35,11 +40,10 @@ class MultiHeadSelfAttention {
   SoftmaxKind softmax_kind() const { return softmax_kind_; }
   ApproxSoftmax& approx_softmax() { return approx_sm_; }
 
-  /// Inference-only softmax replacement applied to the raw score rows
-  /// [B*H*T, T]; supersedes softmax_kind when set. Backward through a hook
-  /// is not supported.
-  void set_softmax_hook(std::function<Tensor(const Tensor&)> hook) { hook_ = std::move(hook); }
-  void clear_softmax_hook() { hook_ = nullptr; }
+  /// Softmax replacement that infer() applies to the raw score rows
+  /// [B*H*T, T], superseding softmax_kind there; forward() ignores it. An
+  /// empty hook clears it.
+  void set_softmax_hook(InferHook hook) noexcept { hook_ = std::move(hook); }
 
   Linear& qkv() { return qkv_; }
   Linear& proj() { return proj_; }
@@ -53,11 +57,10 @@ class MultiHeadSelfAttention {
   Linear qkv_, proj_;
   SoftmaxKind softmax_kind_ = SoftmaxKind::kExact;
   ApproxSoftmax approx_sm_;
-  std::function<Tensor(const Tensor&)> hook_;
+  InferHook hook_;
 
   // Forward caches.
   int batch_ = 0, tokens_ = 0;
-  bool used_hook_ = false;
   Tensor cached_q_, cached_k_, cached_v_;  // [B*H*T, dh]
   Tensor cached_attn_;                     // [B*H*T, T]
 };

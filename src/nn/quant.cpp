@@ -191,16 +191,15 @@ Tensor LsqQuantizer::forward(const Tensor& x) {
   return out;
 }
 
-Tensor LsqQuantizer::infer(const Tensor& x) const {
+Tensor LsqQuantizer::infer(Tensor x) const {
   if (!spec_.enabled) return x;
   const float step = initialized_ ? step_.value[0] : lsq_init_step(x, spec_.qp);
   const float s = std::max(step, 1e-6f);
   const float qn = static_cast<float>(spec_.qn), qp = static_cast<float>(spec_.qp);
-  Tensor out = Tensor::uninitialized(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::size_t i = 0; i < x.size(); ++i) po[i] = lsq_level(px[i], s, qn, qp) * s;
-  return out;
+  if (x.borrowed()) x = Tensor(x);  // a moved-in read-only view: own a copy
+  float* p = x.data();
+  for (std::size_t i = 0; i < x.size(); ++i) p[i] = lsq_level(p[i], s, qn, qp) * s;
+  return x;
 }
 
 Tensor LsqQuantizer::backward(const Tensor& grad_out) {

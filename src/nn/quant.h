@@ -86,8 +86,10 @@ class LsqQuantizer {
   /// member state, so concurrent calls are safe. Bit-exact with forward()
   /// once the step is initialised. On an uncalibrated quantizer (enabled but
   /// never trained) the const path cannot latch a step, so the LSQ init step
-  /// is derived from the batch itself on every call.
-  Tensor infer(const Tensor& x) const;
+  /// is derived from the batch itself on every call. Quantizes `x` in place
+  /// and returns it, so a caller that moves its tensor in pays no copy, and
+  /// a disabled quantizer hands the moved input straight back.
+  Tensor infer(Tensor x) const;
 
   /// Serving fast path for an *immutable-while-serving* input (a weight
   /// matrix): quantizes `x` once, memoizes the result ("freeze"), and serves

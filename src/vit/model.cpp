@@ -45,10 +45,7 @@ void NormLayer::collect_params(std::vector<nn::Param*>& out) {
 Mlp::Mlp(int dim, int hidden, nn::Rng& rng) : fc1_(dim, hidden, rng), fc2_(hidden, dim, rng) {}
 
 Tensor Mlp::forward(const Tensor& x) {
-  Tensor h = fc1_.forward(x);
-  used_hook_ = static_cast<bool>(hook_);
-  h = used_hook_ ? hook_(h) : gelu_.forward(h);
-  return fc2_.forward(h);
+  return fc2_.forward(gelu_.forward(fc1_.forward(x)));
 }
 
 Tensor Mlp::infer(const Tensor& x) const {
@@ -64,7 +61,6 @@ Tensor Mlp::infer(const Tensor& x) const {
 }
 
 Tensor Mlp::backward(const Tensor& grad) {
-  if (used_hook_) throw std::logic_error("Mlp::backward: cannot backprop through a GELU hook");
   Tensor g = fc2_.backward(grad);
   g = gelu_.backward(g);
   return fc1_.backward(g);
@@ -97,22 +93,17 @@ Tensor EncoderBlock::forward(const Tensor& x, int batch, int tokens, bool traini
 Tensor EncoderBlock::infer(const Tensor& x, int batch, int tokens) const {
   // Layer-group phase spans: no-ops (one thread-local read each) unless the
   // engine traces this forward — see runtime/metrics/trace.h.
-  // A disabled residual quantizer is the identity: skip it rather than pay
-  // the whole-tensor copy LsqQuantizer::infer returns.
   Tensor x1;
   {
     runtime::trace::ScopedSpan span("msa");
     Tensor a = norm1_.infer(x);
     a = msa_.infer(a, batch, tokens);
-    x1 = nn::add(x, a);
-    if (rq1_.enabled()) x1 = rq1_.infer(x1);
+    x1 = rq1_.infer(nn::add(x, a));
   }
   runtime::trace::ScopedSpan span("mlp");
   Tensor b = norm2_.infer(x1);
   b = mlp_.infer(b);
-  Tensor out = nn::add(x1, b);
-  if (rq2_.enabled()) return rq2_.infer(out);
-  return out;
+  return rq2_.infer(nn::add(x1, b));
 }
 
 Tensor EncoderBlock::backward(const Tensor& grad) {
@@ -389,18 +380,10 @@ void VisionTransformer::set_softmax_kind(nn::SoftmaxKind kind) {
   for (auto& blk : blocks_) blk.msa().set_softmax_kind(kind);
 }
 
-void VisionTransformer::set_softmax_hook(std::function<Tensor(const Tensor&)> hook) {
-  for (auto& blk : blocks_) blk.msa().set_softmax_hook(hook);
-}
-
-void VisionTransformer::set_gelu_hook(std::function<Tensor(const Tensor&)> hook) {
-  for (auto& blk : blocks_) blk.mlp().set_gelu_hook(hook);
-}
-
-void VisionTransformer::clear_hooks() {
+void VisionTransformer::set_infer_hooks(const nn::InferHook& softmax, const nn::InferHook& gelu) {
   for (auto& blk : blocks_) {
-    blk.msa().clear_softmax_hook();
-    blk.mlp().clear_gelu_hook();
+    blk.msa().set_softmax_hook(softmax);
+    blk.mlp().set_gelu_hook(gelu);
   }
 }
 

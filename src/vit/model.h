@@ -11,7 +11,6 @@
 // head stay full precision; all encoder linears carry the W/A quantizers.
 // Block outputs are cached as the feature taps for KD.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,10 +41,11 @@ class NormLayer {
   std::unique_ptr<nn::BatchNorm> bn_;
 };
 
-/// MLP block: fc1 -> GELU -> fc2, with an optional inference-time GELU hook
-/// (SC gate-assisted-SI emulation). Without a hook, when fc2 serves ternary
-/// codes (nn::Linear::serves_ternary_codes), infer() decides fc2's 0/±1
-/// input codes straight from fc1's output through the fc2 input
+/// MLP block: fc1 -> GELU -> fc2, with an optional GELU hook (SC
+/// gate-assisted-SI emulation) that only the const infer() path applies;
+/// forward()/backward() always run the float GELU. Without a hook, when fc2
+/// serves ternary codes (nn::Linear::serves_ternary_codes), infer() decides
+/// fc2's 0/±1 input codes straight from fc1's output through the fc2 input
 /// quantizer's GELU code cuts, bit-exact with GELU followed by fc2.infer.
 class Mlp {
  public:
@@ -56,14 +56,13 @@ class Mlp {
   void collect_params(std::vector<nn::Param*>& out);
   nn::Linear& fc1() { return fc1_; }
   nn::Linear& fc2() { return fc2_; }
-  void set_gelu_hook(std::function<nn::Tensor(const nn::Tensor&)> hook) { hook_ = std::move(hook); }
-  void clear_gelu_hook() { hook_ = nullptr; }
+  /// GELU replacement for infer(); an empty hook clears it.
+  void set_gelu_hook(nn::InferHook hook) noexcept { hook_ = std::move(hook); }
 
  private:
   nn::Linear fc1_, fc2_;
   nn::Gelu gelu_;
-  std::function<nn::Tensor(const nn::Tensor&)> hook_;
-  bool used_hook_ = false;
+  nn::InferHook hook_;
 };
 
 /// One transformer encoder block.
@@ -98,10 +97,11 @@ class VisionTransformer {
   /// images: [B, channels*H*W] raw pixels in [0,1]-ish. Returns logits [B, classes].
   nn::Tensor forward(const nn::Tensor& images, bool training);
   /// Const, re-entrant inference forward: bit-exact with
-  /// forward(images, /*training=*/false) but writes no member state (no
-  /// block_outputs_ feature taps, no backward caches), so any number of
-  /// threads may run it concurrently. Installed hooks are invoked per call
-  /// and must be thread-safe themselves.
+  /// forward(images, /*training=*/false) while no hook is installed, but
+  /// writes no member state (no block_outputs_ feature taps, no backward
+  /// caches), so any number of threads may run it concurrently. Installed
+  /// hooks act on this path only; they are invoked per call and must be
+  /// thread-safe themselves.
   nn::Tensor infer(const nn::Tensor& images) const;
   /// Backward from the logits gradient; optional per-block feature gradients
   /// (KD MSE taps) are added at the corresponding block boundary.
@@ -150,10 +150,12 @@ class VisionTransformer {
 
   /// Switch every block between exact and iterative-approximate softmax.
   void set_softmax_kind(nn::SoftmaxKind kind);
-  /// Inference-time SC emulation hooks (see vit/sc_inference.h).
-  void set_softmax_hook(std::function<nn::Tensor(const nn::Tensor&)> hook);
-  void set_gelu_hook(std::function<nn::Tensor(const nn::Tensor&)> hook);
-  void clear_hooks();
+  /// Installs the softmax and GELU hooks of infer() (the SC blocks, see
+  /// vit/servable.h) in every encoder block; forward() and backward() never
+  /// see a hook. An empty hook clears its slot: set_infer_hooks({}, {})
+  /// clears both and cannot throw. Copying a non-empty hook may allocate;
+  /// if that throws, earlier blocks keep the new hooks.
+  void set_infer_hooks(const nn::InferHook& softmax, const nn::InferHook& gelu);
 
   std::vector<EncoderBlock>& blocks() { return blocks_; }
   /// Structural sub-layers, exposed for the checkpoint walker

@@ -7,10 +7,10 @@ namespace ascend::vit {
 
 double evaluate_sc(VisionTransformer& model, const Dataset& data, const ScInferenceConfig& cfg,
                    int batch_size) {
-  // `model` served in place: SC hooks installed on it (LUT-cached, validated
-  // bit-exact against the circuit emulators), per-activation emulation
-  // parallelised across the servable's worker pool, hooks restored when the
-  // servable is released at the end of this statement.
+  // `model` served in place: SC hooks installed on its infer path
+  // (LUT-cached, validated bit-exact against the circuit emulators),
+  // per-activation work parallelised across the servable's worker pool,
+  // hooks cleared when the servable is released at the end of this statement.
   return evaluate(*make_sc_servable_in_place(model, cfg), data, batch_size);
 }
 

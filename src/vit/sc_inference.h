@@ -4,7 +4,8 @@
 // The SC-friendly low-precision model's linear algebra on thermometer grids
 // is exact (the truth-table multiplier and BSN adder introduce no error), so
 // the accelerator-vs-float difference comes from the nonlinear blocks. This
-// module swaps those in at inference:
+// module swaps those in on the const infer path only (training and
+// vit::evaluate(model) keep the float blocks):
 //   * attention softmax -> the iterative approximate softmax SC circuit,
 //     per [By, s1, s2, k] configuration (Table VI accuracy column);
 //   * GELU -> the gate-assisted SI block transfer function.
@@ -25,7 +26,7 @@ struct ScInferenceConfig {
 };
 
 /// Top-1 accuracy with the SC nonlinear blocks swapped in. The model's hooks
-/// are restored on exit. Evaluates `model` served in place
+/// are cleared on exit. Evaluates `model` served in place
 /// (vit::make_sc_servable_in_place): nonlinear blocks from the tf_cache LUTs,
 /// per-activation SC work spread across the servable's worker pool.
 double evaluate_sc(VisionTransformer& model, const Dataset& data, const ScInferenceConfig& cfg,

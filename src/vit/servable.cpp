@@ -11,14 +11,78 @@ namespace ascend::vit {
 
 namespace {
 
+using nn::InferHook;
 using nn::Tensor;
+
+/// The SC softmax of `cfg` over score rows of `tokens` columns: rows of the
+/// LUT from `cache`, or the circuit emulator when `cache` is null.
+InferHook sc_softmax_hook(const ScInferenceConfig& cfg, int tokens, runtime::TfCache* cache,
+                          runtime::ThreadPool& pool) {
+  sc::SoftmaxIterConfig sm = cfg.softmax;
+  sm.m = tokens;
+  sm.validate();
+  if (cache) {
+    const runtime::SoftmaxLut* lut = &cache->softmax(sm);
+    return [lut, &pool](const Tensor& scores) {
+      // `out` is carved from the forward's arena when one is installed and
+      // the LUT reads the float scores directly, so at steady state this
+      // hook performs zero heap allocations.
+      Tensor out = Tensor::uninitialized(scores.shape());
+      const std::size_t m = static_cast<std::size_t>(scores.dim(1));
+      pool.parallel_for(0, scores.dim(0), [&](int lo, int hi) {
+        const std::size_t off = static_cast<std::size_t>(lo) * m;
+        lut->rows(scores.data() + off, hi - lo, out.data() + off);
+      });
+      return out;
+    };
+  }
+  return [sm, &pool](const Tensor& scores) {
+    const int m = scores.dim(1);
+    Tensor out = Tensor::uninitialized(scores.shape());
+    pool.parallel_for(0, scores.dim(0), [&](int lo, int hi) {
+      std::vector<double> row(static_cast<std::size_t>(m));
+      for (int r = lo; r < hi; ++r) {
+        for (int c = 0; c < m; ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
+        const auto y = sc::softmax_iterative_sc(row, sm);
+        for (int c = 0; c < m; ++c) out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
+      }
+    });
+    return out;
+  };
+}
+
+/// The gate-assisted SI GELU of `cfg`: the LUT from `cache`, or the circuit
+/// emulator when `cache` is null.
+InferHook sc_gelu_hook(const ScInferenceConfig& cfg, runtime::TfCache* cache,
+                       runtime::ThreadPool& pool) {
+  if (cache) {
+    const runtime::GateSiLut* lut = &cache->gelu(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16);
+    return [lut, &pool](const Tensor& x) {
+      Tensor y = Tensor::uninitialized(x.shape());
+      pool.parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
+        lut->apply(x.data() + lo, static_cast<std::size_t>(hi - lo), y.data() + lo);
+      });
+      return y;
+    };
+  }
+  // transfer() is const: every forward and chunk reads this one block.
+  auto block = std::make_shared<const sc::GateAssistedSI>(
+      sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
+  return [block, &pool](const Tensor& x) {
+    Tensor y = Tensor::uninitialized(x.shape());
+    pool.parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
+      for (std::size_t i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i)
+        y[i] = static_cast<float>(block->transfer(x[i]));
+    });
+    return y;
+  };
+}
 
 /// Servable over a VisionTransformer — an adopted serving model or a
 /// caller-owned instance — with optional SC nonlinear-block hooks installed
-/// on it for the servable's lifetime. infer() is const and re-entrant: the
-/// model's const infer path writes no member state, and the hooks only read
-/// immutable LUTs (or copy per-call emulator instances from an immutable
-/// prototype).
+/// on the model's infer path for the servable's lifetime. infer() is const
+/// and re-entrant: the model's const infer path writes no member state, and
+/// the hooks only read immutable LUTs or emulator blocks.
 class VitServable final : public runtime::Servable {
  public:
   VitServable(VisionTransformer* model, std::unique_ptr<VisionTransformer> owned,
@@ -32,83 +96,26 @@ class VitServable final : public runtime::Servable {
     output_dim_ = cfg.classes;
   }
 
-  /// Installs the SC hooks from `cfg`; the model's hooks belong to this
-  /// servable until destruction.
-  void install_sc_hooks(const ScInferenceConfig& cfg, const ScServableOptions& opts) {
-    if (!opts.pool && !owned_pool_)  // hardware_concurrency() 0 clamps to 1
+  /// Installs the SC hooks of `cfg`, served from the LUT cache when `lut`
+  /// and by the circuit emulators otherwise. Both hooks are built — every
+  /// config check passed — before the model changes; they then belong to
+  /// this servable until destruction.
+  void install_sc_hooks(const ScInferenceConfig& cfg, const ScServableOptions& opts, bool lut) {
+    if (!opts.pool)  // hardware_concurrency() 0 clamps to 1
       owned_pool_ = std::make_unique<runtime::ThreadPool>(
           static_cast<int>(std::thread::hardware_concurrency()));
-    runtime::ThreadPool* pool = opts.pool ? opts.pool : owned_pool_.get();
-    runtime::TfCache* cache = opts.cache ? opts.cache : &runtime::global_tf_cache();
-    hooks_installed_ = true;
-    try {
-      if (cfg.use_sc_softmax) {
-        sc::SoftmaxIterConfig sm = cfg.softmax;
-        sm.m = model_->config().tokens();
-        sm.validate();
-        const runtime::SoftmaxLut* lut = opts.use_tf_cache ? &cache->softmax(sm) : nullptr;
-        model_->set_softmax_hook([sm, lut, pool](const Tensor& scores) {
-          const int rows = scores.dim(0), m = scores.dim(1);
-          // `out` is carved from the forward's arena when one is installed
-          // and the LUT reads the float scores directly, so at steady state
-          // this hook performs zero heap allocations (the emulated
-          // softmax_iterative_sc fallback allocates internally).
-          Tensor out = Tensor::uninitialized({rows, m});
-          pool->parallel_for(0, rows, [&](int lo, int hi) {
-            const std::size_t off = static_cast<std::size_t>(lo) * static_cast<std::size_t>(m);
-            if (lut) {
-              lut->rows(scores.data() + off, hi - lo, out.data() + off);
-              return;
-            }
-            std::vector<double> row(static_cast<std::size_t>(m));
-            for (int r = lo; r < hi; ++r) {
-              for (int c = 0; c < m; ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
-              const auto y = sc::softmax_iterative_sc(row, sm);
-              for (int c = 0; c < m; ++c)
-                out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
-            }
-          });
-          return out;
-        });
-      }
-      if (cfg.use_sc_gelu) {
-        const runtime::GateSiLut* lut = nullptr;
-        std::shared_ptr<const sc::GateAssistedSI> proto;
-        if (opts.use_tf_cache)
-          lut = &cache->gelu(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16);
-        else
-          proto = std::make_shared<const sc::GateAssistedSI>(
-              sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
-        model_->set_gelu_hook([lut, proto, pool](const Tensor& x) {
-          // Per-call emulator instance: concurrent forwards never share one
-          // (reads within the call are const, so the chunks may share it).
-          std::unique_ptr<const sc::GateAssistedSI> block;
-          if (!lut) block = std::make_unique<const sc::GateAssistedSI>(*proto);
-          Tensor y = Tensor::uninitialized(x.shape());
-          pool->parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
-            if (lut) {
-              lut->apply(x.data() + lo, static_cast<std::size_t>(hi - lo), y.data() + lo);
-              return;
-            }
-            for (int i = lo; i < hi; ++i) {
-              const std::size_t s = static_cast<std::size_t>(i);
-              y[s] = static_cast<float>(block->transfer(x[s]));
-            }
-          });
-          return y;
-        });
-      }
-    } catch (...) {
-      // A half-installed hook must not outlive the failed construction.
-      model_->clear_hooks();
-      hooks_installed_ = false;
-      throw;
-    }
+    runtime::ThreadPool& pool = opts.pool ? *opts.pool : *owned_pool_;
+    runtime::TfCache* cache = nullptr;  // null: the circuit emulators
+    if (lut) cache = opts.cache ? opts.cache : &runtime::global_tf_cache();
+    InferHook softmax, gelu;
+    if (cfg.use_sc_softmax) softmax = sc_softmax_hook(cfg, model_->config().tokens(), cache, pool);
+    if (cfg.use_sc_gelu) gelu = sc_gelu_hook(cfg, cache, pool);
+    model_->set_infer_hooks(softmax, gelu);
   }
 
-  ~VitServable() override {
-    if (hooks_installed_) model_->clear_hooks();
-  }
+  // Clearing cannot throw, and it also undoes a partial install that a
+  // throwing hook copy left behind.
+  ~VitServable() override { model_->set_infer_hooks({}, {}); }
 
   Tensor infer(const Tensor& batch) const override {
     return static_cast<const VisionTransformer*>(model_)->infer(batch);
@@ -128,7 +135,6 @@ class VitServable final : public runtime::Servable {
   std::string variant_id_;
   int input_dim_ = 0;
   int output_dim_ = 0;
-  bool hooks_installed_ = false;
 };
 
 }  // namespace
@@ -137,7 +143,7 @@ std::shared_ptr<runtime::Servable> make_servable(std::unique_ptr<VisionTransform
                                                  runtime::VariantKind kind,
                                                  std::string variant_id,
                                                  const ScInferenceConfig& sc,
-                                                 ScServableOptions sc_opts,
+                                                 const ScServableOptions& sc_opts,
                                                  std::shared_ptr<const void> retain) {
   using runtime::VariantKind;
   VisionTransformer* raw = model.get();
@@ -156,8 +162,7 @@ std::shared_ptr<runtime::Servable> make_servable(std::unique_ptr<VisionTransform
     }
     case VariantKind::kScLut:
     case VariantKind::kScEmulated:
-      sc_opts.use_tf_cache = kind == VariantKind::kScLut;
-      servable->install_sc_hooks(sc, sc_opts);
+      servable->install_sc_hooks(sc, sc_opts, kind == VariantKind::kScLut);
       break;
   }
   return servable;
@@ -168,7 +173,7 @@ std::shared_ptr<runtime::Servable> make_sc_servable_in_place(VisionTransformer& 
                                                              ScServableOptions opts,
                                                              std::string variant_id) {
   auto servable = std::make_shared<VitServable>(&model, nullptr, std::move(variant_id));
-  servable->install_sc_hooks(cfg, opts);
+  servable->install_sc_hooks(cfg, opts, opts.use_tf_cache);
   return servable;
 }
 

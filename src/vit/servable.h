@@ -12,7 +12,10 @@
 //   * kScLut         — SC softmax / GELU served from the transfer-function
 //                      LUT cache;
 //   * kScEmulated    — SC softmax / GELU by per-activation circuit emulation.
-// This is the one place a kind maps to a precision or hook policy;
+// The SC hooks act on the model's const infer() path only: training and
+// vit::evaluate(model), which run forward(), never see them. Both hooks are
+// built before either is installed, so a rejected SC config leaves the model
+// untouched. This is the one place a kind maps to a precision or hook policy;
 // ModelRegistry::register_from_file loads a file and hands the model here.
 // Register any mix in a runtime::ModelRegistry and point an InferenceEngine
 // at it; requests then pick a variant per call (A/B fidelity, mixed
@@ -23,8 +26,9 @@
 // is given, one the servable owns, sized to the hardware concurrency.
 //
 // make_sc_servable_in_place drives the *caller's* model instead of an adopted
-// one (hooks installed at construction, restored on destruction) —
-// vit::evaluate_sc serves through it.
+// one (hooks installed at construction, cleared on destruction; while it
+// lives, the model's own infer() and its blocks' msa().infer / mlp().infer
+// run the SC blocks) — vit::evaluate_sc serves through it.
 
 #include <memory>
 #include <string>
@@ -66,12 +70,12 @@ std::shared_ptr<runtime::Servable> make_servable(std::unique_ptr<VisionTransform
                                                  runtime::VariantKind kind,
                                                  std::string variant_id,
                                                  const ScInferenceConfig& sc = {},
-                                                 ScServableOptions sc_opts = {},
+                                                 const ScServableOptions& sc_opts = {},
                                                  std::shared_ptr<const void> retain = nullptr);
 
 /// SC servable over the caller's model itself (no clone): exclusive use of
-/// the model's hooks while alive, restored on destruction. The model must
-/// outlive the servable; use make_servable for multi-variant registries.
+/// the model's infer hooks while alive, cleared on destruction. The model
+/// must outlive the servable; use make_servable for multi-variant registries.
 std::shared_ptr<runtime::Servable> make_sc_servable_in_place(VisionTransformer& model,
                                                              const ScInferenceConfig& cfg,
                                                              ScServableOptions opts = {},

@@ -79,23 +79,42 @@ TEST(Msa, ApproxDiffersFromExact) {
   EXPECT_LT(diff / static_cast<double>(exact.size()), 3.0);  // but not wild
 }
 
+// The hook acts on the const infer path only: forward and backward keep the
+// float softmax whether or not a hook is installed.
 TEST(Msa, SoftmaxHookOverrides) {
   Rng rng(5);
   MultiHeadSelfAttention msa(4, 1, rng);
+  const MultiHeadSelfAttention& served = msa;
   Tensor x({2, 4});
   rng.fill_normal(x, 0, 1);
-  bool called = false;
-  msa.set_softmax_hook([&called](const Tensor& scores) {
-    called = true;
-    Tensor uniform(scores.shape(), 1.0f / scores.dim(1));
-    return uniform;
+  Tensor g({2, 4});
+  rng.fill_normal(g, 0, 1);
+  const Tensor plain = msa.forward(x, 1, 2);
+  const Tensor plain_grad = msa.backward(g);
+
+  int calls = 0;
+  msa.set_softmax_hook([&calls](const Tensor& scores) {
+    ++calls;
+    return Tensor(scores.shape(), 1.0f / scores.dim(1));
   });
-  (void)msa.forward(x, 1, 2);
-  EXPECT_TRUE(called);
-  EXPECT_THROW(msa.backward(Tensor({2, 4})), std::logic_error);
-  msa.clear_softmax_hook();
-  (void)msa.forward(x, 1, 2);
-  EXPECT_NO_THROW(msa.backward(Tensor({2, 4})));
+  const Tensor hooked = served.infer(x, 1, 2);
+  EXPECT_EQ(calls, 1);
+  bool any_diff = false;
+  for (std::size_t i = 0; i < plain.size(); ++i) any_diff |= hooked[i] != plain[i];
+  EXPECT_TRUE(any_diff);  // uniform attention is not the float softmax
+
+  const Tensor fwd = msa.forward(x, 1, 2);
+  EXPECT_EQ(calls, 1);
+  const Tensor grad = msa.backward(g);
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(fwd[i], plain[i]) << i;
+    EXPECT_EQ(grad[i], plain_grad[i]) << i;
+  }
+
+  msa.set_softmax_hook({});  // an empty hook clears it
+  const Tensor cleared = served.infer(x, 1, 2);
+  EXPECT_EQ(calls, 1);
+  for (std::size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(cleared[i], plain[i]) << i;
 }
 
 // forward reads Q/K/V out of the gathered per-head caches, infer straight out

@@ -694,8 +694,11 @@ TEST_F(ChaosTest, ServeAcceptInjectionDropsTheConnectionButTheLoopKeepsAccepting
   serve::Client survivor("127.0.0.1", server.port());
   EXPECT_EQ(survivor.request(serve_request(2, 3.0f)).status, serve::Status::kOk);
   const auto stats = failpoint::sites();
-  for (const auto& s : stats)
-    if (s.name == std::string("serve.accept")) EXPECT_EQ(s.fires, 1u);
+  for (const auto& s : stats) {
+    if (s.name == std::string("serve.accept")) {
+      EXPECT_EQ(s.fires, 1u);
+    }
+  }
 }
 
 TEST_F(ChaosTest, ServeReadInjectionKillsOnlyTheFaultedConnection) {

@@ -134,6 +134,39 @@ TEST(LsqQuantizerTest, ResetSpecReinitialises) {
   EXPECT_LT(s2, s1);
 }
 
+// infer takes its tensor by value: a moved-in tensor is quantized in its own
+// buffer (a disabled quantizer hands it straight back), while a moved-in
+// read-only borrowed view is copied first and left untouched.
+TEST(LsqQuantizerTest, InferQuantizesAMovedTensorInPlace) {
+  LsqQuantizer q(QuantSpec::from_bsl(4));
+  Rng rng(5);
+  Tensor x({8, 4});
+  rng.fill_normal(x, 0, 1);
+  const Tensor ref = q.forward(x);  // latches the step; infer is bit-exact with it
+
+  const std::uint64_t copies = Tensor::copies();
+  Tensor owned = x;
+  const float* buffer = owned.data();
+  const Tensor y = q.infer(std::move(owned));
+  EXPECT_EQ(y.data(), buffer);
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], ref[i]) << i;
+
+  Tensor pass = x;
+  buffer = pass.data();
+  const Tensor same = LsqQuantizer().infer(std::move(pass));
+  EXPECT_EQ(same.data(), buffer);
+  EXPECT_EQ(Tensor::copies() - copies, 2u);  // only the two `= x` above
+
+  std::vector<float> blob(x.data(), x.data() + x.size());
+  const Tensor from_view = q.infer(Tensor::borrow(x.shape(), blob.data()));
+  EXPECT_NE(from_view.data(), blob.data());
+  EXPECT_FALSE(from_view.borrowed());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(from_view[i], ref[i]) << i;
+    EXPECT_EQ(blob[i], x[i]) << i;
+  }
+}
+
 TEST(LsqQuantizerTest, FrozenInferMatchesInferAndMemoizes) {
   LsqQuantizer q(QuantSpec::ternary());
   Rng rng(6);

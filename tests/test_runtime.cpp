@@ -232,6 +232,48 @@ TEST(BernsteinGeluLut, BitExactWithBernsteinGeluAndCached) {
   }
 }
 
+// Randomized, fixed-seed differential over drawn degree, input range, bsl and
+// seed, with inputs on both sides of the clamp, at its edges, and on and
+// around the input SNG's samples. Odd configs use a dyadic input range, where
+// those inputs map to u exactly on a sample: the comparison `sample < u *
+// range` must then not fire, as in the emulator.
+TEST(BernsteinGeluLut, RandomizedDifferentialAgainstEmulator) {
+  std::mt19937_64 rng(20241018);
+  auto pick = [&rng](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  for (int c = 0; c < 40; ++c) {
+    double in_lo = uniform(-6.0, -1.0), in_hi = uniform(0.25, 4.0);
+    if (c % 2) {
+      in_lo = -pick(1, 6);
+      in_hi = in_lo + std::ldexp(1.0, pick(2, 3));
+    }
+    const sc::BernsteinGelu block(pick(2, 8), in_lo, in_hi);
+    const std::size_t bsl = static_cast<std::size_t>(pick(1, 600));
+    const std::uint64_t seed = rng();
+    const BernsteinGeluLut lut(block, bsl, seed);
+    std::vector<double> xs = {in_lo,
+                              in_hi,
+                              std::nextafter(in_lo, -10.0),
+                              std::nextafter(in_hi, 10.0),
+                              -1e30,
+                              1e30,
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::infinity()};
+    for (int i = 0; i < 60; ++i) xs.push_back(uniform(in_lo - 3.0, in_hi + 3.0));
+    sc::Lfsr input = block.unit().make_sng_bank(seed).inputs.at(0);
+    for (int i = 0; i < 16; ++i) {
+      const double x = in_lo + (in_hi - in_lo) * input.next() / input.range();
+      xs.insert(xs.end(), {std::nextafter(x, -10.0), x, std::nextafter(x, 10.0)});
+    }
+    for (double x : xs)
+      ASSERT_EQ(lut(x), block.eval_stochastic(x, bsl, seed))
+          << "config " << c << " terms=" << block.terms() << " bsl=" << bsl << " seed=" << seed
+          << " x=" << x;
+  }
+}
+
 TEST(SoftmaxLut, BitExactWithCountLevelEmulation) {
   std::vector<sc::SoftmaxIterConfig> configs;
   {
@@ -494,6 +536,52 @@ TEST(SoftmaxFsmLut, RejectsBadInput) {
   EXPECT_THROW(SoftmaxFsmLut{bad}, std::invalid_argument);
 }
 
+// Randomized, fixed-seed differential over drawn m, bsl, FSM shape, output
+// precision, encoding scale and seed. Odd configs use a power-of-two scale,
+// where an input can land exactly on one of its SNG's samples: the
+// comparison `sample < p * range` must then give 0, as the emulator does.
+TEST(SoftmaxFsmLut, RandomizedDifferentialAgainstEmulator) {
+  std::mt19937_64 rng(20241019);
+  auto pick = [&rng](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  for (int c = 0; c < 80; ++c) {
+    sc::FsmSoftmaxConfig cfg;
+    cfg.m = pick(1, 20);
+    cfg.bsl = pick(1, 300);
+    cfg.n_states = pick(2, 48);
+    cfg.g = pick(1, cfg.n_states - 1);
+    cfg.scale = c % 2 ? std::ldexp(1.0, pick(-1, 3))
+                      : std::uniform_real_distribution<double>(0.5, 8.0)(rng);
+    cfg.quotient_bits = pick(1, 12);
+    cfg.seed = rng();
+    const SoftmaxFsmLut lut(cfg);
+    auto rows = sc::sample_attention_logits(cfg.m, 6, rng());
+    std::vector<double> row(static_cast<std::size_t>(cfg.m));
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] = (i % 2 ? 1 : -1) * 3.0 * cfg.scale;
+    rows.push_back(row);  // half the row far below the max: the -scale clamp
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] = i % 3 ? -1e30 : 1e30;
+    rows.push_back(row);
+    rows.emplace_back(row.size(), 0.25);  // every element at the max
+    // Element i (max 0) on a sample of the emulator's per-element SNG: with
+    // a power-of-two scale, p * range is then exactly that sample.
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      sc::LfsrSource src(16, static_cast<std::uint32_t>(cfg.seed + 0x9E37 * (i + 1)));
+      const double range = src.range();
+      double on_sample = range / 2;
+      for (int t = 0; t < cfg.bsl; ++t) {
+        const double v = src.next();
+        if (v >= range / 2 && (on_sample == range / 2 || pick(0, 3) == 0)) on_sample = v;
+      }
+      row[i] = i == 0 ? 0.0 : -(2.0 * on_sample / range - 1.0) * cfg.scale;
+    }
+    rows.push_back(row);
+    for (const auto& x : rows)
+      ASSERT_EQ(lut(x), sc::softmax_fsm(x, cfg))
+          << "config " << c << " m=" << cfg.m << " bsl=" << cfg.bsl << " n_states="
+          << cfg.n_states << " g=" << cfg.g << " scale=" << cfg.scale
+          << " quotient_bits=" << cfg.quotient_bits << " seed=" << cfg.seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cached MAE protocols — bit-identical to the sc:: sweep protocols.
 // ---------------------------------------------------------------------------
@@ -593,6 +681,23 @@ vit::ScInferenceConfig tiny_sc_config() {
   return cfg;
 }
 
+/// A model's own const infer path as a Servable, for vit::evaluate.
+class ModelInfer final : public Servable {
+ public:
+  explicit ModelInfer(const vit::VisionTransformer& model) : model_(model) {}
+  nn::Tensor infer(const nn::Tensor& batch) const override { return model_.infer(batch); }
+  int input_dim() const override {
+    const vit::VitConfig& c = model_.config();
+    return c.channels * c.image_size * c.image_size;
+  }
+  int output_dim() const override { return model_.config().classes; }
+  const std::string& variant_id() const override { return id_; }
+
+ private:
+  const vit::VisionTransformer& model_;
+  std::string id_ = "model";
+};
+
 }  // namespace
 
 TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
@@ -600,40 +705,43 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
   vit::VisionTransformer model(top, /*seed=*/21);
   const vit::Dataset data = vit::make_synthetic_vision(48, top.classes, 31, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
+  const double float_acc = vit::evaluate(ModelInfer(model), data);
 
-  // Reference: the pre-runtime code path — hooks built directly on the
-  // circuit emulators, evaluated through vit::evaluate.
+  // Reference: hooks built directly on the circuit emulators, run serially
+  // through the model's infer path.
   sc::SoftmaxIterConfig sm = cfg.softmax;
   sm.m = top.tokens();
-  model.set_softmax_hook([sm](const nn::Tensor& scores) {
-    nn::Tensor out({scores.dim(0), scores.dim(1)});
-    std::vector<double> row(static_cast<std::size_t>(scores.dim(1)));
-    for (int r = 0; r < scores.dim(0); ++r) {
-      for (int c = 0; c < scores.dim(1); ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
-      const auto y = sc::softmax_iterative_sc(row, sm);
-      for (int c = 0; c < scores.dim(1); ++c)
-        out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
-    }
-    return out;
-  });
   auto block = std::make_shared<sc::GateAssistedSI>(
       sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
-  model.set_gelu_hook([block](const nn::Tensor& x) {
-    nn::Tensor y(x.shape());
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = static_cast<float>(block->transfer(x[i]));
-    return y;
-  });
-  const double ref_acc = vit::evaluate(model, data);
-  model.clear_hooks();
+  model.set_infer_hooks(
+      [sm](const nn::Tensor& scores) {
+        nn::Tensor out({scores.dim(0), scores.dim(1)});
+        std::vector<double> row(static_cast<std::size_t>(scores.dim(1)));
+        for (int r = 0; r < scores.dim(0); ++r) {
+          for (int c = 0; c < scores.dim(1); ++c)
+            row[static_cast<std::size_t>(c)] = scores.at(r, c);
+          const auto y = sc::softmax_iterative_sc(row, sm);
+          for (int c = 0; c < scores.dim(1); ++c)
+            out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
+        }
+        return out;
+      },
+      [block](const nn::Tensor& x) {
+        nn::Tensor y(x.shape());
+        for (std::size_t i = 0; i < x.size(); ++i)
+          y[i] = static_cast<float>(block->transfer(x[i]));
+        return y;
+      });
+  const double ref_acc = vit::evaluate(ModelInfer(model), data);
+  // forward never sees a hook: the training-path evaluate stays float.
+  EXPECT_EQ(vit::evaluate(model, data), float_acc);
+  model.set_infer_hooks({}, {});
 
   const double sc_acc = vit::evaluate_sc(model, data, cfg);
   EXPECT_EQ(sc_acc, ref_acc);
 
-  // The in-place servable restored the hooks: a plain evaluate now uses
-  // exact blocks.
-  const double float_acc = vit::evaluate(model, data);
-  const double float_acc2 = vit::evaluate(model, data);
-  EXPECT_EQ(float_acc, float_acc2);
+  // The in-place servable cleared its hooks: infer is float again.
+  EXPECT_EQ(vit::evaluate(ModelInfer(model), data), float_acc);
 }
 
 TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {

@@ -43,11 +43,16 @@ TEST(ScInference, RunsAndRestoresHooks) {
 
   ScInferenceConfig sc_cfg;
   sc_cfg.softmax = tiny_softmax();
+  const Batch b = take_batch(test, {0, 1, 2, 3});
+  const VisionTransformer& served = model;
+  const nn::Tensor plain = served.infer(b.images);
   const double acc = evaluate_sc(model, test, sc_cfg);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 100.0);
-  // Hooks must be cleared: backward through the model works again.
-  const Batch b = take_batch(test, {0, 1});
+  // Hooks must be cleared: infer is hook-free again, and backward runs.
+  const nn::Tensor after = served.infer(b.images);
+  ASSERT_EQ(after.shape(), plain.shape());
+  for (std::size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(after[i], plain[i]) << "logit " << i;
   const nn::Tensor logits = model.forward(b.images, true);
   EXPECT_NO_THROW(model.backward(nn::Tensor(logits.shape())));
 }
