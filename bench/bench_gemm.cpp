@@ -1,13 +1,11 @@
-// bench_gemm — the blocked/tiled GEMM kernel subsystem vs the seed's naive
-// loops, and the W2A2 Linear::infer path that runs ternary codes through it.
+// bench_gemm — the blocked/tiled GEMM kernel subsystem, and the W2A2
+// Linear::infer path that runs ternary codes through it.
 //
-// Two questions: (1) what does the cache-blocked, register-tiled kernel
-// layer buy over the seed's naive triple loops across square and ViT-shaped
-// products, and (2) what does a W2A2 Linear::infer cost next to the same
-// layer in fp32 at the bench topology's shapes. The seed loops are measured
-// through the ASCEND_GEMM=reference escape hatch (gemm::set_backend), i.e.
-// exactly the code the blocked kernels replaced. Pin ASCEND_GEMM_KERNEL to
-// compare micro-kernel tiers.
+// Two questions: (1) what throughput does the cache-blocked, register-tiled
+// kernel layer reach across square and ViT-shaped products, and (2) what
+// does a W2A2 Linear::infer cost next to the same layer in fp32 at the
+// bench topology's shapes. Pin ASCEND_GEMM_KERNEL to compare micro-kernel
+// tiers.
 
 #include <chrono>
 #include <cstdio>
@@ -53,32 +51,19 @@ void dense_kernel_table(bool fast, bench::JsonWriter* json) {
       {"head  [64,64]x[64,10]", nullptr, 64, 64, 10},
   };
   Rng rng(2);
-  std::printf("\n-- dense f32 GEMM: blocked kernels (%s tier) vs seed naive loops --\n",
-              gemm::kernel_name());
-  std::printf("  %-28s %12s %12s %12s %12s %9s\n", "shape (m x k x n)", "naive ms", "naive GF/s",
-              "blocked ms", "blocked GF/s", "speedup");
+  std::printf("\n-- dense f32 GEMM: blocked kernels (%s tier) --\n", gemm::kernel_name());
+  std::printf("  %-28s %12s %12s\n", "shape (m x k x n)", "blocked ms", "blocked GF/s");
   for (const auto& s : shapes) {
     Tensor a({s.m, s.k}), b({s.k, s.n});
     rng.fill_normal(a, 0, 1);
     rng.fill_normal(b, 0, 1);
     const double flops = 2.0 * s.m * s.k * s.n;
     const int iters = fast ? 5 : std::max(10, static_cast<int>(2e8 / flops));
-    gemm::set_backend(gemm::Backend::kReference);
-    const double t_ref =
-        seconds_per_call([&] { ::benchmark::DoNotOptimize(matmul(a, b).data()); }, iters);
-    gemm::set_backend(gemm::Backend::kBlocked);
     const double t_blk =
         seconds_per_call([&] { ::benchmark::DoNotOptimize(matmul(a, b).data()); }, iters);
-    std::printf("  %-28s %12.3f %12.2f %12.3f %12.2f %8.2fx\n", s.label, t_ref * 1e3,
-                flops / t_ref / 1e9, t_blk * 1e3, flops / t_blk / 1e9, t_ref / t_blk);
-    if (json && s.key) {
-      const std::string base = s.key;
-      json->add(base + "_naive_gflops", flops / t_ref / 1e9);
-      json->add(base + "_blocked_gflops", flops / t_blk / 1e9);
-      json->add(base + "_speedup", t_ref / t_blk);
-    }
+    std::printf("  %-28s %12.3f %12.2f\n", s.label, t_blk * 1e3, flops / t_blk / 1e9);
+    if (json && s.key) json->add(std::string(s.key) + "_blocked_gflops", flops / t_blk / 1e9);
   }
-  gemm::set_backend(gemm::Backend::kBlocked);
 }
 
 void w2a2_linear_table(bool fast, bench::JsonWriter* json) {
@@ -92,7 +77,6 @@ void w2a2_linear_table(bool fast, bench::JsonWriter* json) {
   };
   const Layer layers[] = {{"qkv", 64, 192}, {"proj", 64, 64}, {"fc1", 64, 128}, {"fc2", 128, 64}};
   Rng rng(5);
-  gemm::set_backend(gemm::Backend::kBlocked);
   std::printf("\n-- W2A2 Linear::infer (ternary codes through the blocked GEMM) --\n");
   std::printf("  %-6s %6s %14s %14s %9s\n", "layer", "rows", "fp32 us/call", "w2a2 us/call",
               "w2a2/fp32");
@@ -128,21 +112,9 @@ void bm_gemm_blocked_192(benchmark::State& state) {
   Tensor a({192, 192}), b({192, 192});
   rng.fill_normal(a, 0, 1);
   rng.fill_normal(b, 0, 1);
-  gemm::set_backend(gemm::Backend::kBlocked);
   for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b).data());
 }
 BENCHMARK(bm_gemm_blocked_192);
-
-void bm_gemm_reference_192(benchmark::State& state) {
-  Rng rng(7);
-  Tensor a({192, 192}), b({192, 192});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  gemm::set_backend(gemm::Backend::kReference);
-  for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b).data());
-  gemm::set_backend(gemm::Backend::kBlocked);
-}
-BENCHMARK(bm_gemm_reference_192);
 
 }  // namespace
 

@@ -17,17 +17,6 @@
 namespace ascend::nn::gemm {
 namespace {
 
-Backend init_backend() {
-  const char* v = std::getenv("ASCEND_GEMM");
-  if (v != nullptr && std::string_view(v) == "reference") return Backend::kReference;
-  return Backend::kBlocked;
-}
-
-Backend& backend_ref() {
-  static Backend b = init_backend();
-  return b;
-}
-
 template <bool ATrans>
 inline float a_elem(const float* a, int lda, int i, int p) {
   return ATrans ? a[static_cast<std::size_t>(p) * lda + i]
@@ -40,9 +29,9 @@ inline float b_elem(const float* b, int ldb, int p, int j) {
                 : b[static_cast<std::size_t>(p) * ldb + j];
 }
 
-// Seed-order naive loops (strided): the reference backend and the skinny-m
-// path. BTrans == false reproduces the axpy-with-zero-skip order of the
-// seed's matmul/matmul_tn; BTrans == true the dot order of matmul_nt.
+// Seed-order naive loops (strided): gemm_blocked's skinny-m path. BTrans ==
+// false reproduces the axpy-with-zero-skip order of the seed's
+// matmul/matmul_tn; BTrans == true the dot order of matmul_nt.
 template <bool ATrans, bool BTrans>
 void gemm_naive(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
                 int ldc) {
@@ -428,19 +417,7 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
   }
 }
 
-template <bool ATrans, bool BTrans>
-void gemm_dispatch(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-                   int ldc) {
-  if (backend() == Backend::kReference)
-    gemm_naive<ATrans, BTrans>(m, n, k, a, lda, b, ldb, c, ldc);
-  else
-    gemm_blocked<ATrans, BTrans>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
 }  // namespace
-
-Backend backend() { return backend_ref(); }
-void set_backend(Backend b) { backend_ref() = b; }
 
 bool kernel_supported(Kernel k) {
   switch (k) {
@@ -470,17 +447,17 @@ const char* kernel_name() { return tile_ref().name; }
 
 void gemm_nn(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc) {
-  gemm_dispatch<false, false>(m, n, k, a, lda, b, ldb, c, ldc);
+  gemm_blocked<false, false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc) {
-  gemm_dispatch<true, false>(m, n, k, a, lda, b, ldb, c, ldc);
+  gemm_blocked<true, false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc) {
-  gemm_dispatch<false, true>(m, n, k, a, lda, b, ldb, c, ldc);
+  gemm_blocked<false, true>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace ascend::nn::gemm

@@ -17,24 +17,12 @@
 // it, inside an enclosing parallel region (the per-head attention loops), or
 // without OpenMP, the call runs serially.
 //
-// Backend selection: the matmul/matmul_tn/matmul_nt wrappers in ops.h (and
-// Linear's W2A2 code path) consult backend(), initialised once
-// from the ASCEND_GEMM environment variable — "reference" selects the seed's
-// naive scalar loops for bit-exact reproduction of pre-kernel results;
-// anything else (or unset) selects the blocked kernels. set_backend()
-// overrides programmatically (tests/benches; not thread-safe against
-// in-flight GEMM calls).
+// Skinny outputs (fewer rows than the tier's MR) skip packing and run the
+// seed's naive loops in the seed's element order.
 
 namespace ascend::nn::gemm {
 
-enum class Backend { kBlocked, kReference };
-
-/// Active kernel backend (env-initialised; see header comment).
-Backend backend();
-/// Override the backend for this process (tests/benches only).
-void set_backend(Backend b);
-
-/// Micro-kernel tier of the blocked backend. kAuto resolves at startup to
+/// Micro-kernel tier of the blocked kernels. kAuto resolves at startup to
 /// the widest tier the CPU supports: base (SSE 4x8) -> avx2 (6x16 FMA) ->
 /// avx512 (8x32 FMA). The f32 FMA tiers chain every output element through
 /// one accumulator in k-ascending order, so avx2 and avx512 produce

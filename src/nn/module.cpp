@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/gemm.h"
-
 namespace ascend::nn {
 
 // ---------------------------------------------------------------------------
@@ -36,8 +34,7 @@ bool Linear::serves_ternary_codes() const {
   const auto ternary = [](const LsqQuantizer& q) {
     return q.enabled() && q.spec().qn == -1 && q.spec().qp == 1;
   };
-  return ternary(weight_quant_) && ternary(input_quant_) && input_quant_.calibrated() &&
-         gemm::backend() != gemm::Backend::kReference;
+  return ternary(weight_quant_) && ternary(input_quant_) && input_quant_.calibrated();
 }
 
 Tensor Linear::infer(const Tensor& x) const {

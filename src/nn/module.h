@@ -34,11 +34,9 @@ namespace ascend::nn {
 /// multiplies 0/±1 activation codes by the frozen weight codes
 /// (LsqQuantizer::frozen_ternary_codes) through the same blocked GEMM and
 /// scales the exact integer sums by fl(w_step * x_step) — one rounding per
-/// output, then the bias add. ASCEND_GEMM=reference serves the dense
-/// fake-quantized path instead, reproducing the seed's behaviour
-/// bit-exactly. A caller that can produce the activation codes more cheaply
-/// than x (vit::Mlp decides GELU's codes from fc1's output) hands them to
-/// infer_codes(), which runs the same GEMM -> scale -> bias tail.
+/// output, then the bias add. A caller that can produce the activation codes
+/// more cheaply than x (vit::Mlp decides GELU's codes from fc1's output) hands
+/// them to infer_codes(), which runs the same GEMM -> scale -> bias tail.
 /// Every snapshot is invalidated ("thawed") by any training-path
 /// forward()/backward(), by set_weight_quant()/set_input_quant() (the
 /// apply_precision path), and by thaw(). Mutating weight() directly outside
@@ -53,7 +51,7 @@ class Linear {
   /// snapshot (see class comment), activations are quantized per call.
   Tensor infer(const Tensor& x) const;
   /// True when infer() serves 0/±1 activation codes: ternary weight and
-  /// input specs, a calibrated input quantizer, and the blocked GEMM.
+  /// input specs and a calibrated input quantizer.
   bool serves_ternary_codes() const;
   /// infer() from activation codes already decided, i.e. elementwise
   /// ternary_code(x, s/2) for the input step s; requires

@@ -20,8 +20,6 @@ void check_rank2(const Tensor& t, const char* who) {
 constexpr float kInvSqrt2 = 0.7071067811865475f;
 constexpr float kInvSqrt2Pi = 0.3989422804014327f;
 
-bool use_reference_gemm() { return gemm::backend() == gemm::Backend::kReference; }
-
 // GELU as the product gelu_forward rounds: half(v) * gate(v).
 inline float gelu_half(float v) { return 0.5f * v; }
 inline float gelu_gate(float v) { return 1.0f + std::erf(v * kInvSqrt2); }
@@ -35,24 +33,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
   if (b.dim(0) != k) throw std::invalid_argument("matmul: inner dimension mismatch");
   Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  if (!use_reference_gemm()) {
-    gemm::gemm_nn(m, n, k, pa, k, pb, n, pc, n);
-    return c;
-  }
-  // ASCEND_GEMM=reference: the seed's naive loops, verbatim.
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
-  for (int i = 0; i < m; ++i) {
-    float* crow = pc + static_cast<std::size_t>(i) * n;
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = pa[static_cast<std::size_t>(i) * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + static_cast<std::size_t>(kk) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n);
   return c;
 }
 
@@ -62,23 +43,7 @@ Tensor matmul_tn(const Tensor& a_kxm, const Tensor& b_kxn) {
   const int k = a_kxm.dim(0), m = a_kxm.dim(1), n = b_kxn.dim(1);
   if (b_kxn.dim(0) != k) throw std::invalid_argument("matmul_tn: inner dimension mismatch");
   Tensor c({m, n});
-  const float* pa = a_kxm.data();
-  const float* pb = b_kxn.data();
-  float* pc = c.data();
-  if (!use_reference_gemm()) {
-    gemm::gemm_tn(m, n, k, pa, m, pb, n, pc, n);
-    return c;
-  }
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
-  for (int i = 0; i < m; ++i) {
-    float* crow = pc + static_cast<std::size_t>(i) * n;
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = pa[static_cast<std::size_t>(kk) * m + i];
-      if (av == 0.0f) continue;
-      const float* brow = pb + static_cast<std::size_t>(kk) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm::gemm_tn(m, n, k, a_kxm.data(), m, b_kxn.data(), n, c.data(), n);
   return c;
 }
 
@@ -88,25 +53,8 @@ Tensor matmul_nt(const Tensor& a_mxn, const Tensor& b_kxn) {
   const int m = a_mxn.dim(0), n = a_mxn.dim(1), k = b_kxn.dim(0);
   if (b_kxn.dim(1) != n) throw std::invalid_argument("matmul_nt: inner dimension mismatch");
   Tensor c({m, k});
-  const float* pa = a_mxn.data();
-  const float* pb = b_kxn.data();
-  float* pc = c.data();
-  if (!use_reference_gemm()) {
-    // C[m, k] = A[m, n] * B[k, n]^T: contraction over n.
-    gemm::gemm_nt(m, k, n, pa, n, pb, n, pc, k);
-    return c;
-  }
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
-  for (int i = 0; i < m; ++i) {
-    const float* arow = pa + static_cast<std::size_t>(i) * n;
-    float* crow = pc + static_cast<std::size_t>(i) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      const float* brow = pb + static_cast<std::size_t>(kk) * n;
-      float acc = 0.0f;
-      for (int j = 0; j < n; ++j) acc += arow[j] * brow[j];
-      crow[kk] = acc;
-    }
-  }
+  // C[m, k] = A[m, n] * B[k, n]^T: contraction over n.
+  gemm::gemm_nt(m, k, n, a_mxn.data(), n, b_kxn.data(), n, c.data(), k);
   return c;
 }
 

@@ -1,9 +1,8 @@
 #pragma once
 // ops.h — tensor kernels (matmuls, activations, softmax).
 //
-// The matmul wrappers dispatch to the blocked/tiled kernels in nn/gemm.h by
-// default; set ASCEND_GEMM=reference (or gemm::set_backend) to select the
-// seed's naive scalar loops for bit-exact reproduction of pre-kernel results.
+// The matmul wrappers check shapes and run the blocked/tiled kernels in
+// nn/gemm.h.
 
 #include "nn/tensor.h"
 
@@ -11,7 +10,7 @@ namespace ascend::nn {
 
 /// C[M,N] = A[M,K] * B[K,N].
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// C[M,N] = A^T[K,M]^T... i.e. C = A_t^T * B with A_t stored [K,M]: C[M,N], used for dW.
+/// C[M,N] = A^T * B[K,N] with A stored [K,M], used for dW.
 Tensor matmul_tn(const Tensor& a_kxm, const Tensor& b_kxn);
 /// C[M,K] = A[M,N] * B^T with B stored [K,N], used for dX.
 Tensor matmul_nt(const Tensor& a_mxn, const Tensor& b_kxn);

@@ -1,8 +1,8 @@
-// Blocked/tiled GEMM kernel subsystem (nn/gemm.h): blocked kernels vs the
-// seed's reference loops across awkward shapes, the W2A2 ternary-code
-// Linear::infer path (bitwise against integer code counts), run-to-run /
-// across-thread-count determinism, and ASCEND_GEMM=reference bit-exactness
-// vs the seed loops.
+// Blocked/tiled GEMM kernel subsystem (nn/gemm.h): the matmul wrappers and
+// the strided pointer kernels vs the seed's naive loops across awkward
+// shapes and every micro-kernel tier, the W2A2 ternary-code Linear::infer
+// path (bitwise against integer code counts), and run-to-run /
+// across-thread-count determinism.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "nn/attention.h"
 #include "nn/gemm.h"
 #include "nn/module.h"
 #include "nn/ops.h"
@@ -29,10 +29,10 @@ using namespace ascend::nn;
 
 namespace {
 
-/// Restores the process-wide kernel backend on scope exit.
-struct BackendGuard {
-  gemm::Backend saved = gemm::backend();
-  ~BackendGuard() { gemm::set_backend(saved); }
+/// Restores the process-wide micro-kernel tier on scope exit.
+struct KernelGuard {
+  gemm::Kernel saved = gemm::kernel();  // resolved tier, never kAuto
+  ~KernelGuard() { gemm::set_kernel(saved); }
 };
 
 /// OpenMP team width for the next parallel region; a no-op without OpenMP,
@@ -59,10 +59,15 @@ Tensor random_tensor(std::vector<int> shape, Rng& rng) {
   return t;
 }
 
+/// Largest |a - b|, or NaN when any difference is NaN (std::max would drop it).
 float max_abs_diff(const Tensor& a, const Tensor& b) {
   EXPECT_EQ(a.shape(), b.shape());
   float worst = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) worst = std::max(worst, std::fabs(a[i] - b[i]));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const float d = std::fabs(a[i] - b[i]);
+    if (std::isnan(d)) return d;
+    worst = std::max(worst, d);
+  }
   return worst;
 }
 
@@ -78,21 +83,78 @@ const std::vector<std::array<int, 3>> kAwkwardShapes = {
     {33, 16, 48}, {64, 64, 64}, {65, 67, 63}, {96, 96, 96}, {13, 280, 31},
 };
 
+// The seed's naive matmuls, reimplemented verbatim: the oracle the blocked
+// kernels are held to. matmul and matmul_tn accumulate in axpy order and
+// skip zero A elements; matmul_nt takes one dot product per output.
+Tensor seed_matmul(const Tensor& a, const Tensor& b) {
+  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor c({m, n});
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (int i = 0; i < m; ++i) {
+    float* crow = pc + static_cast<std::size_t>(i) * n;
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = pa[static_cast<std::size_t>(i) * k + kk];
+      if (av == 0.0f) continue;
+      const float* brow = pb + static_cast<std::size_t>(kk) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+/// C[M,N] = A^T * B with A stored [K,M].
+Tensor seed_matmul_tn(const Tensor& a_kxm, const Tensor& b_kxn) {
+  const int k = a_kxm.dim(0), m = a_kxm.dim(1), n = b_kxn.dim(1);
+  Tensor c({m, n});
+  const float* pa = a_kxm.data();
+  const float* pb = b_kxn.data();
+  float* pc = c.data();
+  for (int i = 0; i < m; ++i) {
+    float* crow = pc + static_cast<std::size_t>(i) * n;
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = pa[static_cast<std::size_t>(kk) * m + i];
+      if (av == 0.0f) continue;
+      const float* brow = pb + static_cast<std::size_t>(kk) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+/// C[M,K] = A * B^T with A stored [M,N] and B stored [K,N].
+Tensor seed_matmul_nt(const Tensor& a_mxn, const Tensor& b_kxn) {
+  const int m = a_mxn.dim(0), n = a_mxn.dim(1), k = b_kxn.dim(0);
+  Tensor c({m, k});
+  const float* pa = a_mxn.data();
+  const float* pb = b_kxn.data();
+  float* pc = c.data();
+  for (int i = 0; i < m; ++i) {
+    const float* arow = pa + static_cast<std::size_t>(i) * n;
+    float* crow = pc + static_cast<std::size_t>(i) * k;
+    for (int kk = 0; kk < k; ++kk) {
+      const float* brow = pb + static_cast<std::size_t>(kk) * n;
+      float acc = 0.0f;
+      for (int j = 0; j < n; ++j) acc += arow[j] * brow[j];
+      crow[kk] = acc;
+    }
+  }
+  return c;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Blocked kernels vs reference loops
+// Blocked kernels vs the seed loops
 // ---------------------------------------------------------------------------
 
 TEST(GemmBlocked, MatmulMatchesReferenceAcrossAwkwardShapes) {
-  BackendGuard guard;
   Rng rng(3);
   for (const auto& [m, k, n] : kAwkwardShapes) {
     const Tensor a = random_tensor({m, k}, rng);
     const Tensor b = random_tensor({k, n}, rng);
-    gemm::set_backend(gemm::Backend::kReference);
-    const Tensor ref = matmul(a, b);
-    gemm::set_backend(gemm::Backend::kBlocked);
+    const Tensor ref = seed_matmul(a, b);
     const Tensor got = matmul(a, b);
     // Long contractions (k > KC = 256 splits the k-block fold, and FMA
     // contraction differs between kernels) accumulate a little more rounding.
@@ -101,61 +163,111 @@ TEST(GemmBlocked, MatmulMatchesReferenceAcrossAwkwardShapes) {
 }
 
 TEST(GemmBlocked, MatmulTnMatchesReferenceAcrossAwkwardShapes) {
-  BackendGuard guard;
   Rng rng(4);
   for (const auto& [m, k, n] : kAwkwardShapes) {
     const Tensor a = random_tensor({k, m}, rng);  // stored transposed
     const Tensor b = random_tensor({k, n}, rng);
-    gemm::set_backend(gemm::Backend::kReference);
-    const Tensor ref = matmul_tn(a, b);
-    gemm::set_backend(gemm::Backend::kBlocked);
+    const Tensor ref = seed_matmul_tn(a, b);
     const Tensor got = matmul_tn(a, b);
     EXPECT_LE(max_abs_diff(ref, got), k <= 128 ? 1e-5f : 1e-4f) << m << "x" << k << "x" << n;
   }
 }
 
 TEST(GemmBlocked, MatmulNtMatchesReferenceAcrossAwkwardShapes) {
-  BackendGuard guard;
   Rng rng(5);
   for (const auto& [m, k, n] : kAwkwardShapes) {
     const Tensor a = random_tensor({m, k}, rng);
     const Tensor b = random_tensor({n, k}, rng);  // B stored [n, k]
-    gemm::set_backend(gemm::Backend::kReference);
-    const Tensor ref = matmul_nt(a, b);
-    gemm::set_backend(gemm::Backend::kBlocked);
+    const Tensor ref = seed_matmul_nt(a, b);
     const Tensor got = matmul_nt(a, b);
     EXPECT_LE(max_abs_diff(ref, got), k <= 128 ? 1e-5f : 1e-4f) << m << "x" << k << "x" << n;
   }
 }
 
-TEST(GemmBlocked, AttentionInferMatchesReferenceBackend) {
-  // Integration check for the strided pointer kernels: MSA::infer reads
-  // Q/K/V panels straight out of the fused qkv projection.
-  BackendGuard guard;
+// ---------------------------------------------------------------------------
+// Strided pointer kernels vs the seed loops
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Copies t into a row-major buffer with row stride ld >= t.dim(1); the
+/// padding columns hold `pad`.
+std::vector<float> strided_copy(const Tensor& t, int ld, float pad) {
+  const int rows = t.dim(0), cols = t.dim(1);
+  std::vector<float> buf(static_cast<std::size_t>(rows) * ld, pad);
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < cols; ++c) buf[static_cast<std::size_t>(r) * ld + c] = t.at(r, c);
+  return buf;
+}
+
+using GemmFn = void (*)(int, int, int, const float*, int, const float*, int, float*, int);
+
+struct StridedKernel {
+  const char* name;
+  GemmFn fn;
+  bool a_trans, b_trans;  ///< A stored [k,m]; B stored [n,k]
+  Tensor (*seed)(const Tensor&, const Tensor&);
+};
+
+}  // namespace
+
+TEST(GemmStrided, PointerKernelsAccumulateWithWideStridesOnEveryTier) {
+  // Attention calls the pointer kernels on panels of wider matrices (Q/K/V
+  // read out of the fused qkv rows, per-head tiles written into the merged
+  // output), so every leading dimension here exceeds its logical width. A
+  // and B padding holds NaN, which poisons any output that reads it; C
+  // starts nonzero (the kernels accumulate) and its padding must keep its
+  // bits.
+  const StridedKernel kernels[] = {
+      {"nn", gemm::gemm_nn, false, false, seed_matmul},
+      {"tn", gemm::gemm_tn, true, false, seed_matmul_tn},
+      {"nt", gemm::gemm_nt, false, true, seed_matmul_nt},
+  };
+  // {m, n, k}: m below every tier's MR, between the tiers' MRs, above all of
+  // them, and tall enough for several row blocks; k = 300 crosses KC = 256.
+  const std::array<int, 3> shapes[] = {
+      {3, 20, 37}, {5, 33, 300}, {7, 9, 16}, {37, 45, 300}, {200, 24, 40},
+  };
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kCPad = 7777.0f;
+  KernelGuard guard;
   Rng rng(6);
-  MultiHeadSelfAttention msa(16, 2, rng);
-  const int batch = 2, tokens = 5;
-  const Tensor x = random_tensor({batch * tokens, 16}, rng);
-  gemm::set_backend(gemm::Backend::kReference);
-  const Tensor ref = msa.infer(x, batch, tokens);
-  gemm::set_backend(gemm::Backend::kBlocked);
-  const Tensor got = msa.infer(x, batch, tokens);
-  EXPECT_LE(max_abs_diff(ref, got), 1e-5f);
+  for (const gemm::Kernel tier :
+       {gemm::Kernel::kBase, gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
+    if (!gemm::kernel_supported(tier)) continue;
+    gemm::set_kernel(tier);
+    for (const StridedKernel& kern : kernels)
+      for (const auto& [m, n, k] : shapes) {
+        SCOPED_TRACE(testing::Message() << gemm::kernel_name() << " " << kern.name << " m=" << m
+                                        << " n=" << n << " k=" << k);
+        const Tensor a = kern.a_trans ? random_tensor({k, m}, rng) : random_tensor({m, k}, rng);
+        const Tensor b = kern.b_trans ? random_tensor({n, k}, rng) : random_tensor({k, n}, rng);
+        const Tensor c0 = random_tensor({m, n}, rng);
+        const int lda = a.dim(1) + 3, ldb = b.dim(1) + 5, ldc = n + 7;
+        const std::vector<float> sa = strided_copy(a, lda, kNaN);
+        const std::vector<float> sb = strided_copy(b, ldb, kNaN);
+        std::vector<float> sc = strided_copy(c0, ldc, kCPad);
+        kern.fn(m, n, k, sa.data(), lda, sb.data(), ldb, sc.data(), ldc);
+
+        const Tensor product = kern.seed(a, b);
+        const float tol = k <= 128 ? 1e-5f : 1e-4f;
+        int wrong = 0, pad_touched = 0;
+        for (int i = 0; i < m; ++i) {
+          const float* crow = sc.data() + static_cast<std::size_t>(i) * ldc;
+          for (int j = 0; j < n; ++j)
+            if (!(std::fabs(crow[j] - (c0.at(i, j) + product.at(i, j))) <= tol)) ++wrong;
+          for (int j = n; j < ldc; ++j)
+            if (std::memcmp(&crow[j], &kCPad, sizeof(float)) != 0) ++pad_touched;
+        }
+        EXPECT_EQ(wrong, 0);
+        EXPECT_EQ(pad_touched, 0);
+      }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Micro-kernel tiers (base / avx2 / avx512)
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Restores the process-wide micro-kernel tier on scope exit.
-struct KernelGuard {
-  gemm::Kernel saved = gemm::kernel();  // resolved tier, never kAuto
-  ~KernelGuard() { gemm::set_kernel(saved); }
-};
-
-}  // namespace
 
 TEST(KernelTiers, NameAndQueryAgree) {
   KernelGuard guard;
@@ -179,8 +291,6 @@ TEST(KernelTiers, Avx512BitIdenticalToAvx2) {
   if (!gemm::kernel_supported(gemm::Kernel::kAvx512))
     GTEST_SKIP() << "host lacks AVX-512F";
   KernelGuard guard;
-  BackendGuard bguard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(19);
   for (const auto& [m, k, n] : {std::array<int, 3>{8, 64, 32},
                                 {65, 67, 63},
@@ -206,56 +316,14 @@ TEST(KernelTiers, Avx512MatchesReferenceAcrossAwkwardShapes) {
   if (!gemm::kernel_supported(gemm::Kernel::kAvx512))
     GTEST_SKIP() << "host lacks AVX-512F";
   KernelGuard guard;
-  BackendGuard bguard;
   gemm::set_kernel(gemm::Kernel::kAvx512);
   Rng rng(20);
   for (const auto& [m, k, n] : kAwkwardShapes) {
     const Tensor a = random_tensor({m, k}, rng);
     const Tensor b = random_tensor({k, n}, rng);
-    gemm::set_backend(gemm::Backend::kReference);
-    const Tensor ref = matmul(a, b);
-    gemm::set_backend(gemm::Backend::kBlocked);
+    const Tensor ref = seed_matmul(a, b);
     const Tensor got = matmul(a, b);
     EXPECT_LE(max_abs_diff(ref, got), k <= 128 ? 1e-5f : 1e-4f) << m << "x" << k << "x" << n;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ASCEND_GEMM=reference bit-exactness vs the seed loops
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The seed's naive matmul, reimplemented verbatim (tests/test_gemm.cpp is the
-// bit-exactness pin for the reference backend).
-Tensor seed_matmul(const Tensor& a, const Tensor& b) {
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int i = 0; i < m; ++i) {
-    float* crow = pc + static_cast<std::size_t>(i) * n;
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = pa[static_cast<std::size_t>(i) * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + static_cast<std::size_t>(kk) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-}  // namespace
-
-TEST(GemmReference, BitExactWithSeedLoops) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kReference);
-  Rng rng(7);
-  for (const auto& [m, k, n] : kAwkwardShapes) {
-    const Tensor a = random_tensor({m, k}, rng);
-    const Tensor b = random_tensor({k, n}, rng);
-    expect_bitwise_equal(matmul(a, b), seed_matmul(a, b), "reference matmul vs seed");
   }
 }
 
@@ -264,8 +332,6 @@ TEST(GemmReference, BitExactWithSeedLoops) {
 // ---------------------------------------------------------------------------
 
 TEST(GemmDeterminism, BlockedBitIdenticalRunToRun) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(8);
   const Tensor a = random_tensor({65, 67}, rng);
   const Tensor b = random_tensor({67, 63}, rng);
@@ -280,8 +346,6 @@ TEST(GemmDeterminism, BitIdenticalAcrossOpenMpTeamWidths) {
   // matmul sizes its own OpenMP team from m*n*k; row bands never change an
   // element's operation order, so every team width reproduces the serial
   // product bit-for-bit.
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(9);
   // Tall enough for several row bands on every tier (MC <= 192 rows).
   const int m = 400, k = 96, n = 70;
@@ -307,8 +371,6 @@ TEST(GemmDeterminism, SerialInsideAnEnclosingParallelRegion) {
   // A GEMM issued from inside a parallel region (the per-head attention
   // loops) runs serially on its caller's thread; every caller must
   // reproduce the serial product.
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(10);
   const int m = 300, k = 64, n = 48;
   const Tensor a = random_tensor({m, k}, rng);
@@ -347,8 +409,6 @@ struct W2a2Case {
 /// x >= x_step/2, -1 iff x <= -x_step/2. Row 0 is all zeros; row 1 sits
 /// exactly on the thresholds and one float inside them.
 void expect_w2a2_infer_matches_counts(const W2a2Case& tc, std::uint64_t seed) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(seed);
   Linear lin(tc.k, tc.n, rng);
   lin.weight_quant().restore_calibration(QuantSpec::ternary(), true, tc.w_step);
@@ -424,8 +484,6 @@ Tensor dense_linear_control(Linear& lin, const Tensor& x) {
 }  // namespace
 
 TEST(TernaryCodes, LinearInferMatchesDenseFrozenTernaryActivations) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(11);
   Linear lin(96, 80, rng);
   lin.set_weight_quant(QuantSpec::ternary());
@@ -444,8 +502,6 @@ TEST(TernaryCodes, LinearServesDenseWhenActivationsNotTernary) {
   // Ternary weights + full-precision activations: the dense blocked path
   // serves (no code snapshot is built), and matches per-call dense
   // requantization bit-exactly.
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(18);
   Linear lin(48, 29, rng);
   lin.set_weight_quant(QuantSpec::ternary());
@@ -461,8 +517,6 @@ TEST(TernaryCodes, LinearServesDenseWhenActivationsNotTernary) {
 TEST(TernaryCodes, UncalibratedInputServesDenseFakeQuant) {
   // An input quantizer that never latched a step has no fixed activation
   // step to scale codes by: the dense fake-quantized path serves instead.
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(21);
   Linear lin(40, 24, rng);
   lin.set_weight_quant(QuantSpec::ternary());
@@ -475,8 +529,6 @@ TEST(TernaryCodes, UncalibratedInputServesDenseFakeQuant) {
 }
 
 TEST(TernaryCodes, DeterministicRunToRun) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(13);
   Linear lin(128, 128, rng);
   lin.set_weight_quant(QuantSpec::ternary());
@@ -503,8 +555,6 @@ TEST(TernaryCodes, LevelsMatchDenseQuantization) {
 }
 
 TEST(TernaryCodes, ThawRules) {
-  BackendGuard guard;
-  gemm::set_backend(gemm::Backend::kBlocked);
   Rng rng(15);
   Linear lin(16, 12, rng);
   lin.set_weight_quant(QuantSpec::ternary());
@@ -541,23 +591,6 @@ TEST(TernaryCodes, ThawRules) {
   bool any_diff = false;
   for (std::size_t i = 0; i < after.size(); ++i) any_diff = any_diff || after[i] != before[i];
   EXPECT_TRUE(any_diff) << "thaw must rebuild the codes from the edited weights";
-}
-
-TEST(TernaryCodes, ReferenceBackendServesDenseBitExactly) {
-  // ASCEND_GEMM=reference disables the code path: Linear::infer must be
-  // bit-exact with the seed's dense frozen serving behaviour.
-  BackendGuard guard;
-  Rng rng(16);
-  Linear lin(24, 18, rng);
-  lin.set_weight_quant(QuantSpec::ternary());
-  lin.set_input_quant(QuantSpec::ternary());
-  const Tensor x = random_tensor({3, 24}, rng);
-  (void)lin.forward(x);
-  gemm::set_backend(gemm::Backend::kReference);
-  const Tensor served = lin.infer(x);
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
-  const Tensor dense = dense_linear_control(lin, x);
-  expect_bitwise_equal(served, dense, "reference backend dense serving");
 }
 
 TEST(TernaryCodes, ThrowsOnNonTernarySpec) {

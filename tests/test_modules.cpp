@@ -11,7 +11,6 @@
 #include <random>
 #include <vector>
 
-#include "nn/gemm.h"
 #include "nn/module.h"
 #include "test_util.h"
 #include "vit/model.h"
@@ -451,18 +450,7 @@ struct W2a2Mlp {
 
 }  // namespace
 
-/// Selects a GEMM backend for one scope, restoring the previous one.
-class BackendScope {
- public:
-  explicit BackendScope(gemm::Backend b) : saved_(gemm::backend()) { gemm::set_backend(b); }
-  ~BackendScope() { gemm::set_backend(saved_); }
-
- private:
-  gemm::Backend saved_;
-};
-
 TEST(MlpInfer, GeluCodePathBitExactWithUnfusedPath) {
-  const BackendScope blocked(gemm::Backend::kBlocked);
   for (const float step : {1e-9f, 0.05f, 0.3f, 0.9f, 2.5f, 40.0f}) {
     W2a2Mlp rig(step);
     ASSERT_TRUE(rig.mlp.fc2().serves_ternary_codes());
@@ -473,28 +461,17 @@ TEST(MlpInfer, GeluCodePathBitExactWithUnfusedPath) {
 }
 
 TEST(MlpInfer, DensePathWhenFc2ServesNoCodes) {
-  // ASCEND_GEMM=reference: Linear serves the dense fake-quantized path, and
-  // so must the MLP.
-  {
-    W2a2Mlp rig(0.3f);
-    const BackendScope reference(gemm::Backend::kReference);
-    EXPECT_FALSE(rig.mlp.fc2().serves_ternary_codes());
-    const vit::Mlp& cmlp = rig.mlp;
-    expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "reference backend");
-    EXPECT_FALSE(rig.mlp.fc2().input_quant().cuts_frozen());
-  }
-  // An uncalibrated fc2 input quantizer derives its step from each batch.
-  {
-    W2a2Mlp rig(0.3f);
-    rig.mlp.fc2().set_input_quant(QuantSpec::ternary());
-    EXPECT_FALSE(rig.mlp.fc2().serves_ternary_codes());
-    const vit::Mlp& cmlp = rig.mlp;
-    expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "uncalibrated fc2 input");
-  }
+  // An uncalibrated fc2 input quantizer derives its step from each batch:
+  // Linear serves the dense fake-quantized path, and so must the MLP.
+  W2a2Mlp rig(0.3f);
+  rig.mlp.fc2().set_input_quant(QuantSpec::ternary());
+  EXPECT_FALSE(rig.mlp.fc2().serves_ternary_codes());
+  const vit::Mlp& cmlp = rig.mlp;
+  expect_bitwise_equal(cmlp.infer(rig.x), rig.unfused(), "uncalibrated fc2 input");
+  EXPECT_FALSE(rig.mlp.fc2().input_quant().cuts_frozen());
 }
 
 TEST(MlpInfer, GeluCutsThawWithTheInputStep) {
-  const BackendScope blocked(gemm::Backend::kBlocked);
   W2a2Mlp rig(2.5f);
   const vit::Mlp& cmlp = rig.mlp;
   (void)cmlp.infer(rig.x);
