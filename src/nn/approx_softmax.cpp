@@ -6,20 +6,25 @@ namespace ascend::nn {
 
 namespace {
 
-// One Euler step over every row: y += (x*y - y*(x.y))/k. Shared by the
+// One Euler step over one row: y += (x*y - y*(x.y))/k. Shared by the
 // training forward and the const infer path so they cannot diverge.
+inline void approx_softmax_step_row(const float* xr, float* yr, int m, float invk) {
+  float s = 0.0f;
+  for (int i = 0; i < m; ++i) s += xr[i] * yr[i];
+  for (int i = 0; i < m; ++i) {
+    const float z = xr[i] * yr[i];
+    yr[i] += (z - yr[i] * s) * invk;
+  }
+}
+
+// One Euler step over every row (the training forward's per-step caches
+// need the whole tensor between steps).
 void approx_softmax_step(const Tensor& x, Tensor& y, float invk) {
   const int rows = x.dim(0), m = x.dim(1);
 #pragma omp parallel for schedule(static) if (rows > 16)
   for (int r = 0; r < rows; ++r) {
-    const float* xr = x.data() + static_cast<std::size_t>(r) * m;
-    float* yr = y.data() + static_cast<std::size_t>(r) * m;
-    float s = 0.0f;
-    for (int i = 0; i < m; ++i) s += xr[i] * yr[i];
-    for (int i = 0; i < m; ++i) {
-      const float z = xr[i] * yr[i];
-      yr[i] += (z - yr[i] * s) * invk;
-    }
+    const std::size_t off = static_cast<std::size_t>(r) * m;
+    approx_softmax_step_row(x.data() + off, y.data() + off, m, invk);
   }
 }
 
@@ -50,11 +55,28 @@ Tensor ApproxSoftmax::forward(const Tensor& x) {
   return y;
 }
 
+void ApproxSoftmax::infer_rows(const float* x, int rows, int m, float* y) const {
+  // Rows are independent, so running all k steps on one row before the next
+  // keeps forward()'s step-by-step bits.
+  const float init = 1.0f / static_cast<float>(m);
+  const float invk = 1.0f / static_cast<float>(k_);
+  for (int r = 0; r < rows; ++r) {
+    const float* xr = x + static_cast<std::size_t>(r) * m;
+    float* yr = y + static_cast<std::size_t>(r) * m;
+    for (int i = 0; i < m; ++i) yr[i] = init;
+    for (int j = 0; j < k_; ++j) approx_softmax_step_row(xr, yr, m, invk);
+  }
+}
+
 Tensor ApproxSoftmax::infer(const Tensor& x) const {
   if (x.rank() != 2) throw std::invalid_argument("ApproxSoftmax::infer: rank-2 required");
-  Tensor y({x.dim(0), x.dim(1)}, 1.0f / static_cast<float>(x.dim(1)));
-  const float invk = 1.0f / static_cast<float>(k_);
-  for (int j = 0; j < k_; ++j) approx_softmax_step(x, y, invk);
+  const int rows = x.dim(0), m = x.dim(1);
+  Tensor y = Tensor::uninitialized(x.shape());
+#pragma omp parallel for schedule(static) if (rows > 16)
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t off = static_cast<std::size_t>(r) * m;
+    infer_rows(x.data() + off, 1, m, y.data() + off);
+  }
   return y;
 }
 

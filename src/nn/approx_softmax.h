@@ -30,6 +30,9 @@ class ApproxSoftmax {
   Tensor backward(const Tensor& grad_out);
   /// Re-entrant forward: no per-step caches, bit-exact with forward().
   Tensor infer(const Tensor& x) const;
+  /// infer()'s row kernel, serially over `rows` rows of `m` floats from x
+  /// into y (attention's per-head score tiles); same bits as infer().
+  void infer_rows(const float* x, int rows, int m, float* y) const;
 
  private:
   int k_;

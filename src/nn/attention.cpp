@@ -1,20 +1,20 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/cache_line.h"
 #include "nn/gemm.h"
 
 namespace ascend::nn {
 
 namespace {
 
-// Shared forward/infer kernels; all state is caller-provided so the infer
-// path can keep its activations on the stack. All per-head products run
-// through the blocked GEMM kernels (nn/gemm.h) with strided panels — the
-// infer path reads Q/K/V straight out of the fused qkv projection and writes
-// per-head context tiles into the merged output, so no per-head Tensor is
-// ever allocated.
+// Training-path kernels over the gathered per-head caches that backward()
+// needs. infer() does not use them: its tile loop reads Q/K/V straight out of
+// the fused qkv projection through gemm.h's small-shape path, which keeps
+// these kernels' bits.
 
 /// Head-major gather of a [B*T, 3*dim] qkv projection into Q/K/V [B*H*T, dh]
 /// (training path only: backward needs the gathered caches).
@@ -38,38 +38,24 @@ void gather_qkv(const Tensor& qkv_out, int batch, int tokens, int heads, int dim
     }
 }
 
-/// Start of head g = b*heads + h's panel: b*batch_stride + h*head_stride.
-std::size_t panel_offset(int g, int heads, std::size_t batch_stride, std::size_t head_stride) {
-  return static_cast<std::size_t>(g / heads) * batch_stride +
-         static_cast<std::size_t>(g % heads) * head_stride;
-}
-
-/// Scores per (batch, head): S = Q K^T / sqrt(dh), flattened to [B*H*T, T].
-/// Head (b, h)'s Q/K panels start at panel_offset and their rows are `ld`
-/// apart, so callers can pass either the gathered [B*H*T, dh] caches
-/// (strides H*T*dh / T*dh, ld dh) or panels of the fused qkv output
-/// (strides T*3dim / dh, ld 3*dim).
-Tensor attention_scores_strided(const float* q, const float* k, int ld,
-                                std::size_t batch_stride, std::size_t head_stride, int batch,
-                                int heads, int tokens, int dh) {
+/// Scores per (batch, head) over the gathered [B*H*T, dh] caches:
+/// S = Q K^T / sqrt(dh), flattened to [B*H*T, T].
+Tensor attention_scores(const Tensor& q, const Tensor& k, int bh, int tokens, int dh) {
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-  const int bh = batch * heads;
   Tensor scores({bh * tokens, tokens});
 #pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
-    const std::size_t off = panel_offset(g, heads, batch_stride, head_stride);
+    const std::size_t off = static_cast<std::size_t>(g) * tokens * dh;
     float* s = scores.data() + static_cast<std::size_t>(g) * tokens * tokens;
-    gemm::gemm_nt(tokens, tokens, dh, q + off, ld, k + off, ld, s, tokens);
+    gemm::gemm_nt(tokens, tokens, dh, q.data() + off, dh, k.data() + off, dh, s, tokens);
     for (int i = 0; i < tokens * tokens; ++i) s[i] *= inv_sqrt_dh;
   }
   return scores;
 }
 
-/// Context: attn * V, merged back to [B*T, dim]. V panels are addressed like
-/// attention_scores_strided's Q/K.
-Tensor attention_context_strided(const Tensor& attn, const float* v, int ld,
-                                 std::size_t batch_stride, std::size_t head_stride, int batch,
-                                 int heads, int tokens, int dim, int dh) {
+/// Context: attn * V over the gathered V cache, merged back to [B*T, dim].
+Tensor attention_context(const Tensor& attn, const Tensor& v, int batch, int heads, int tokens,
+                         int dim, int dh) {
   const int bh = batch * heads;
   Tensor ctx({batch * tokens, dim});
 #pragma omp parallel for schedule(static)
@@ -78,10 +64,20 @@ Tensor attention_context_strided(const Tensor& attn, const float* v, int ld,
     const int h = g % heads;
     const float* a = attn.data() + static_cast<std::size_t>(g) * tokens * tokens;
     float* out = ctx.data() + static_cast<std::size_t>(b) * tokens * dim + h * dh;
-    const float* vh = v + panel_offset(g, heads, batch_stride, head_stride);
-    gemm::gemm_nn(tokens, dh, tokens, a, tokens, vh, ld, out, dim);
+    const float* vh = v.data() + static_cast<std::size_t>(g) * tokens * dh;
+    gemm::gemm_nn(tokens, dh, tokens, a, tokens, vh, dh, out, dim);
   }
   return ctx;
+}
+
+/// Grow-only per-thread tile scratch for infer(): one head's scores and
+/// probabilities. Kept across forwards, so a steady-state forward never
+/// touches the heap for it, and on cache lines of its own, since every head
+/// rewrites it.
+float* tile_scratch(std::size_t n) {
+  thread_local CacheLineVector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 }  // namespace
@@ -105,17 +101,12 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, int batch, int tokens) {
 
   const Tensor qkv_out = qkv_.forward(x);  // [B*T, 3*dim]
   gather_qkv(qkv_out, batch, tokens, heads_, dim_, dh_, cached_q_, cached_k_, cached_v_);
-  const std::size_t head_stride = static_cast<std::size_t>(tokens) * dh_;
-  const std::size_t batch_stride = heads_ * head_stride;
-  const Tensor scores = attention_scores_strided(cached_q_.data(), cached_k_.data(), dh_,
-                                                 batch_stride, head_stride, batch, heads_, tokens,
-                                                 dh_);
+  const Tensor scores = attention_scores(cached_q_, cached_k_, batch * heads_, tokens, dh_);
 
   cached_attn_ = softmax_kind_ == SoftmaxKind::kApprox ? approx_sm_.forward(scores)
                                                        : softmax_rows(scores);
 
-  const Tensor ctx = attention_context_strided(cached_attn_, cached_v_.data(), dh_, batch_stride,
-                                               head_stride, batch, heads_, tokens, dim_, dh_);
+  const Tensor ctx = attention_context(cached_attn_, cached_v_, batch, heads_, tokens, dim_, dh_);
   return proj_.forward(ctx);
 }
 
@@ -123,27 +114,33 @@ Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) con
   if (x.rank() != 2 || x.dim(1) != dim_ || x.dim(0) != batch * tokens)
     throw std::invalid_argument("MSA::infer: bad input shape");
 
-  // The serving path never materialises per-head Q/K/V tensors: the strided
-  // GEMM kernels read each head's Q/K/V panel straight out of the fused
-  // projection (row stride 3*dim) and write its context tile into the merged
-  // [B*T, dim] output, so the only allocations are scores/attn/ctx.
   const Tensor qkv_out = qkv_.infer(x);  // [B*T, 3*dim]
   const int ld = 3 * dim_;
-  const std::size_t batch_stride = static_cast<std::size_t>(tokens) * ld;
-  const float* q = qkv_out.data();
-  const Tensor scores = attention_scores_strided(q, q + dim_, ld, batch_stride, dh_, batch,
-                                                 heads_, tokens, dh_);
-
-  Tensor attn;
-  if (hook_)
-    attn = hook_(scores);
-  else if (softmax_kind_ == SoftmaxKind::kApprox)
-    attn = approx_sm_.infer(scores);
-  else
-    attn = softmax_rows(scores);
-
-  const Tensor ctx = attention_context_strided(attn, q + 2 * dim_, ld, batch_stride, dh_, batch,
-                                               heads_, tokens, dim_, dh_);
+  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh_));
+  const std::size_t tile = static_cast<std::size_t>(tokens) * tokens;
+  Tensor ctx({batch * tokens, dim_});
+  const int bh = batch * heads_;
+  // One tile pass per (batch, head): Q/K/V panels are read out of the fused
+  // projection (row stride 3*dim) and the context tile lands in its columns
+  // of the merged [B*T, dim] output.
+#pragma omp parallel for schedule(static)
+  for (int g = 0; g < bh; ++g) {
+    const int b = g / heads_, h = g % heads_;
+    const float* q = qkv_out.data() + static_cast<std::size_t>(b) * tokens * ld + h * dh_;
+    float* s = tile_scratch(2 * tile);
+    float* p = s + tile;
+    std::fill(s, p, 0.0f);
+    gemm::gemm_nt_small(tokens, tokens, dh_, q, ld, q + dim_, ld, s, tokens);
+    for (std::size_t i = 0; i < tile; ++i) s[i] *= inv_sqrt_dh;
+    if (hook_)
+      hook_(s, tokens, p);
+    else if (softmax_kind_ == SoftmaxKind::kApprox)
+      approx_sm_.infer_rows(s, tokens, tokens, p);
+    else
+      softmax_rows(s, tokens, tokens, p);
+    gemm::gemm_nn_small(tokens, dh_, tokens, p, tokens, q + 2 * dim_, ld,
+                        ctx.data() + static_cast<std::size_t>(b) * tokens * dim_ + h * dh_, dim_);
+  }
   return proj_.infer(ctx);
 }
 

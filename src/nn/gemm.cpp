@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
-#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -207,6 +206,107 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512(int kc, const float*
   }
 }
 
+// ---------------------------------------------------------------------------
+// Small-shape kernels (gemm_nn_small / gemm_nt_small).
+//
+// kernel(m, n, kc, a, lda, b, ldb, c, ldc) folds one KC block of
+// A[m,kc] * B[kc,n] into C, reading A and B in place. Every output lane
+// starts its chain at zero, walks p ascending with its tier's micro-kernel
+// arithmetic and folds into C once, which is what the blocked path does per
+// KC block; only the packing is gone. Rows go eight, then four, then one at
+// a time, so full blocks keep eight independent chains in flight.
+// ---------------------------------------------------------------------------
+
+template <int R>
+void small_rows_base(int n, int kc, const float* a, int lda, const float* b, int ldb, float* c,
+                     int ldc) {
+  int j0 = 0;
+  for (; j0 + 4 <= n; j0 += 4) {
+    __m128 acc[R];
+    for (auto& v : acc) v = _mm_setzero_ps();
+    for (int p = 0; p < kc; ++p) {
+      const __m128 bv = _mm_loadu_ps(b + static_cast<std::size_t>(p) * ldb + j0);
+      for (int r = 0; r < R; ++r)
+        acc[r] = _mm_add_ps(acc[r],
+                            _mm_mul_ps(_mm_set1_ps(a[static_cast<std::size_t>(r) * lda + p]), bv));
+    }
+    for (int r = 0; r < R; ++r) {
+      float* cr = c + static_cast<std::size_t>(r) * ldc + j0;
+      _mm_storeu_ps(cr, _mm_add_ps(_mm_loadu_ps(cr), acc[r]));
+    }
+  }
+  // SSE has no masked loads: the column tail runs the same chain one lane
+  // at a time.
+  for (; j0 < n; ++j0)
+    for (int r = 0; r < R; ++r) {
+      __m128 acc = _mm_setzero_ps();
+      for (int p = 0; p < kc; ++p)
+        acc = _mm_add_ss(acc, _mm_mul_ss(_mm_set_ss(a[static_cast<std::size_t>(r) * lda + p]),
+                                         _mm_set_ss(b[static_cast<std::size_t>(p) * ldb + j0])));
+      c[static_cast<std::size_t>(r) * ldc + j0] += _mm_cvtss_f32(acc);
+    }
+}
+
+template <int R>
+__attribute__((target("avx2,fma"))) void small_rows_avx2(int n, int kc, const float* a, int lda,
+                                                         const float* b, int ldb, float* c,
+                                                         int ldc) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (int j0 = 0; j0 < n; j0 += 8) {
+    const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(n - j0), lane);
+    __m256 acc[R];
+    for (auto& v : acc) v = _mm256_setzero_ps();
+    for (int p = 0; p < kc; ++p) {
+      const __m256 bv = _mm256_maskload_ps(b + static_cast<std::size_t>(p) * ldb + j0, mask);
+      for (int r = 0; r < R; ++r)
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + static_cast<std::size_t>(r) * lda + p),
+                                 bv, acc[r]);
+    }
+    for (int r = 0; r < R; ++r) {
+      float* cr = c + static_cast<std::size_t>(r) * ldc + j0;
+      _mm256_maskstore_ps(cr, mask, _mm256_add_ps(_mm256_maskload_ps(cr, mask), acc[r]));
+    }
+  }
+}
+
+template <int R>
+__attribute__((target("avx512f"))) void small_rows_avx512(int n, int kc, const float* a, int lda,
+                                                          const float* b, int ldb, float* c,
+                                                          int ldc) {
+  for (int j0 = 0; j0 < n; j0 += 16) {
+    const __mmask16 mask = static_cast<__mmask16>((1u << std::min(16, n - j0)) - 1u);
+    __m512 acc[R];
+    for (auto& v : acc) v = _mm512_setzero_ps();
+    for (int p = 0; p < kc; ++p) {
+      const __m512 bv = _mm512_maskz_loadu_ps(mask, b + static_cast<std::size_t>(p) * ldb + j0);
+      for (int r = 0; r < R; ++r)
+        acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a[static_cast<std::size_t>(r) * lda + p]), bv,
+                                 acc[r]);
+    }
+    for (int r = 0; r < R; ++r) {
+      float* cr = c + static_cast<std::size_t>(r) * ldc + j0;
+      _mm512_mask_storeu_ps(cr, mask, _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cr), acc[r]));
+    }
+  }
+}
+
+using SmallRowsFn = void (*)(int, int, const float*, int, const float*, int, float*, int);
+
+template <SmallRowsFn Rows8, SmallRowsFn Rows4, SmallRowsFn Rows1>
+void small_kernel(int m, int n, int kc, const float* a, int lda, const float* b, int ldb,
+                  float* c, int ldc) {
+  int i = 0;
+  for (; i + 8 <= m; i += 8)
+    Rows8(n, kc, a + static_cast<std::size_t>(i) * lda, lda, b, ldb,
+          c + static_cast<std::size_t>(i) * ldc, ldc);
+  for (; i + 4 <= m; i += 4)
+    Rows4(n, kc, a + static_cast<std::size_t>(i) * lda, lda, b, ldb,
+          c + static_cast<std::size_t>(i) * ldc, ldc);
+  for (; i < m; ++i)
+    Rows1(n, kc, a + static_cast<std::size_t>(i) * lda, lda, b, ldb,
+          c + static_cast<std::size_t>(i) * ldc, ldc);
+}
+
 #else  // !ASCEND_GEMM_X86
 
 // Portable scalar fallback: a 4 x 8 accumulator tile the compiler
@@ -229,12 +329,30 @@ void micro_kernel_base(int kc, const float* ap, const float* bp, float* c, int l
   }
 }
 
+// Small-shape kernel of the portable tier: micro_kernel_base's chain per
+// element, A and B read in place.
+void small_kernel_base(int m, int n, int kc, const float* a, int lda, const float* b, int ldb,
+                       float* c, int ldc) {
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int p = 0; p < kc; ++p)
+        acc += a[static_cast<std::size_t>(i) * lda + p] * b[static_cast<std::size_t>(p) * ldb + j];
+      c[static_cast<std::size_t>(i) * ldc + j] += acc;
+    }
+}
+
 #endif  // ASCEND_GEMM_X86
+
+/// small(m, n, kc, a, lda, b, ldb, c, ldc): one KC block of the small-shape
+/// path, in the tier's micro-kernel arithmetic.
+using SmallKernelFn = void (*)(int, int, int, const float*, int, const float*, int, float*, int);
 
 struct Tile {
   int mr;
   int nr;
   MicroKernelFn kernel;
+  SmallKernelFn small;
   Kernel id;         ///< resolved tier (never kAuto)
   const char* name;  ///< bench/metrics label
 };
@@ -253,14 +371,22 @@ Tile make_tile(Kernel k) {
 #ifdef ASCEND_GEMM_X86
   switch (k) {
     case Kernel::kAvx512:
-      return Tile{8, 32, &micro_kernel_avx512, Kernel::kAvx512, "avx512"};
+      return Tile{8, 32, &micro_kernel_avx512,
+                  &small_kernel<small_rows_avx512<8>, small_rows_avx512<4>, small_rows_avx512<1>>,
+                  Kernel::kAvx512, "avx512"};
     case Kernel::kAvx2:
-      return Tile{6, 16, &micro_kernel_avx2, Kernel::kAvx2, "avx2"};
+      return Tile{6, 16, &micro_kernel_avx2,
+                  &small_kernel<small_rows_avx2<8>, small_rows_avx2<4>, small_rows_avx2<1>>,
+                  Kernel::kAvx2, "avx2"};
     default:
       break;
   }
+  return Tile{4, 8, &micro_kernel_base,
+              &small_kernel<small_rows_base<8>, small_rows_base<4>, small_rows_base<1>>,
+              Kernel::kBase, "base"};
+#else
+  return Tile{4, 8, &micro_kernel_base, &small_kernel_base, Kernel::kBase, "base"};
 #endif
-  return Tile{4, 8, &micro_kernel_base, Kernel::kBase, "base"};
 }
 
 Kernel init_kernel() {
@@ -317,19 +443,23 @@ void pack_b_strip(const float* b, int ldb, int p0, int kc, int j0, int nr, int n
 // inside each KC block with KC blocks folding into C in order — fixed
 // regardless of tiling or row-band partitioning (determinism contract).
 constexpr int KC = 256;
+/// Row (MC) and column (NC) block sizes in micro-tiles of the active tier.
+constexpr int kMcPanels = 24;
+constexpr int kNcStrips = 15;
 
 /// Grow-only thread-local packing scratch: per-call heap allocation of the
 /// pack buffers would mmap/page-fault hundreds of KB on every GEMM. Each
 /// thread (caller or pool worker) keeps its own, so parallel row bands never
-/// share a buffer.
+/// share a buffer, and owns its cache lines (nn/cache_line.h): a small one
+/// (gemm_nt_small's transpose) is rewritten on every attention head.
 float* pack_scratch_a(std::size_t n) {
-  thread_local std::vector<float> buf;
+  thread_local CacheLineVector<float> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }
 
 float* pack_scratch_b(std::size_t n) {
-  thread_local std::vector<float> buf;
+  thread_local CacheLineVector<float> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }
@@ -349,9 +479,12 @@ int team_width(int m, int n, int k) {
   return 1;
 }
 
+/// `panels`, when given, is B already packed for the active tier in this
+/// function's block order (PackedB::panels); the (jc, pc) block then starts
+/// at jc * k + pc * nstrips * NR instead of being packed per call.
 template <bool ATrans, bool BTrans>
 void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
-                  int ldc) {
+                  int ldc, const float* panels = nullptr) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   const Tile& t = tile();
   const int MR = t.mr, NR = t.nr;
@@ -361,20 +494,25 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
     gemm_naive<ATrans, BTrans>(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
-  const int MC = 24 * MR;
-  const int NC = 15 * NR;
+  const int MC = kMcPanels * MR;
+  const int NC = kNcStrips * NR;
   const int threads = team_width(m, n, k);
-  float* bpack = pack_scratch_b(static_cast<std::size_t>(KC) * NC);
+  float* bpack = panels ? nullptr : pack_scratch_b(static_cast<std::size_t>(KC) * NC);
   for (int jc = 0; jc < n; jc += NC) {
     const int nc = std::min(NC, n - jc);
     const int nstrips = (nc + NR - 1) / NR;
     for (int pc = 0; pc < k; pc += KC) {
       const int kc = std::min(KC, k - pc);
-      for (int js = 0; js < nstrips; ++js) {
-        const int j0 = jc + js * NR;
-        pack_b_strip<BTrans>(b, ldb, pc, kc, j0, std::min(NR, n - j0), NR,
-                             bpack + static_cast<std::size_t>(js) * kc * NR);
-      }
+      const float* bblock = bpack;
+      if (panels)
+        bblock = panels + static_cast<std::size_t>(jc) * k +
+                 static_cast<std::size_t>(pc) * nstrips * NR;
+      else
+        for (int js = 0; js < nstrips; ++js) {
+          const int j0 = jc + js * NR;
+          pack_b_strip<BTrans>(b, ldb, pc, kc, j0, std::min(NR, n - j0), NR,
+                               bpack + static_cast<std::size_t>(js) * kc * NR);
+        }
       const int niblocks = (m + MC - 1) / MC;
       auto run_iblocks = [&](int ib0, int ib1) {
         float* apack = pack_scratch_a(static_cast<std::size_t>(MC) * kc);
@@ -390,7 +528,7 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
           for (int js = 0; js < nstrips; ++js) {
             const int j0 = jc + js * NR;
             const int nr = std::min(NR, n - j0);
-            const float* bp = bpack + static_cast<std::size_t>(js) * kc * NR;
+            const float* bp = bblock + static_cast<std::size_t>(js) * kc * NR;
             for (int is = 0; is < npanels; ++is) {
               const int i0 = ic + is * MR;
               t.kernel(kc, apack + static_cast<std::size_t>(is) * kc * MR, bp,
@@ -458,6 +596,66 @@ void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int l
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc) {
   gemm_blocked<false, true>(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+PackedB pack_b(int k, int n, const float* b, int ldb) {
+  const Tile& t = tile();
+  const int NR = t.nr, NC = kNcStrips * NR;
+  PackedB out;
+  out.k = k;
+  out.n = n;
+  out.tier = t.id;
+  out.panels.resize(static_cast<std::size_t>(k) * ((n + NR - 1) / NR) * NR);
+  // gemm_blocked's order: each (jc, pc) block's strips are contiguous, so
+  // walking the blocks in its loop order lands every block at its offset.
+  float* dst = out.panels.data();
+  for (int jc = 0; jc < n; jc += NC) {
+    const int nstrips = (std::min(NC, n - jc) + NR - 1) / NR;
+    for (int pc = 0; pc < k; pc += KC) {
+      const int kc = std::min(KC, k - pc);
+      for (int js = 0; js < nstrips; ++js, dst += static_cast<std::size_t>(kc) * NR) {
+        const int j0 = jc + js * NR;
+        pack_b_strip<false>(b, ldb, pc, kc, j0, std::min(NR, n - j0), NR, dst);
+      }
+    }
+  }
+  return out;
+}
+
+void gemm_nn_packed(int m, const float* a, int lda, const PackedB& bp, const float* b, int ldb,
+                    float* c, int ldc) {
+  const float* panels = bp.tier == tile().id ? bp.panels.data() : nullptr;
+  gemm_blocked<false, false>(m, bp.n, bp.k, a, lda, b, ldb, c, ldc, panels);
+}
+
+void gemm_nn_small(int m, int n, int k, const float* a, int lda, const float* b, int ldb,
+                   float* c, int ldc) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  const Tile& t = tile();
+  if (m < t.mr) {
+    gemm_naive<false, false>(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  for (int pc = 0; pc < k; pc += KC)
+    t.small(m, n, std::min(KC, k - pc), a + pc, lda, b + static_cast<std::size_t>(pc) * ldb, ldb,
+            c, ldc);
+}
+
+void gemm_nt_small(int m, int n, int k, const float* a, int lda, const float* b, int ldb,
+                   float* c, int ldc) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  if (m < tile().mr) {
+    gemm_naive<false, true>(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  // B^T [k, n] into this thread's B scratch, so the row-broadcast kernel
+  // reads contiguous rows.
+  float* bt = pack_scratch_b(static_cast<std::size_t>(k) * n);
+  for (int j = 0; j < n; ++j) {
+    const float* brow = b + static_cast<std::size_t>(j) * ldb;
+    for (int p = 0; p < k; ++p) bt[static_cast<std::size_t>(p) * n + j] = brow[p];
+  }
+  gemm_nn_small(m, n, k, a, lda, bt, n, c, ldc);
 }
 
 }  // namespace ascend::nn::gemm

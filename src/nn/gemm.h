@@ -14,11 +14,13 @@
 //
 // Threading: each call picks its own OpenMP team. Above 16384 multiply-adds
 // (m*n*k) the row bands run on omp_get_max_threads() threads; at or below
-// it, inside an enclosing parallel region (the per-head attention loops), or
-// without OpenMP, the call runs serially.
+// it, inside an enclosing parallel region (attention's (batch, head) tile
+// loop), or without OpenMP, the call runs serially.
 //
 // Skinny outputs (fewer rows than the tier's MR) skip packing and run the
 // seed's naive loops in the seed's element order.
+
+#include "nn/cache_line.h"
 
 namespace ascend::nn::gemm {
 
@@ -57,5 +59,39 @@ void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int l
 /// C[m,n] += A * B^T with B stored [n,k].
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc);
+
+/// A constant right-hand side B[k,n] packed once into one tier's NR-wide
+/// strips, laid out in gemm_nn's own block order (NC column blocks, then KC
+/// contraction blocks, then strips), so a matrix multiplied on every call
+/// (a Linear's frozen weight) skips the per-call B packing.
+struct PackedB {
+  int k = 0, n = 0;
+  Kernel tier = Kernel::kAuto;  ///< tier packed for; kAuto: nothing packed
+  CacheLineVector<float> panels;  ///< line-aligned: same loads in every process
+};
+
+/// Packs B[k,n] (row stride ldb) for the active tier.
+PackedB pack_b(int k, int n, const float* b, int ldb);
+
+/// C[m,n] += A[m,k] * B[k,n] with B supplied both unpacked (`b`, row stride
+/// ldb) and as its panels `bp` (k and n come from bp). Bit-identical with
+/// gemm_nn on the same operands: the panels feed the same micro-kernel in
+/// the same block order, m < MR runs the seed loop on `b`, and panels packed
+/// for another tier than the active one are ignored in favour of `b`.
+void gemm_nn_packed(int m, const float* a, int lda, const PackedB& bp, const float* b, int ldb,
+                    float* c, int ldc);
+
+/// Small-shape products for attention's per-head tiles: serial and without
+/// panel packing, reading B rows in place (gemm_nt_small transposes its B
+/// into thread-local scratch first). Each output element keeps the active
+/// tier's arithmetic — a zero-started chain per KC block, multiply then add
+/// on the base tier and fused multiply-adds on the FMA tiers, folded into C
+/// block by block — so the results are bit-identical with gemm_nn / gemm_nt
+/// on the same operands (m < MR runs the same seed loop). Meant for shapes
+/// of a few dozen rows and columns; larger ones belong on gemm_nn / gemm_nt.
+void gemm_nn_small(int m, int n, int k, const float* a, int lda, const float* b, int ldb,
+                   float* c, int ldc);
+void gemm_nt_small(int m, int n, int k, const float* a, int lda, const float* b, int ldb,
+                   float* c, int ldc);
 
 }  // namespace ascend::nn::gemm

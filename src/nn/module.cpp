@@ -6,6 +6,19 @@
 
 namespace ascend::nn {
 
+namespace {
+
+/// matmul(x, w) for a frozen matrix `w` (a weight snapshot, its codes, or
+/// the fp weight) multiplied through its prepacked panels; same bits.
+Tensor packed_matmul(const Tensor& x, const Tensor& w, const gemm::PackedB& panels) {
+  const int m = x.dim(0), k = w.dim(0), n = w.dim(1);
+  Tensor y({m, n});
+  gemm::gemm_nn_packed(m, x.data(), k, panels, w.data(), n, y.data(), n);
+  return y;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Linear
 // ---------------------------------------------------------------------------
@@ -55,7 +68,7 @@ Tensor Linear::infer(const Tensor& x) const {
     xq = &xq_store;
   }
   const Tensor& wq = weight_quant_.frozen_infer(w_.value);
-  Tensor y = matmul(*xq, wq);
+  Tensor y = packed_matmul(*xq, wq, weight_quant_.frozen_panels(w_.value, /*codes=*/false));
   add_bias(y);
   return y;
 }
@@ -69,7 +82,8 @@ Tensor Linear::infer_codes(const Tensor& codes) const {
   // Every partial sum is an integer below 2^24, so the GEMM is exact in any
   // order, and one multiply by fl(w_step * x_step) gives each output.
   const TernaryCodes& wc = weight_quant_.frozen_ternary_codes(w_.value);
-  Tensor y = matmul(codes, wc.levels);
+  Tensor y =
+      packed_matmul(codes, wc.levels, weight_quant_.frozen_panels(w_.value, /*codes=*/true));
   const float scale = wc.step * input_quant_.serving_step();
   for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
   add_bias(y);

@@ -37,6 +37,9 @@ namespace ascend::nn {
 /// output, then the bias add. A caller that can produce the activation codes
 /// more cheaply than x (vit::Mlp decides GELU's codes from fc1's output) hands
 /// them to infer_codes(), which runs the same GEMM -> scale -> bias tail.
+/// Either way the multiplied matrix (snapshot, codes, or the fp weight
+/// itself) is also packed once into the GEMM tier's panels
+/// (LsqQuantizer::frozen_panels), so no call re-packs it.
 /// Every snapshot is invalidated ("thawed") by any training-path
 /// forward()/backward(), by set_weight_quant()/set_input_quant() (the
 /// apply_precision path), and by thaw(). Mutating weight() directly outside

@@ -227,14 +227,10 @@ Tensor gelu_backward(const Tensor& x, const Tensor& grad_y) {
   return gx;
 }
 
-Tensor softmax_rows(const Tensor& x) {
-  check_rank2(x, "softmax_rows");
-  const int rows = x.dim(0), cols = x.dim(1);
-  Tensor y = Tensor::uninitialized(x.shape());
-#pragma omp parallel for schedule(static) if (rows > 16)
+void softmax_rows(const float* x, int rows, int cols, float* y) {
   for (int r = 0; r < rows; ++r) {
-    const float* xrow = x.data() + static_cast<std::size_t>(r) * cols;
-    float* row = y.data() + static_cast<std::size_t>(r) * cols;
+    const float* xrow = x + static_cast<std::size_t>(r) * cols;
+    float* row = y + static_cast<std::size_t>(r) * cols;
     float mx = xrow[0];
     for (int c = 1; c < cols; ++c) mx = std::max(mx, xrow[c]);
     float sum = 0.0f;
@@ -243,6 +239,17 @@ Tensor softmax_rows(const Tensor& x) {
       sum += row[c];
     }
     for (int c = 0; c < cols; ++c) row[c] /= sum;
+  }
+}
+
+Tensor softmax_rows(const Tensor& x) {
+  check_rank2(x, "softmax_rows");
+  const int rows = x.dim(0), cols = x.dim(1);
+  Tensor y = Tensor::uninitialized(x.shape());
+#pragma omp parallel for schedule(static) if (rows > 16)
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t off = static_cast<std::size_t>(r) * cols;
+    softmax_rows(x.data() + off, 1, cols, y.data() + off);
   }
   return y;
 }

@@ -58,6 +58,9 @@ void gelu_codes_inplace(Tensor& x, const GeluCodeCuts& cuts);
 /// Row-wise exact softmax over the last dimension of a rank-2 tensor, and
 /// its backward pass given the cached output.
 Tensor softmax_rows(const Tensor& x);
+/// The same row kernel, serially over `rows` rows of `cols` floats from x
+/// into y (attention's per-head score tiles).
+void softmax_rows(const float* x, int rows, int cols, float* y);
 Tensor softmax_rows_backward(const Tensor& y, const Tensor& grad_y);
 
 }  // namespace ascend::nn

@@ -76,6 +76,10 @@ void LsqQuantizer::thaw() {
   codes_valid_.store(false, std::memory_order_release);
   codes_ = TernaryCodes();
   cuts_valid_.store(false, std::memory_order_release);
+  for (FrozenPanels* fp : {&dense_panels_, &code_panels_}) {
+    fp->tier.store(gemm::Kernel::kAuto, std::memory_order_release);
+    fp->packed = gemm::PackedB();
+  }
 }
 
 const Tensor& LsqQuantizer::frozen_infer(const Tensor& x) const {
@@ -150,6 +154,20 @@ const TernaryCodes& LsqQuantizer::frozen_ternary_codes(const Tensor& x) const {
   return codes_;
 }
 
+const gemm::PackedB& LsqQuantizer::frozen_panels(const Tensor& x, bool codes) const {
+  FrozenPanels& fp = panels(codes);
+  const gemm::Kernel tier = gemm::kernel();
+  if (fp.tier.load(std::memory_order_acquire) == tier) return fp.packed;
+  // Resolve the source before taking the lock: its own build locks too.
+  const Tensor& src = codes ? frozen_ternary_codes(x).levels : frozen_infer(x);
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  if (fp.tier.load(std::memory_order_relaxed) != tier) {
+    fp.packed = gemm::pack_b(src.dim(0), src.dim(1), src.data(), src.dim(1));
+    fp.tier.store(tier, std::memory_order_release);
+  }
+  return fp.packed;
+}
+
 const GeluCodeCuts& LsqQuantizer::frozen_gelu_code_cuts() const {
   if (!spec_.enabled || spec_.qn != -1 || spec_.qp != 1)
     throw std::logic_error("LsqQuantizer::frozen_gelu_code_cuts: ternary spec required");
@@ -163,12 +181,14 @@ const GeluCodeCuts& LsqQuantizer::frozen_gelu_code_cuts() const {
 }
 
 Tensor LsqQuantizer::forward(const Tensor& x) {
-  if (!spec_.enabled) return x;
   // Training is about to move the step / the quantized tensor: any frozen
-  // serving snapshot (dense, codes or cuts) is stale from here on.
+  // serving snapshot (dense, codes, cuts or panels) is stale from here on.
+  // Panels exist under a disabled spec too (the weights themselves move).
   if (snap_valid_.load(std::memory_order_relaxed) ||
-      codes_valid_.load(std::memory_order_relaxed) || cuts_valid_.load(std::memory_order_relaxed))
+      codes_valid_.load(std::memory_order_relaxed) ||
+      cuts_valid_.load(std::memory_order_relaxed) || panels_frozen(false) || panels_frozen(true))
     thaw();
+  if (!spec_.enabled) return x;
   if (!initialized_) {
     step_.init_shape({1});
     step_.value[0] = lsq_init_step(x, spec_.qp);

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
@@ -123,8 +124,18 @@ class LsqQuantizer {
   /// as frozen_ternary_codes. Throws on a non-ternary spec.
   const GeluCodeCuts& frozen_gelu_code_cuts() const;
 
-  /// Drop the frozen snapshots (dense, codes and GELU code cuts); the next
-  /// frozen_* call rebuilds.
+  /// The matrix Linear::infer multiplies, packed once into the active GEMM
+  /// tier's panels (gemm::pack_b): the levels of frozen_ternary_codes(x)
+  /// when `codes`, else frozen_infer(x), which is `x` itself under a
+  /// disabled spec, so full-precision weights get a snapshot too. Same
+  /// double-checked build and thaw events as the other snapshots, plus a
+  /// training forward under a disabled spec; rebuilt when gemm::set_kernel
+  /// has changed the tier since packing. The panels are heap-owned even
+  /// when `x` is a borrowed view (an mmap'd checkpoint).
+  const gemm::PackedB& frozen_panels(const Tensor& x, bool codes) const;
+
+  /// Drop the frozen snapshots (dense, codes, GELU code cuts and panels);
+  /// the next frozen_* call rebuilds.
   void thaw();
   /// True while a frozen snapshot is live (exposed for tests/benches).
   bool frozen() const { return snap_valid_.load(std::memory_order_acquire); }
@@ -132,6 +143,10 @@ class LsqQuantizer {
   bool codes_frozen() const { return codes_valid_.load(std::memory_order_acquire); }
   /// True while a GELU code-cut snapshot is live.
   bool cuts_frozen() const { return cuts_valid_.load(std::memory_order_acquire); }
+  /// True while panels of the dense (`codes` false) or code matrix are live.
+  bool panels_frozen(bool codes) const {
+    return panels(codes).tier.load(std::memory_order_acquire) != gemm::Kernel::kAuto;
+  }
 
   float step() const { return step_.value.empty() ? 0.0f : step_.value[0]; }
   /// step() floored at 1e-6: the step the ternary code paths threshold at
@@ -166,6 +181,13 @@ class LsqQuantizer {
   mutable TernaryCodes codes_;
   mutable std::atomic<bool> cuts_valid_{false};
   mutable GeluCodeCuts cuts_{};
+  // frozen_panels' two slots; `tier` publishes them (kAuto: not built).
+  struct FrozenPanels {
+    std::atomic<gemm::Kernel> tier{gemm::Kernel::kAuto};
+    gemm::PackedB packed;
+  };
+  mutable FrozenPanels dense_panels_, code_panels_;
+  FrozenPanels& panels(bool codes) const { return codes ? code_panels_ : dense_panels_; }
 };
 
 }  // namespace ascend::nn

@@ -93,8 +93,9 @@ class SoftmaxLut {
   /// values to `out` (may alias `x`). Allocation-free at steady state.
   void operator()(const double* x, double* out) const;
 
-  /// Row-batched float entry for the serving softmax hook: `rows` consecutive
-  /// rows of config().m scores. Each output row equals the double overload's
+  /// Row-batched float entry for the serving softmax hook (one attention
+  /// head's score tile per call): `rows` consecutive rows of config().m
+  /// scores. Each output row equals the double overload's
   /// result on the widened row, cast to float. `out` may alias `scores`.
   void rows(const float* scores, int rows, float* out) const;
 

@@ -1,8 +1,9 @@
 #pragma once
 // thread_pool.h — fixed-size worker pool for the SC inference runtime.
 //
-// The engine's hot path is the per-activation SC nonlinear-block emulation
-// (softmax rows, GELU elements); those units are independent, so the pool's
+// The engine's hot path includes the per-activation SC nonlinear blocks
+// (GELU elements; the softmax runs inside attention's tile loop); those units
+// are independent, so the pool's
 // job is plain data parallelism: `submit` for fire-and-forget futures and
 // `parallel_for` for blocking chunked loops. Tasks submitted from one thread
 // run FIFO per worker; the destructor drains the queue before joining so no
@@ -13,8 +14,8 @@
 // are claimed under the pool mutex (no per-chunk task objects, futures, or
 // type-erased closures), and the body is passed by reference through a
 // function-pointer trampoline instead of a std::function. This is what keeps
-// the SC LUT hooks — which fan every attention softmax over the pool — off
-// the heap during serving (see runtime/arena.h for the tensor half of that
+// the SC GELU hooks — which fan every fc1 output over the pool — off the
+// heap during serving (see runtime/arena.h for the tensor half of that
 // story). Concurrent parallel_for calls from different threads interleave:
 // workers drain whichever jobs are live, oldest first.
 

@@ -380,7 +380,8 @@ void VisionTransformer::set_softmax_kind(nn::SoftmaxKind kind) {
   for (auto& blk : blocks_) blk.msa().set_softmax_kind(kind);
 }
 
-void VisionTransformer::set_infer_hooks(const nn::InferHook& softmax, const nn::InferHook& gelu) {
+void VisionTransformer::set_infer_hooks(const nn::SoftmaxTileHook& softmax,
+                                        const nn::InferHook& gelu) {
   for (auto& blk : blocks_) {
     blk.msa().set_softmax_hook(softmax);
     blk.mlp().set_gelu_hook(gelu);

@@ -155,7 +155,7 @@ class VisionTransformer {
   /// see a hook. An empty hook clears its slot: set_infer_hooks({}, {})
   /// clears both and cannot throw. Copying a non-empty hook may allocate;
   /// if that throws, earlier blocks keep the new hooks.
-  void set_infer_hooks(const nn::InferHook& softmax, const nn::InferHook& gelu);
+  void set_infer_hooks(const nn::SoftmaxTileHook& softmax, const nn::InferHook& gelu);
 
   std::vector<EncoderBlock>& blocks() { return blocks_; }
   /// Structural sub-layers, exposed for the checkpoint walker

@@ -12,42 +12,34 @@ namespace ascend::vit {
 namespace {
 
 using nn::InferHook;
+using nn::SoftmaxTileHook;
 using nn::Tensor;
 
-/// The SC softmax of `cfg` over score rows of `tokens` columns: rows of the
-/// LUT from `cache`, or the circuit emulator when `cache` is null.
-InferHook sc_softmax_hook(const ScInferenceConfig& cfg, int tokens, runtime::TfCache* cache,
-                          runtime::ThreadPool& pool) {
+/// The SC softmax of `cfg` over one head's score tile (rows of `tokens`
+/// columns): rows of the LUT from `cache`, or the circuit emulator when
+/// `cache` is null. Attention calls it inside its parallel head loop, so it
+/// runs right there, with no pool hop.
+SoftmaxTileHook sc_softmax_hook(const ScInferenceConfig& cfg, int tokens,
+                                runtime::TfCache* cache) {
   sc::SoftmaxIterConfig sm = cfg.softmax;
   sm.m = tokens;
   sm.validate();
   if (cache) {
+    // The LUT reads the float scores directly and writes into the caller's
+    // tile, so this hook performs no heap allocation.
     const runtime::SoftmaxLut* lut = &cache->softmax(sm);
-    return [lut, &pool](const Tensor& scores) {
-      // `out` is carved from the forward's arena when one is installed and
-      // the LUT reads the float scores directly, so at steady state this
-      // hook performs zero heap allocations.
-      Tensor out = Tensor::uninitialized(scores.shape());
-      const std::size_t m = static_cast<std::size_t>(scores.dim(1));
-      pool.parallel_for(0, scores.dim(0), [&](int lo, int hi) {
-        const std::size_t off = static_cast<std::size_t>(lo) * m;
-        lut->rows(scores.data() + off, hi - lo, out.data() + off);
-      });
-      return out;
-    };
+    return [lut](const float* scores, int rows, float* out) { lut->rows(scores, rows, out); };
   }
-  return [sm, &pool](const Tensor& scores) {
-    const int m = scores.dim(1);
-    Tensor out = Tensor::uninitialized(scores.shape());
-    pool.parallel_for(0, scores.dim(0), [&](int lo, int hi) {
-      std::vector<double> row(static_cast<std::size_t>(m));
-      for (int r = lo; r < hi; ++r) {
-        for (int c = 0; c < m; ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
-        const auto y = sc::softmax_iterative_sc(row, sm);
-        for (int c = 0; c < m; ++c) out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
-      }
-    });
-    return out;
+  return [sm](const float* scores, int rows, float* out) {
+    const std::size_t m = static_cast<std::size_t>(sm.m);
+    std::vector<double> row(m);
+    for (int r = 0; r < rows; ++r) {
+      const float* s = scores + static_cast<std::size_t>(r) * m;
+      for (std::size_t c = 0; c < m; ++c) row[c] = s[c];
+      const auto y = sc::softmax_iterative_sc(row, sm);
+      float* o = out + static_cast<std::size_t>(r) * m;
+      for (std::size_t c = 0; c < m; ++c) o[c] = static_cast<float>(y[c]);
+    }
   };
 }
 
@@ -101,15 +93,17 @@ class VitServable final : public runtime::Servable {
   /// config check passed — before the model changes; they then belong to
   /// this servable until destruction.
   void install_sc_hooks(const ScInferenceConfig& cfg, const ScServableOptions& opts, bool lut) {
-    if (!opts.pool)  // hardware_concurrency() 0 clamps to 1
-      owned_pool_ = std::make_unique<runtime::ThreadPool>(
-          static_cast<int>(std::thread::hardware_concurrency()));
-    runtime::ThreadPool& pool = opts.pool ? *opts.pool : *owned_pool_;
     runtime::TfCache* cache = nullptr;  // null: the circuit emulators
     if (lut) cache = opts.cache ? opts.cache : &runtime::global_tf_cache();
-    InferHook softmax, gelu;
-    if (cfg.use_sc_softmax) softmax = sc_softmax_hook(cfg, model_->config().tokens(), cache, pool);
-    if (cfg.use_sc_gelu) gelu = sc_gelu_hook(cfg, cache, pool);
+    SoftmaxTileHook softmax;
+    InferHook gelu;
+    if (cfg.use_sc_softmax) softmax = sc_softmax_hook(cfg, model_->config().tokens(), cache);
+    if (cfg.use_sc_gelu) {
+      if (!opts.pool)  // hardware_concurrency() 0 clamps to 1
+        owned_pool_ = std::make_unique<runtime::ThreadPool>(
+            static_cast<int>(std::thread::hardware_concurrency()));
+      gelu = sc_gelu_hook(cfg, cache, opts.pool ? *opts.pool : *owned_pool_);
+    }
     model_->set_infer_hooks(softmax, gelu);
   }
 

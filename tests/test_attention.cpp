@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "nn/attention.h"
+#include "nn/gemm.h"
 #include "test_util.h"
 
 using namespace ascend::nn;
@@ -80,57 +83,77 @@ TEST(Msa, ApproxDiffersFromExact) {
 }
 
 // The hook acts on the const infer path only: forward and backward keep the
-// float softmax whether or not a hook is installed.
+// float softmax whether or not a hook is installed. infer calls it once per
+// (batch, head) score tile, with one row per token.
 TEST(Msa, SoftmaxHookOverrides) {
+  const int batch = 2, tokens = 3, heads = 2;
   Rng rng(5);
-  MultiHeadSelfAttention msa(4, 1, rng);
+  MultiHeadSelfAttention msa(8, heads, rng);
   const MultiHeadSelfAttention& served = msa;
-  Tensor x({2, 4});
+  Tensor x({batch * tokens, 8});
   rng.fill_normal(x, 0, 1);
-  Tensor g({2, 4});
+  Tensor g({batch * tokens, 8});
   rng.fill_normal(g, 0, 1);
-  const Tensor plain = msa.forward(x, 1, 2);
+  const Tensor plain = msa.forward(x, batch, tokens);
   const Tensor plain_grad = msa.backward(g);
 
-  int calls = 0;
-  msa.set_softmax_hook([&calls](const Tensor& scores) {
+  // The hook runs inside infer's parallel head loop: count atomically.
+  std::atomic<int> calls{0}, bad_rows{0};
+  msa.set_softmax_hook([&](const float*, int rows, float* out) {
     ++calls;
-    return Tensor(scores.shape(), 1.0f / scores.dim(1));
+    if (rows != tokens) ++bad_rows;
+    for (int i = 0; i < rows * tokens; ++i) out[i] = 1.0f / static_cast<float>(tokens);
   });
-  const Tensor hooked = served.infer(x, 1, 2);
-  EXPECT_EQ(calls, 1);
+  const Tensor hooked = served.infer(x, batch, tokens);
+  EXPECT_EQ(calls.load(), batch * heads);
+  EXPECT_EQ(bad_rows.load(), 0);
   bool any_diff = false;
   for (std::size_t i = 0; i < plain.size(); ++i) any_diff |= hooked[i] != plain[i];
   EXPECT_TRUE(any_diff);  // uniform attention is not the float softmax
 
-  const Tensor fwd = msa.forward(x, 1, 2);
-  EXPECT_EQ(calls, 1);
+  const Tensor fwd = msa.forward(x, batch, tokens);
   const Tensor grad = msa.backward(g);
+  EXPECT_EQ(calls.load(), batch * heads);
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(fwd[i], plain[i]) << i;
     EXPECT_EQ(grad[i], plain_grad[i]) << i;
   }
 
   msa.set_softmax_hook({});  // an empty hook clears it
-  const Tensor cleared = served.infer(x, 1, 2);
-  EXPECT_EQ(calls, 1);
+  const Tensor cleared = served.infer(x, batch, tokens);
+  EXPECT_EQ(calls.load(), batch * heads);
   for (std::size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(cleared[i], plain[i]) << i;
 }
 
-// forward reads Q/K/V out of the gathered per-head caches, infer straight out
-// of the fused qkv panels; both must produce the same bits.
+// forward reads Q/K/V out of the gathered per-head caches through the
+// blocked GEMMs, infer straight out of the fused qkv panels through the
+// small-shape tile path; both must produce the same bits on every tier,
+// below and above each tier's MR rows.
 TEST(Msa, InferBitExactWithForward) {
-  const int batch = 2, tokens = 5;
-  for (const SoftmaxKind kind : {SoftmaxKind::kExact, SoftmaxKind::kApprox}) {
-    SCOPED_TRACE(kind == SoftmaxKind::kExact ? "exact" : "approx");
-    Rng rng(6);
-    MultiHeadSelfAttention msa(8, 2, rng, /*approx_k=*/2);
-    msa.set_softmax_kind(kind);
-    Tensor x({batch * tokens, 8});
-    rng.fill_normal(x, 0, 1.0);
-    const Tensor got = msa.infer(x, batch, tokens);
-    const Tensor want = msa.forward(x, batch, tokens);
-    ASSERT_EQ(got.shape(), want.shape());
-    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "element " << i;
+  const gemm::Kernel saved = gemm::kernel();
+  for (const gemm::Kernel tier :
+       {gemm::Kernel::kBase, gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
+    if (!gemm::kernel_supported(tier)) continue;
+    gemm::set_kernel(tier);
+    for (const int tokens : {5, 16, 37})
+      for (const int heads : {1, 4})
+        for (const int batch : {1, 3})
+          for (const SoftmaxKind kind : {SoftmaxKind::kExact, SoftmaxKind::kApprox}) {
+            SCOPED_TRACE(::testing::Message()
+                         << gemm::kernel_name() << " tokens=" << tokens << " heads=" << heads
+                         << " batch=" << batch
+                         << (kind == SoftmaxKind::kExact ? " exact" : " approx"));
+            Rng rng(6);
+            MultiHeadSelfAttention msa(16, heads, rng, /*approx_k=*/2);
+            msa.set_softmax_kind(kind);
+            Tensor x({batch * tokens, 16});
+            rng.fill_normal(x, 0, 1.0);
+            const Tensor got = msa.infer(x, batch, tokens);
+            const Tensor want = msa.forward(x, batch, tokens);
+            ASSERT_EQ(got.shape(), want.shape());
+            for (std::size_t i = 0; i < want.size(); ++i)
+              ASSERT_EQ(got[i], want[i]) << "element " << i;
+          }
   }
+  gemm::set_kernel(saved);
 }

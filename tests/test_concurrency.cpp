@@ -600,6 +600,31 @@ TEST(SnapshotConcurrency, ConcurrentTernaryCodesFirstInferAgrees) {
       ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;
 }
 
+TEST(SnapshotConcurrency, ConcurrentFpPanelsFirstInferAgrees) {
+  // A full-precision Linear's first infers race the weight-panel build
+  // (double-checked under the quantizer's mutex); 16 rows take the packed
+  // path on every tier, and every result must equal a fresh matmul.
+  nn::Rng rng(37);
+  nn::Linear lin(40, 36, rng, /*bias=*/false);
+  nn::Tensor x({16, 40});
+  rng.fill_normal(x, 0, 1);
+  ASSERT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+
+  constexpr int kThreads = 8;
+  std::vector<nn::Tensor> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  const nn::Linear& clin = lin;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = clin.infer(x); });
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  const nn::Tensor want = nn::matmul(x, lin.weight().value);
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], want[i]) << "thread " << t;
+}
+
 TEST(SnapshotConcurrency, ConcurrentGeluCodeCutsFirstInferAgrees) {
   // W2A2 MLP: every thread's first infer races the fc2 input quantizer's
   // GELU code-cut build; every result must equal the unfused serial path.

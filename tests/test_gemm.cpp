@@ -266,6 +266,145 @@ TEST(GemmStrided, PointerKernelsAccumulateWithWideStridesOnEveryTier) {
 }
 
 // ---------------------------------------------------------------------------
+// Prepacked B panels (gemm_nn_packed) and the small-shape path
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct TierShape {
+  gemm::Kernel tier;
+  int mr, nr;  ///< the tier's micro-tile
+};
+
+constexpr TierShape kTiers[] = {
+    {gemm::Kernel::kBase, 4, 8}, {gemm::Kernel::kAvx2, 6, 16}, {gemm::Kernel::kAvx512, 8, 32}};
+constexpr int kKc = 256;      // gemm.cpp's contraction block
+constexpr int kNcStrips = 15;  // NC = 15 * NR
+
+/// A[m,k] and B[k,n] stored with wide strides and NaN padding, and C[m,n]
+/// stored with a wide stride and a constant pad, as the strided test above.
+struct StridedOperands {
+  int m, n, k, lda, ldb, ldc;
+  std::vector<float> a, b, c;
+};
+
+StridedOperands strided_operands(int m, int n, int k, bool b_trans, Rng& rng) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const Tensor a = random_tensor({m, k}, rng);
+  const Tensor b = b_trans ? random_tensor({n, k}, rng) : random_tensor({k, n}, rng);
+  const Tensor c0 = random_tensor({m, n}, rng);
+  StridedOperands op{m, n, k, k + 3, b.dim(1) + 5, n + 7, {}, {}, {}};
+  op.a = strided_copy(a, op.lda, kNaN);
+  op.b = strided_copy(b, op.ldb, kNaN);
+  op.c = strided_copy(c0, op.ldc, 7777.0f);
+  return op;
+}
+
+/// Bitwise equality of two C buffers, padding included.
+void expect_same_buffer(const std::vector<float>& got, const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0);
+}
+
+}  // namespace
+
+TEST(GemmPacked, BitwiseEqualsGemmNnOnEveryTier) {
+  KernelGuard guard;
+  Rng rng(40);
+  for (const TierShape& ts : kTiers) {
+    if (!gemm::kernel_supported(ts.tier)) continue;
+    gemm::set_kernel(ts.tier);
+    const int nc = kNcStrips * ts.nr;
+    // {m, n, k}: m < MR, m = MR, n not a multiple of NR, k > KC (two K
+    // blocks), n > NC (two N blocks), and a tall case with several row blocks.
+    const std::array<int, 3> shapes[] = {{ts.mr - 1, 45, 37},      {ts.mr, 45, 37},
+                                         {ts.mr + 5, ts.nr + 3, 40}, {17, 33, kKc + 44},
+                                         {9, nc + 5, 24},            {230, 70, 64}};
+    for (const auto& [m, n, k] : shapes) {
+      SCOPED_TRACE(testing::Message() << gemm::kernel_name() << " m=" << m << " n=" << n
+                                      << " k=" << k);
+      StridedOperands op = strided_operands(m, n, k, /*b_trans=*/false, rng);
+      const gemm::PackedB bp = gemm::pack_b(k, n, op.b.data(), op.ldb);
+      EXPECT_EQ(bp.tier, ts.tier);
+      std::vector<float> want = op.c;
+      gemm::gemm_nn(m, n, k, op.a.data(), op.lda, op.b.data(), op.ldb, want.data(), op.ldc);
+      gemm::gemm_nn_packed(m, op.a.data(), op.lda, bp, op.b.data(), op.ldb, op.c.data(), op.ldc);
+      expect_same_buffer(op.c, want);
+    }
+  }
+}
+
+TEST(GemmPacked, PanelsOfAnotherTierFallBackToTheActiveTier) {
+  // Panels packed under one tier and multiplied under another must give
+  // the multiplying tier's gemm_nn bits.
+  KernelGuard guard;
+  Rng rng(41);
+  const int m = 24, n = 50, k = 70;
+  for (const TierShape& pack_tier : kTiers)
+    for (const TierShape& run_tier : kTiers) {
+      if (!gemm::kernel_supported(pack_tier.tier) || !gemm::kernel_supported(run_tier.tier))
+        continue;
+      gemm::set_kernel(pack_tier.tier);
+      StridedOperands op = strided_operands(m, n, k, /*b_trans=*/false, rng);
+      const gemm::PackedB bp = gemm::pack_b(k, n, op.b.data(), op.ldb);
+      gemm::set_kernel(run_tier.tier);
+      SCOPED_TRACE(testing::Message() << "packed " << static_cast<int>(pack_tier.tier)
+                                      << ", run " << gemm::kernel_name());
+      std::vector<float> want = op.c;
+      gemm::gemm_nn(m, n, k, op.a.data(), op.lda, op.b.data(), op.ldb, want.data(), op.ldc);
+      gemm::gemm_nn_packed(m, op.a.data(), op.lda, bp, op.b.data(), op.ldb, op.c.data(), op.ldc);
+      expect_same_buffer(op.c, want);
+    }
+}
+
+TEST(GemmSmall, RowsEqualATallerPackedCallOnEveryTier) {
+  // The no-pack small-shape path must keep each tier's per-element
+  // arithmetic: its rows equal the same rows of a taller call that takes the
+  // packed path (gemm_nn_packed, and gemm_nt for the transposed kernel),
+  // across the KC boundary. Below MR both sides run the seed loop.
+  KernelGuard guard;
+  Rng rng(42);
+  constexpr int kTall = 40;
+  for (const TierShape& ts : kTiers) {
+    if (!gemm::kernel_supported(ts.tier)) continue;
+    gemm::set_kernel(ts.tier);
+    for (const int k : {kKc, kKc + 1})
+      for (const int m : {ts.mr - 1, ts.mr, 13, 16})
+        for (const int n : {16, 21})
+          for (const bool b_trans : {false, true}) {
+            SCOPED_TRACE(testing::Message() << gemm::kernel_name() << (b_trans ? " nt" : " nn")
+                                            << " m=" << m << " n=" << n << " k=" << k);
+            StridedOperands tall = strided_operands(kTall, n, k, b_trans, rng);
+            // The small call reads the first m rows of the tall operands.
+            std::vector<float> small_c = tall.c;
+            if (b_trans)
+              gemm::gemm_nt_small(m, n, k, tall.a.data(), tall.lda, tall.b.data(), tall.ldb,
+                                  small_c.data(), tall.ldc);
+            else
+              gemm::gemm_nn_small(m, n, k, tall.a.data(), tall.lda, tall.b.data(), tall.ldb,
+                                  small_c.data(), tall.ldc);
+            // Reference: the taller packed call, or gemm_* itself below MR.
+            const int ref_m = m < ts.mr ? m : kTall;
+            std::vector<float> ref_c = tall.c;
+            if (b_trans) {
+              gemm::gemm_nt(ref_m, n, k, tall.a.data(), tall.lda, tall.b.data(), tall.ldb,
+                            ref_c.data(), tall.ldc);
+            } else {
+              const gemm::PackedB bp = gemm::pack_b(k, n, tall.b.data(), tall.ldb);
+              gemm::gemm_nn_packed(ref_m, tall.a.data(), tall.lda, bp, tall.b.data(), tall.ldb,
+                                   ref_c.data(), tall.ldc);
+            }
+            const std::size_t live = static_cast<std::size_t>(m) * tall.ldc;
+            EXPECT_EQ(std::memcmp(small_c.data(), ref_c.data(), live * sizeof(float)), 0);
+            // Rows past m are untouched.
+            EXPECT_EQ(std::memcmp(small_c.data() + live, tall.c.data() + live,
+                                  (small_c.size() - live) * sizeof(float)),
+                      0);
+          }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Micro-kernel tiers (base / avx2 / avx512)
 // ---------------------------------------------------------------------------
 
@@ -559,34 +698,51 @@ TEST(TernaryCodes, ThawRules) {
   Linear lin(16, 12, rng);
   lin.set_weight_quant(QuantSpec::ternary());
   lin.set_input_quant(QuantSpec::ternary());
-  const Tensor x = random_tensor({2, 16}, rng);
+  // 10 rows (>= every tier's MR): infer multiplies through the code panels.
+  const Tensor x = random_tensor({10, 16}, rng);
+  const LsqQuantizer& wq = lin.weight_quant();
+  const auto frozen = [&] { return wq.codes_frozen() && wq.panels_frozen(/*codes=*/true); };
+  const auto thawed = [&] { return !wq.codes_frozen() && !wq.panels_frozen(/*codes=*/true); };
   (void)lin.forward(x);
-  (void)lin.infer(x);  // freeze the code snapshot
-  ASSERT_TRUE(lin.weight_quant().codes_frozen());
+  (void)lin.infer(x);  // freeze the code snapshot and its panels
+  ASSERT_TRUE(frozen());
 
   // Training forward thaws.
   (void)lin.forward(x);
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+  EXPECT_TRUE(thawed());
 
   // reset_spec (the apply_precision path) thaws.
   (void)lin.infer(x);
-  ASSERT_TRUE(lin.weight_quant().codes_frozen());
+  ASSERT_TRUE(frozen());
   lin.set_weight_quant(QuantSpec::ternary());
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+  EXPECT_TRUE(thawed());
 
   // restore_calibration (the checkpoint load path) thaws.
   (void)lin.forward(x);  // re-latch the step under the new spec
   (void)lin.infer(x);
-  ASSERT_TRUE(lin.weight_quant().codes_frozen());
+  ASSERT_TRUE(frozen());
   lin.weight_quant().restore_calibration(QuantSpec::ternary(), true, lin.weight_quant().step());
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+  EXPECT_TRUE(thawed());
+
+  // A tier change rebuilds the panels for the new tier, same bits.
+  const Tensor served = lin.infer(x);
+  {
+    KernelGuard guard;
+    for (const gemm::Kernel tier :
+         {gemm::Kernel::kBase, gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
+      if (!gemm::kernel_supported(tier)) continue;
+      gemm::set_kernel(tier);
+      expect_bitwise_equal(lin.infer(x), served, gemm::kernel_name());
+      EXPECT_EQ(wq.frozen_panels(lin.weight().value, /*codes=*/true).tier, tier);
+    }
+  }
 
   // Manual thaw + weight edit: the rebuilt snapshot must see the new weights.
   const Tensor before = lin.infer(x);
   for (std::size_t i = 0; i < lin.weight().value.size(); ++i)
     lin.weight().value[i] = -lin.weight().value[i];
   lin.thaw();
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+  EXPECT_TRUE(thawed());
   const Tensor after = lin.infer(x);
   bool any_diff = false;
   for (std::size_t i = 0; i < after.size(); ++i) any_diff = any_diff || after[i] != before[i];

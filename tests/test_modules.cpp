@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "nn/optim.h"
 #include "test_util.h"
 #include "vit/model.h"
 
@@ -249,18 +250,71 @@ TEST(InferPath, LinearThawRebuildsSnapshotAfterDirectWeightEdit) {
   Rng rng(22);
   Linear lin(4, 4, rng);
   lin.set_weight_quant(QuantSpec::ternary());
-  Tensor x({2, 4});
+  // 12 rows: at least every GEMM tier's MR, so infer multiplies through the
+  // prepacked panels rather than the skinny seed loop.
+  Tensor x({12, 4});
   rng.fill_normal(x, 0, 1);
   (void)lin.forward(x);
   (void)lin.infer(x);  // freeze
+  ASSERT_TRUE(lin.weight_quant().frozen());
+  ASSERT_TRUE(lin.weight_quant().panels_frozen(/*codes=*/false));
   lin.weight().value[0] += 10.0f;  // out-of-band edit: snapshot is now stale
   lin.thaw();
+  EXPECT_FALSE(lin.weight_quant().frozen());
+  EXPECT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
   const Tensor after = lin.infer(x);
   const Tensor manual = matmul(lin.input_quant().infer(x),
                                lin.weight_quant().infer(lin.weight().value));
   for (int r = 0; r < after.dim(0); ++r)
     for (int c = 0; c < after.dim(1); ++c)
       EXPECT_EQ(after.at(r, c), manual.at(r, c) + lin.bias().value[static_cast<std::size_t>(c)]);
+}
+
+// A full-precision Linear (disabled specs) has no quantized snapshot, but its
+// weight is still packed once into panels: training and thaw() must drop
+// them, or infer would serve weights the optimizer has since moved.
+TEST(InferPath, FpLinearPanelsFollowTrainingAndThaw) {
+  Rng rng(23);
+  Linear lin(24, 20, rng);
+  Tensor x({16, 24});
+  rng.fill_normal(x, 0, 1);
+  Tensor g({16, 20});
+  rng.fill_normal(g, 0, 1);
+  const Linear& served = lin;
+  const auto expect_fresh = [&](const char* what) {
+    Tensor want = matmul(x, lin.weight().value);
+    for (int r = 0; r < want.dim(0); ++r)
+      for (int c = 0; c < want.dim(1); ++c)
+        want.at(r, c) += lin.bias().value[static_cast<std::size_t>(c)];
+    const Tensor got = served.infer(x);
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << what << " " << i;
+  };
+
+  expect_fresh("first infer");
+  ASSERT_TRUE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  EXPECT_FALSE(lin.weight_quant().frozen());  // no quantized snapshot under fp
+
+  // Training step: forward thaws, the optimizer moves the weights.
+  AdamW opt([&] {
+    std::vector<Param*> ps;
+    lin.collect_params(ps);
+    return ps;
+  }(), /*lr=*/0.05f);
+  opt.zero_grad();
+  (void)lin.forward(x);
+  EXPECT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  (void)lin.backward(g);
+  opt.step();
+  (void)lin.forward(x);
+  expect_fresh("infer after a training step");
+
+  // Direct weight edit followed by thaw().
+  for (std::size_t i = 0; i < lin.weight().value.size(); ++i)
+    lin.weight().value[i] = -lin.weight().value[i];
+  lin.thaw();
+  EXPECT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  expect_fresh("infer after a weight edit and thaw");
 }
 
 TEST(InferPath, LayerNormBitExactWithForward) {

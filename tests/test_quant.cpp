@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/quant.h"
 #include "nn/rng.h"
 
@@ -189,25 +190,47 @@ TEST(LsqQuantizerTest, FrozenSnapshotThawedByResetSpecAndTraining) {
   rng.fill_normal(w, 0, 1);
   (void)q.forward(w);
   (void)q.frozen_infer(w);
+  (void)q.frozen_panels(w, /*codes=*/false);
+  (void)q.frozen_panels(w, /*codes=*/true);
   ASSERT_TRUE(q.frozen());
+  ASSERT_TRUE(q.panels_frozen(false));
+  ASSERT_TRUE(q.panels_frozen(true));
 
-  // reset_spec (the apply_precision path) must thaw; the rebuilt snapshot
-  // reflects the new spec, bit-exact with the per-call path.
+  // reset_spec (the apply_precision path) must thaw, panels included; the
+  // rebuilt snapshot reflects the new spec, bit-exact with the per-call path.
   q.reset_spec(QuantSpec::from_bsl(16));
   EXPECT_FALSE(q.frozen());
+  EXPECT_FALSE(q.panels_frozen(false));
+  EXPECT_FALSE(q.panels_frozen(true));
   const Tensor fresh = q.infer(w);
   const Tensor& rebuilt = q.frozen_infer(w);
   for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(rebuilt[i], fresh[i]);
+  // The panels pack the rebuilt snapshot: unit-vector probes through them
+  // (8 rows, enough for every tier to take the packed path) pick out its rows.
+  const gemm::PackedB& panels = q.frozen_panels(w, /*codes=*/false);
+  EXPECT_EQ(panels.tier, gemm::kernel());
+  Tensor probe({8, 4}), rows({8, 4});
+  for (int r = 0; r < 8; ++r) probe.at(r, r % 4) = 1.0f;
+  gemm::gemm_nn_packed(8, probe.data(), 4, panels, rebuilt.data(), 4, rows.data(), 4);
+  for (int r = 0; r < 8; ++r)
+    for (int c = 0; c < 4; ++c) EXPECT_EQ(rows.at(r, c), rebuilt.at(r % 4, c));
 
   // A training forward must thaw too (the step is about to move).
   (void)q.forward(w);
   EXPECT_FALSE(q.frozen());
+  EXPECT_FALSE(q.panels_frozen(false));
 
-  // Disabled spec: frozen_infer is the identity and never freezes.
+  // Disabled spec: frozen_infer is the identity and never freezes, but the
+  // panels of the unquantized matrix are a snapshot, dropped by a training
+  // forward like any other.
   LsqQuantizer off;
   const Tensor& same = off.frozen_infer(w);
   EXPECT_EQ(&same, &w);
   EXPECT_FALSE(off.frozen());
+  (void)off.frozen_panels(w, /*codes=*/false);
+  EXPECT_TRUE(off.panels_frozen(false));
+  (void)off.forward(w);
+  EXPECT_FALSE(off.panels_frozen(false));
 }
 
 TEST(LsqQuantizerTest, CopiesDropTheFrozenSnapshot) {

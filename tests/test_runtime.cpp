@@ -713,18 +713,22 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
   sm.m = top.tokens();
   auto block = std::make_shared<sc::GateAssistedSI>(
       sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
+  // The softmax hook gets one (batch, head) tile per call, one row per
+  // token, from inside attention's parallel head loop.
+  const int tokens = top.tokens();
+  std::atomic<int> bad_rows{0};
   model.set_infer_hooks(
-      [sm](const nn::Tensor& scores) {
-        nn::Tensor out({scores.dim(0), scores.dim(1)});
-        std::vector<double> row(static_cast<std::size_t>(scores.dim(1)));
-        for (int r = 0; r < scores.dim(0); ++r) {
-          for (int c = 0; c < scores.dim(1); ++c)
-            row[static_cast<std::size_t>(c)] = scores.at(r, c);
+      [sm, tokens, &bad_rows](const float* scores, int rows, float* out) {
+        if (rows != tokens) ++bad_rows;
+        std::vector<double> row(static_cast<std::size_t>(tokens));
+        for (int r = 0; r < rows; ++r) {
+          for (int c = 0; c < tokens; ++c)
+            row[static_cast<std::size_t>(c)] = scores[static_cast<std::size_t>(r) * tokens + c];
           const auto y = sc::softmax_iterative_sc(row, sm);
-          for (int c = 0; c < scores.dim(1); ++c)
-            out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
+          for (int c = 0; c < tokens; ++c)
+            out[static_cast<std::size_t>(r) * tokens + c] =
+                static_cast<float>(y[static_cast<std::size_t>(c)]);
         }
-        return out;
       },
       [block](const nn::Tensor& x) {
         nn::Tensor y(x.shape());
@@ -733,6 +737,7 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
         return y;
       });
   const double ref_acc = vit::evaluate(ModelInfer(model), data);
+  EXPECT_EQ(bad_rows.load(), 0);
   // forward never sees a hook: the training-path evaluate stays float.
   EXPECT_EQ(vit::evaluate(model, data), float_acc);
   model.set_infer_hooks({}, {});
