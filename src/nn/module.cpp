@@ -8,12 +8,14 @@ namespace ascend::nn {
 
 namespace {
 
-/// matmul(x, w) for a frozen matrix `w` (a weight snapshot, its codes, or
-/// the fp weight) multiplied through its prepacked panels; same bits.
-Tensor packed_matmul(const Tensor& x, const Tensor& w, const gemm::PackedB& panels) {
-  const int m = x.dim(0), k = w.dim(0), n = w.dim(1);
+/// matmul(x, w) for the weight `w` through its frozen matrix and panels:
+/// `fw.matrix`, or `w` itself when the slot holds none (a disabled spec).
+/// Same bits as matmul.
+Tensor packed_matmul(const Tensor& x, const FrozenWeight& fw, const Tensor& w) {
+  const Tensor& b = fw.matrix.empty() ? w : fw.matrix;
+  const int m = x.dim(0), k = b.dim(0), n = b.dim(1);
   Tensor y({m, n});
-  gemm::gemm_nn_packed(m, x.data(), k, panels, w.data(), n, y.data(), n);
+  gemm::gemm_nn_packed(m, x.data(), k, fw.panels, b.data(), n, y.data(), n);
   return y;
 }
 
@@ -44,10 +46,7 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 bool Linear::serves_ternary_codes() const {
-  const auto ternary = [](const LsqQuantizer& q) {
-    return q.enabled() && q.spec().qn == -1 && q.spec().qp == 1;
-  };
-  return ternary(weight_quant_) && ternary(input_quant_) && input_quant_.calibrated();
+  return weight_quant_.ternary() && input_quant_.ternary() && input_quant_.calibrated();
 }
 
 Tensor Linear::infer(const Tensor& x) const {
@@ -58,7 +57,7 @@ Tensor Linear::infer(const Tensor& x) const {
     for (std::size_t i = 0; i < x.size(); ++i) xc[i] = ternary_code(x[i], hi);
     return infer_codes(xc);
   }
-  // Weights are immutable while serving: quantize once, serve the snapshot.
+  // Weights are immutable while serving: quantize once, serve the frozen weight.
   // A disabled input quantizer is the identity — use x directly instead of
   // paying a whole-tensor copy through LsqQuantizer::infer.
   Tensor xq_store;
@@ -67,8 +66,7 @@ Tensor Linear::infer(const Tensor& x) const {
     xq_store = input_quant_.infer(x);
     xq = &xq_store;
   }
-  const Tensor& wq = weight_quant_.frozen_infer(w_.value);
-  Tensor y = packed_matmul(*xq, wq, weight_quant_.frozen_panels(w_.value, /*codes=*/false));
+  Tensor y = packed_matmul(*xq, weight_quant_.frozen_weight(w_.value, /*codes=*/false), w_.value);
   add_bias(y);
   return y;
 }
@@ -81,9 +79,8 @@ Tensor Linear::infer_codes(const Tensor& codes) const {
   // W2A2: multiply 0/±1 activation codes by the frozen 0/±1 weight codes.
   // Every partial sum is an integer below 2^24, so the GEMM is exact in any
   // order, and one multiply by fl(w_step * x_step) gives each output.
-  const TernaryCodes& wc = weight_quant_.frozen_ternary_codes(w_.value);
-  Tensor y =
-      packed_matmul(codes, wc.levels, weight_quant_.frozen_panels(w_.value, /*codes=*/true));
+  const FrozenWeight& wc = weight_quant_.frozen_weight(w_.value, /*codes=*/true);
+  Tensor y = packed_matmul(codes, wc, w_.value);
   const float scale = wc.step * input_quant_.serving_step();
   for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
   add_bias(y);
@@ -224,20 +221,13 @@ BatchNorm::BatchNorm(int features, float eps, float momentum)
   running_var_ = Tensor({features_}, 1.0f);
 }
 
-void BatchNorm::thaw() {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  snap_valid_.store(false, std::memory_order_release);
-  snap_scale_.clear();
-  snap_shift_.clear();
-}
-
 Tensor BatchNorm::forward(const Tensor& x, bool training) {
   if (x.rank() != 2 || x.dim(1) != features_)
     throw std::invalid_argument("BatchNorm::forward: bad input");
   if (!training) return infer(x);
   // Training is about to move the running stats (and the optimizer will move
-  // gamma/beta next): any frozen serving snapshot is stale from here on.
-  if (snap_valid_.load(std::memory_order_relaxed)) thaw();
+  // gamma/beta next): the frozen scale/shift is stale from here on.
+  thaw();
   const int rows = x.dim(0);
   Tensor y(x.shape());
   cached_rows_ = rows;
@@ -268,26 +258,22 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
 Tensor BatchNorm::infer(const Tensor& x) const {
   if (x.rank() != 2 || x.dim(1) != features_)
     throw std::invalid_argument("BatchNorm::infer: bad input");
-  // Serve from the frozen per-channel scale/shift (built on first use;
-  // double-checked so concurrent first infers race safely).
-  if (!snap_valid_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    if (!snap_valid_.load(std::memory_order_relaxed)) {
-      snap_scale_.assign(static_cast<std::size_t>(features_), 0.0f);
-      snap_shift_.assign(static_cast<std::size_t>(features_), 0.0f);
-      for (int c = 0; c < features_; ++c) {
-        const std::size_t ci = static_cast<std::size_t>(c);
-        const float scale =
-            gamma_.value[ci] / std::sqrt(running_var_[ci] + eps_);
-        snap_scale_[ci] = scale;
-        snap_shift_[ci] = beta_.value[ci] - running_mean_[ci] * scale;
-      }
-      snap_valid_.store(true, std::memory_order_release);
+  // Serve from the frozen per-channel scale/shift (built on first use).
+  const Fold& fold = fold_.get(/*key=*/1, [&] {
+    Fold f;
+    f.scale.resize(static_cast<std::size_t>(features_));
+    f.shift.resize(static_cast<std::size_t>(features_));
+    for (int c = 0; c < features_; ++c) {
+      const std::size_t ci = static_cast<std::size_t>(c);
+      const float scale = gamma_.value[ci] / std::sqrt(running_var_[ci] + eps_);
+      f.scale[ci] = scale;
+      f.shift[ci] = beta_.value[ci] - running_mean_[ci] * scale;
     }
-  }
+    return f;
+  });
   const int rows = x.dim(0);
-  const float* scale = snap_scale_.data();
-  const float* shift = snap_shift_.data();
+  const float* scale = fold.scale.data();
+  const float* shift = fold.shift.data();
   Tensor y = Tensor::uninitialized(x.shape());
   for (int r = 0; r < rows; ++r) {
     const float* xr = x.data() + static_cast<std::size_t>(r) * features_;

@@ -12,10 +12,9 @@
 // initialised by a prior forward); see LsqQuantizer::infer for the
 // uncalibrated fallback.
 
-#include <atomic>
-#include <mutex>
 #include <vector>
 
+#include "nn/frozen_slot.h"
 #include "nn/ops.h"
 #include "nn/quant.h"
 #include "nn/rng.h"
@@ -26,32 +25,32 @@ namespace ascend::nn {
 /// Fully connected layer, optionally with LSQ weight/input quantizers
 /// (ASCEND's W / A precision knobs).
 ///
-/// Serving-path weight snapshot: the weight matrix is immutable while
-/// serving, so infer() quantizes it through the weight quantizer's frozen
-/// snapshot (LsqQuantizer::frozen_infer) — built lazily on the first infer()
-/// and bit-exact with per-call re-quantization. Under ternary weight AND
-/// calibrated ternary input specs (the W2A2 serving regime) infer() instead
-/// multiplies 0/±1 activation codes by the frozen weight codes
-/// (LsqQuantizer::frozen_ternary_codes) through the same blocked GEMM and
-/// scales the exact integer sums by fl(w_step * x_step) — one rounding per
-/// output, then the bias add. A caller that can produce the activation codes
-/// more cheaply than x (vit::Mlp decides GELU's codes from fc1's output) hands
-/// them to infer_codes(), which runs the same GEMM -> scale -> bias tail.
-/// Either way the multiplied matrix (snapshot, codes, or the fp weight
-/// itself) is also packed once into the GEMM tier's panels
-/// (LsqQuantizer::frozen_panels), so no call re-packs it.
-/// Every snapshot is invalidated ("thawed") by any training-path
-/// forward()/backward(), by set_weight_quant()/set_input_quant() (the
-/// apply_precision path), and by thaw(). Mutating weight() directly outside
-/// the training loop requires a manual thaw() before the next infer().
+/// Serving-path frozen weight: the weight matrix is immutable while serving,
+/// so infer() multiplies the weight quantizer's frozen matrix
+/// (LsqQuantizer::frozen_weight) — built lazily on the first infer(),
+/// packed once into the GEMM tier's panels so no call re-packs it, and
+/// bit-exact with per-call re-quantization. Under a disabled weight spec the
+/// fp weight itself is multiplied through its frozen panels. Under ternary
+/// weight AND calibrated ternary input specs (the W2A2 serving regime) the
+/// frozen matrix is the weight's 0/±1 codes instead: infer() multiplies 0/±1
+/// activation codes by them through the same blocked GEMM and scales the
+/// exact integer sums by fl(w_step * x_step) — one rounding per output, then
+/// the bias add. A caller that can produce the activation codes more cheaply
+/// than x (vit::Mlp decides GELU's codes from fc1's output) hands them to
+/// infer_codes(), which runs the same GEMM -> scale -> bias tail.
+/// The frozen weight is invalidated ("thawed") by any training-path
+/// forward()/backward(), by set_weight_quant() (the apply_precision path),
+/// and by thaw(); an input spec or calibration change that switches between
+/// the dense and the code matrix rebuilds it. Mutating weight() directly
+/// outside the training loop requires a manual thaw() before the next infer().
 class Linear {
  public:
   Linear(int in_features, int out_features, Rng& rng, bool bias = true);
 
   Tensor forward(const Tensor& x);             // [N, in] -> [N, out]
   Tensor backward(const Tensor& grad_out);     // returns grad wrt x
-  /// Re-entrant serving forward; quantized weights come from the frozen
-  /// snapshot (see class comment), activations are quantized per call.
+  /// Re-entrant serving forward; the weights come from the frozen weight
+  /// (see class comment), activations are quantized per call.
   Tensor infer(const Tensor& x) const;
   /// True when infer() serves 0/±1 activation codes: ternary weight and
   /// input specs and a calibrated input quantizer.
@@ -61,11 +60,11 @@ class Linear {
   /// serves_ternary_codes(). Bit-exact with infer(x).
   Tensor infer_codes(const Tensor& codes) const;
 
-  /// Replace the weight-quantizer spec; thaws the frozen weight snapshot.
+  /// Replace the weight-quantizer spec; thaws the frozen weight.
   void set_weight_quant(QuantSpec spec) { weight_quant_.reset_spec(spec); }
   void set_input_quant(QuantSpec spec) { input_quant_.reset_spec(spec); }
-  /// Drop the frozen quantized-weight snapshot; the next infer() rebuilds it
-  /// from the current weights. Call after mutating weight() directly.
+  /// Drop the frozen weight; the next infer() rebuilds it from the current
+  /// weights. Call after mutating weight() directly.
   void thaw() { weight_quant_.thaw(); }
   void collect_params(std::vector<Param*>& out);
 
@@ -115,9 +114,9 @@ class LayerNorm {
 /// serving, so infer() folds them once into per-channel scale/shift
 /// (scale_c = gamma_c / sqrt(var_c + eps), shift_c = beta_c - mean_c *
 /// scale_c) and evaluates y = x * scale + shift — one multiply-add per
-/// element instead of a sqrt/divide chain. The snapshot is built lazily on
-/// the first infer() (double-checked under an internal mutex, so concurrent
-/// first infers are safe) and thawed by any training-path forward(x, true).
+/// element instead of a sqrt/divide chain. The fold is a FrozenSlot: built
+/// lazily on the first infer() (concurrent first infers are safe) and thawed
+/// by any training-path forward(x, true).
 /// Mutating gamma()/beta()/running stats by other means (an optimizer step,
 /// copy_weights_from) requires a manual thaw() before the next infer() — in
 /// the training loop this holds automatically because every optimizer step
@@ -128,10 +127,10 @@ class BatchNorm {
   Tensor forward(const Tensor& x, bool training);
   Tensor backward(const Tensor& grad_out);
   Tensor infer(const Tensor& x) const;  ///< eval-mode normalisation off running stats
-  /// Drop the frozen scale/shift snapshot; the next infer() rebuilds it.
-  void thaw();
-  /// True while a frozen snapshot is live (exposed for tests/benches).
-  bool frozen() const { return snap_valid_.load(std::memory_order_acquire); }
+  /// Drop the frozen scale/shift; the next infer() rebuilds it.
+  void thaw() { fold_.thaw(); }
+  /// True while the scale/shift is frozen (exposed for tests/benches).
+  bool frozen() const { return fold_.key() != FrozenSlot<Fold>::kThawed; }
   void collect_params(std::vector<Param*>& out);
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
@@ -146,11 +145,11 @@ class BatchNorm {
   Tensor cached_xhat_;
   std::vector<float> cached_invstd_;
   int cached_rows_ = 0;
-  // Frozen per-channel scale/shift (see class comment): guarded by snap_mu_
-  // for building, published through the acquire/release flag.
-  mutable std::mutex snap_mu_;
-  mutable std::atomic<bool> snap_valid_{false};
-  mutable std::vector<float> snap_scale_, snap_shift_;
+  // Frozen per-channel scale/shift (see class comment).
+  struct Fold {
+    std::vector<float> scale, shift;
+  };
+  FrozenSlot<Fold> fold_;
 };
 
 /// Elementwise GELU layer.

@@ -27,73 +27,10 @@ QuantSpec QuantSpec::from_bsl(int bsl) {
   return s;
 }
 
-LsqQuantizer::LsqQuantizer(const LsqQuantizer& other)
-    : spec_(other.spec_),
-      step_(other.step_),
-      initialized_(other.initialized_),
-      cached_x_(other.cached_x_),
-      cached_q_(other.cached_q_) {}
-
-LsqQuantizer& LsqQuantizer::operator=(const LsqQuantizer& other) {
-  if (this == &other) return *this;
-  spec_ = other.spec_;
-  step_ = other.step_;
-  initialized_ = other.initialized_;
-  cached_x_ = other.cached_x_;
-  cached_q_ = other.cached_q_;
-  thaw();
-  return *this;
-}
-
-LsqQuantizer::LsqQuantizer(LsqQuantizer&& other) noexcept
-    : spec_(other.spec_),
-      step_(std::move(other.step_)),
-      initialized_(other.initialized_),
-      cached_x_(std::move(other.cached_x_)),
-      cached_q_(std::move(other.cached_q_)) {}
-
-LsqQuantizer& LsqQuantizer::operator=(LsqQuantizer&& other) noexcept {
-  if (this == &other) return *this;
-  spec_ = other.spec_;
-  step_ = std::move(other.step_);
-  initialized_ = other.initialized_;
-  cached_x_ = std::move(other.cached_x_);
-  cached_q_ = std::move(other.cached_q_);
-  thaw();
-  return *this;
-}
-
 void LsqQuantizer::reset_spec(QuantSpec spec) {
   spec_ = spec;
   initialized_ = false;
   thaw();
-}
-
-void LsqQuantizer::thaw() {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  snap_valid_.store(false, std::memory_order_release);
-  snapshot_ = Tensor();
-  codes_valid_.store(false, std::memory_order_release);
-  codes_ = TernaryCodes();
-  cuts_valid_.store(false, std::memory_order_release);
-  for (FrozenPanels* fp : {&dense_panels_, &code_panels_}) {
-    fp->tier.store(gemm::Kernel::kAuto, std::memory_order_release);
-    fp->packed = gemm::PackedB();
-  }
-}
-
-const Tensor& LsqQuantizer::frozen_infer(const Tensor& x) const {
-  if (!spec_.enabled) return x;
-  if (snap_valid_.load(std::memory_order_acquire)) return snapshot_;
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (!snap_valid_.load(std::memory_order_relaxed)) {
-    // The snapshot outlives every forward: force it onto the heap even when
-    // the caller is running inside an activation-arena scope.
-    runtime::HeapScope heap;
-    snapshot_ = infer(x);
-    snap_valid_.store(true, std::memory_order_release);
-  }
-  return snapshot_;
 }
 
 namespace {
@@ -128,66 +65,42 @@ float lsq_init_step(const Tensor& x, int qp) {
 
 }  // namespace
 
-const TernaryCodes& LsqQuantizer::frozen_ternary_codes(const Tensor& x) const {
-  if (!spec_.enabled || spec_.qn != -1 || spec_.qp != 1)
-    throw std::logic_error("LsqQuantizer::frozen_ternary_codes: ternary spec required");
-  if (x.rank() != 2 || x.dim(0) <= 0 || x.dim(1) <= 0)
-    throw std::invalid_argument(
-        "LsqQuantizer::frozen_ternary_codes: non-empty rank-2 tensor required");
-  if (codes_valid_.load(std::memory_order_acquire)) return codes_;
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (!codes_valid_.load(std::memory_order_relaxed)) {
-    // Outlives every forward, like the dense snapshot.
+const FrozenWeight& LsqQuantizer::frozen_weight(const Tensor& x, bool codes) const {
+  return weight_.get(weight_key(codes), [&] {
+    if (codes && !ternary())
+      throw std::logic_error("LsqQuantizer::frozen_weight: codes need a ternary spec");
+    if (x.rank() != 2 || x.dim(0) <= 0 || x.dim(1) <= 0)
+      throw std::invalid_argument("LsqQuantizer::frozen_weight: non-empty rank-2 tensor required");
+    // The matrix outlives every forward: force it onto the heap even when
+    // the caller is running inside an activation-arena scope.
     runtime::HeapScope heap;
-    const float step = initialized_ ? step_.value[0] : lsq_init_step(x, spec_.qp);
-    const float s = std::max(step, 1e-6f);
-    TernaryCodes tc;
-    tc.step = s;
-    tc.levels = Tensor::uninitialized(x.shape());
-    const float* px = x.data();
-    float* pl = tc.levels.data();
-    const float qn = static_cast<float>(spec_.qn), qp = static_cast<float>(spec_.qp);
-    for (std::size_t i = 0; i < x.size(); ++i) pl[i] = lsq_level(px[i], s, qn, qp);
-    codes_ = std::move(tc);
-    codes_valid_.store(true, std::memory_order_release);
-  }
-  return codes_;
-}
-
-const gemm::PackedB& LsqQuantizer::frozen_panels(const Tensor& x, bool codes) const {
-  FrozenPanels& fp = panels(codes);
-  const gemm::Kernel tier = gemm::kernel();
-  if (fp.tier.load(std::memory_order_acquire) == tier) return fp.packed;
-  // Resolve the source before taking the lock: its own build locks too.
-  const Tensor& src = codes ? frozen_ternary_codes(x).levels : frozen_infer(x);
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (fp.tier.load(std::memory_order_relaxed) != tier) {
-    fp.packed = gemm::pack_b(src.dim(0), src.dim(1), src.data(), src.dim(1));
-    fp.tier.store(tier, std::memory_order_release);
-  }
-  return fp.packed;
+    FrozenWeight fw;
+    if (codes) {
+      fw.step = std::max(initialized_ ? step_.value[0] : lsq_init_step(x, spec_.qp), 1e-6f);
+      fw.matrix = Tensor::uninitialized(x.shape());
+      const float* px = x.data();
+      float* pl = fw.matrix.data();
+      for (std::size_t i = 0; i < x.size(); ++i) pl[i] = lsq_level(px[i], fw.step, -1.0f, 1.0f);
+    } else if (spec_.enabled) {
+      fw.matrix = infer(x);
+    }
+    const Tensor& m = fw.matrix.empty() ? x : fw.matrix;
+    fw.panels = gemm::pack_b(m.dim(0), m.dim(1), m.data(), m.dim(1));
+    return fw;
+  });
 }
 
 const GeluCodeCuts& LsqQuantizer::frozen_gelu_code_cuts() const {
-  if (!spec_.enabled || spec_.qn != -1 || spec_.qp != 1)
+  if (!ternary())
     throw std::logic_error("LsqQuantizer::frozen_gelu_code_cuts: ternary spec required");
-  if (cuts_valid_.load(std::memory_order_acquire)) return cuts_;
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (!cuts_valid_.load(std::memory_order_relaxed)) {
-    cuts_ = gelu_code_cuts(0.5f * serving_step());
-    cuts_valid_.store(true, std::memory_order_release);
-  }
-  return cuts_;
+  return cuts_.get(/*key=*/1, [&] { return gelu_code_cuts(0.5f * serving_step()); });
 }
 
 Tensor LsqQuantizer::forward(const Tensor& x) {
-  // Training is about to move the step / the quantized tensor: any frozen
-  // serving snapshot (dense, codes, cuts or panels) is stale from here on.
-  // Panels exist under a disabled spec too (the weights themselves move).
-  if (snap_valid_.load(std::memory_order_relaxed) ||
-      codes_valid_.load(std::memory_order_relaxed) ||
-      cuts_valid_.load(std::memory_order_relaxed) || panels_frozen(false) || panels_frozen(true))
-    thaw();
+  // Training is about to move the step / the quantized tensor: the frozen
+  // slots are stale from here on. The weight slot holds panels under a
+  // disabled spec too (the weights themselves move).
+  thaw();
   if (!spec_.enabled) return x;
   if (!initialized_) {
     step_.init_shape({1});

@@ -13,24 +13,25 @@
 //           gradscale = 1/sqrt(numel * Qp).
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <vector>
 
+#include "nn/frozen_slot.h"
 #include "nn/gemm.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
 namespace ascend::nn {
 
-/// Integer-level form of a ternary-quantized rank-2 tensor: `levels` holds
-/// clamp(round(x / step), -1, +1) as 0/±1 floats and `step` the clamped
-/// step, so the quantized tensor is levels * step. A GEMM over such levels
-/// sums exact integers (every partial sum is below 2^24), which is what lets
+/// The matrix Linear::infer multiplies, frozen by LsqQuantizer::frozen_weight:
+/// the quantized weight, or its 0/±1 integer levels with their clamped step
+/// (the quantized weight is matrix * step). A GEMM over the levels sums
+/// exact integers (every partial sum is below 2^24), which is what lets
 /// Linear::infer serve W2A2 layers through the dense blocked kernels.
-struct TernaryCodes {
-  Tensor levels;
-  float step = 0.0f;
+/// `panels` packs the matrix for the active GEMM tier.
+struct FrozenWeight {
+  Tensor matrix;  ///< empty under a disabled spec: the weight itself is multiplied
+  float step = 0.0f;  ///< the levels' step; 0 for the quantized weight
+  gemm::PackedB panels;
 };
 
 /// Learnable parameter with gradient and AdamW state.
@@ -61,23 +62,17 @@ class LsqQuantizer {
  public:
   explicit LsqQuantizer(QuantSpec spec = QuantSpec::off()) : spec_(spec) {}
 
-  /// Copies and moves carry the spec / learned step but deliberately drop the
-  /// frozen snapshot (it is rebuilt lazily on the copy's first frozen_infer;
-  /// sharing mutable snapshot state between copies would be a data race).
-  LsqQuantizer(const LsqQuantizer& other);
-  LsqQuantizer& operator=(const LsqQuantizer& other);
-  LsqQuantizer(LsqQuantizer&& other) noexcept;
-  LsqQuantizer& operator=(LsqQuantizer&& other) noexcept;
-
   const QuantSpec& spec() const { return spec_; }
   bool enabled() const { return spec_.enabled; }
+  /// True under the ternary spec (levels -1, 0, +1), the one the code paths serve.
+  bool ternary() const { return spec_.enabled && spec_.qn == -1 && spec_.qp == 1; }
   /// Replace the spec (used when progressively tightening precision); the
-  /// learned step is re-initialised on the next forward. Thaws any frozen
-  /// snapshot, so a later frozen_infer re-quantizes under the new spec.
+  /// learned step is re-initialised on the next forward. Thaws the frozen
+  /// slots, so a later frozen_weight re-quantizes under the new spec.
   void reset_spec(QuantSpec spec);
 
   /// Fake-quantized output; identity when disabled. Training path: caches
-  /// activations for backward() and thaws any frozen snapshot (training is
+  /// activations for backward() and thaws the frozen slots (training is
   /// about to change the step / the tensor being quantized).
   Tensor forward(const Tensor& x);
   /// STE backward; accumulates the step-size gradient.
@@ -92,60 +87,42 @@ class LsqQuantizer {
   /// a disabled quantizer hands the moved input straight back.
   Tensor infer(Tensor x) const;
 
-  /// Serving fast path for an *immutable-while-serving* input (a weight
-  /// matrix): quantizes `x` once, memoizes the result ("freeze"), and serves
-  /// the memoized tensor on every later call — bit-exact with infer(x), since
-  /// it IS infer(x) computed once. Thread-safe against concurrent
-  /// frozen_infer calls (double-checked build under an internal mutex).
+  /// The frozen matrix Linear::infer multiplies for the *immutable while
+  /// serving* rank-2 weight `x`: the levels of `x` with their step when
+  /// `codes` (ternary spec only), else infer(x), or no matrix of its own
+  /// under a disabled spec (the caller multiplies `x`); plus its panels for
+  /// the active GEMM tier. Built on the first call, bit-exact with per-call
+  /// quantization since it IS that quantization done once, and served from
+  /// the weight slot afterwards (see FrozenSlot for the thread safety). The
+  /// slot is keyed by (codes, GEMM tier): asking for the other matrix, or
+  /// after gemm::set_kernel changed the tier, rebuilds it. The panels are
+  /// heap-owned even when `x` is a borrowed view (an mmap'd checkpoint).
   ///
-  /// Invalidation ("thaw") contract: the snapshot is dropped by thaw(),
-  /// reset_spec() and the training-path forward(). Mutating the underlying
-  /// tensor by other means (an optimizer stepping the weights directly)
-  /// requires a manual thaw() before the next frozen_infer — in the training
-  /// loop this holds automatically because every optimizer step is preceded
-  /// by a training forward. thaw() and training must not run concurrently
-  /// with frozen_infer (same single-writer contract as the whole const infer
-  /// path). When the spec is disabled, returns `x` unchanged.
-  const Tensor& frozen_infer(const Tensor& x) const;
-
-  /// Integer-level sibling of frozen_infer for a rank-2 weight matrix under
-  /// a ternary spec (qn == -1, qp == +1): quantizes `x` once into
-  /// TernaryCodes and serves that snapshot on every later call. Same
-  /// invalidation contract and double-checked-build thread safety as
-  /// frozen_infer; the dense and code snapshots are independent (building
-  /// one does not build the other) but are thawed together. Throws on a
-  /// non-ternary spec or a non-rank-2 input.
-  const TernaryCodes& frozen_ternary_codes(const Tensor& x) const;
+  /// Thaw contract: thaw(), reset_spec(), restore_calibration() and the
+  /// training-path forward() drop both slots. Mutating the underlying tensor
+  /// by other means (an optimizer stepping the weights directly) requires a
+  /// manual thaw() before the next frozen_weight — in the training loop this
+  /// holds automatically because every optimizer step is preceded by a
+  /// training forward. Throws std::logic_error for codes under a non-ternary
+  /// spec and std::invalid_argument for an empty or non-rank-2 `x`.
+  const FrozenWeight& frozen_weight(const Tensor& x, bool codes) const;
+  /// True while the weight slot holds the codes (`codes`) or the dense
+  /// matrix packed for the active GEMM tier, i.e. frozen_weight(x, codes)
+  /// would not rebuild (exposed for tests/benches).
+  bool frozen(bool codes) const { return weight_.key() == weight_key(codes); }
 
   /// Where GELU's output codes under this ternary quantizer change (see
   /// nn::gelu_code_cuts) at half of serving_step(), the threshold Linear's
-  /// W2A2 input codes use. Computed once per step and served from a
-  /// snapshot with the same double-checked build and the same thaw events
-  /// as frozen_ternary_codes. Throws on a non-ternary spec.
+  /// W2A2 input codes use. The quantizer's second slot: built once per step,
+  /// thawed with the weight slot. Throws on a non-ternary spec.
   const GeluCodeCuts& frozen_gelu_code_cuts() const;
+  /// True while the GELU code cuts are frozen.
+  bool cuts_frozen() const { return cuts_.key() != FrozenSlot<GeluCodeCuts>::kThawed; }
 
-  /// The matrix Linear::infer multiplies, packed once into the active GEMM
-  /// tier's panels (gemm::pack_b): the levels of frozen_ternary_codes(x)
-  /// when `codes`, else frozen_infer(x), which is `x` itself under a
-  /// disabled spec, so full-precision weights get a snapshot too. Same
-  /// double-checked build and thaw events as the other snapshots, plus a
-  /// training forward under a disabled spec; rebuilt when gemm::set_kernel
-  /// has changed the tier since packing. The panels are heap-owned even
-  /// when `x` is a borrowed view (an mmap'd checkpoint).
-  const gemm::PackedB& frozen_panels(const Tensor& x, bool codes) const;
-
-  /// Drop the frozen snapshots (dense, codes, GELU code cuts and panels);
-  /// the next frozen_* call rebuilds.
-  void thaw();
-  /// True while a frozen snapshot is live (exposed for tests/benches).
-  bool frozen() const { return snap_valid_.load(std::memory_order_acquire); }
-  /// True while a ternary-code snapshot is live.
-  bool codes_frozen() const { return codes_valid_.load(std::memory_order_acquire); }
-  /// True while a GELU code-cut snapshot is live.
-  bool cuts_frozen() const { return cuts_valid_.load(std::memory_order_acquire); }
-  /// True while panels of the dense (`codes` false) or code matrix are live.
-  bool panels_frozen(bool codes) const {
-    return panels(codes).tier.load(std::memory_order_acquire) != gemm::Kernel::kAuto;
+  /// Drop both frozen slots; the next frozen_* call rebuilds.
+  void thaw() {
+    weight_.thaw();
+    cuts_.thaw();
   }
 
   float step() const { return step_.value.empty() ? 0.0f : step_.value[0]; }
@@ -160,7 +137,7 @@ class LsqQuantizer {
   /// Restore deserialized calibration state (see serialize/model_io.h):
   /// installs `spec` and, when `calibrated`, the learned step — equivalent to
   /// the state after reset_spec(spec) plus a training forward that latched
-  /// `step`. Thaws any frozen snapshot, like every other spec change.
+  /// `step`. Thaws the frozen slots, like every other spec change.
   void restore_calibration(QuantSpec spec, bool calibrated, float step);
 
  private:
@@ -170,24 +147,15 @@ class LsqQuantizer {
   // Caches from the last forward.
   Tensor cached_x_;
   Tensor cached_q_;  // integer levels as floats
-  // Frozen snapshots (see frozen_infer / frozen_ternary_codes /
-  // frozen_gelu_code_cuts):
-  // guarded by snap_mu_ for building, published through the acquire/release
-  // flags for lock-free reads.
-  mutable std::mutex snap_mu_;
-  mutable std::atomic<bool> snap_valid_{false};
-  mutable Tensor snapshot_;
-  mutable std::atomic<bool> codes_valid_{false};
-  mutable TernaryCodes codes_;
-  mutable std::atomic<bool> cuts_valid_{false};
-  mutable GeluCodeCuts cuts_{};
-  // frozen_panels' two slots; `tier` publishes them (kAuto: not built).
-  struct FrozenPanels {
-    std::atomic<gemm::Kernel> tier{gemm::Kernel::kAuto};
-    gemm::PackedB packed;
-  };
-  mutable FrozenPanels dense_panels_, code_panels_;
-  FrozenPanels& panels(bool codes) const { return codes ? code_panels_ : dense_panels_; }
+  // Copies and moves carry the spec and the learned step; the slots start
+  // thawed in the destination and rebuild from its own state.
+  FrozenSlot<FrozenWeight> weight_;
+  FrozenSlot<GeluCodeCuts> cuts_;
+
+  /// weight_'s key: the GEMM tier (never kAuto) and which matrix.
+  static unsigned weight_key(bool codes) {
+    return 2 * static_cast<unsigned>(gemm::kernel()) + (codes ? 1 : 0);
+  }
 };
 
 }  // namespace ascend::nn

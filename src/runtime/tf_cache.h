@@ -19,7 +19,7 @@
 // Cache entries are immutable once built: a LUT is frozen at construction and
 // never invalidated, because its key encodes everything the tabulated
 // function depends on (block parameters, seeds, bitstream lengths). Contrast
-// with the nn-layer weight snapshots (nn::LsqQuantizer::frozen_infer), which
+// with the nn-layer frozen weights (nn::LsqQuantizer::frozen_weight), which
 // memoize a function of *mutable* training state and therefore need explicit
 // thaw-on-train invalidation.
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -552,6 +553,32 @@ TEST(EngineBackpressure, RejectPolicySurfacesThroughSubmit) {
 // (the TSan CI job drives these).
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Runs `infer` on 8 threads at once, all racing a frozen slot's first
+/// (double-checked) build, and returns each thread's result.
+std::vector<nn::Tensor> race_first_infers(const std::function<nn::Tensor()>& infer) {
+  constexpr int kThreads = 8;
+  std::vector<nn::Tensor> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = infer(); });
+  for (auto& t : threads) t.join();
+  return results;
+}
+
+/// Every thread's result equals `want`, bit for bit.
+void expect_all_equal(const std::vector<nn::Tensor>& results, const nn::Tensor& want) {
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    ASSERT_EQ(results[t].shape(), want.shape()) << "thread " << t;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(results[t][i], want[i]) << "thread " << t << " element " << i;
+  }
+}
+
+}  // namespace
+
 TEST(SnapshotConcurrency, ConcurrentBatchNormFirstInferAgrees) {
   nn::BatchNorm bn(8);
   nn::Rng rng(33);
@@ -561,20 +588,10 @@ TEST(SnapshotConcurrency, ConcurrentBatchNormFirstInferAgrees) {
 
   nn::Tensor x({6, 8});
   rng.fill_normal(x, 0, 1);
-  // All threads race the first snapshot build (double-checked under the
-  // internal mutex); every result must be identical.
-  constexpr int kThreads = 8;
-  std::vector<nn::Tensor> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
   const nn::BatchNorm& cbn = bn;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = cbn.infer(x); });
-  for (auto& t : threads) t.join();
+  const auto results = race_first_infers([&] { return cbn.infer(x); });
   EXPECT_TRUE(bn.frozen());
-  for (int t = 1; t < kThreads; ++t)
-    for (std::size_t i = 0; i < results[0].size(); ++i)
-      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;
+  expect_all_equal(results, results[0]);
 }
 
 TEST(SnapshotConcurrency, ConcurrentTernaryCodesFirstInferAgrees) {
@@ -584,45 +601,28 @@ TEST(SnapshotConcurrency, ConcurrentTernaryCodesFirstInferAgrees) {
   lin.set_input_quant(nn::QuantSpec::ternary());
   nn::Tensor x({4, 32});
   rng.fill_normal(x, 0, 1);
-  (void)lin.forward(x);  // latch steps; thaws any snapshot
+  (void)lin.forward(x);  // latch steps; thaws any frozen slot
 
-  constexpr int kThreads = 8;
-  std::vector<nn::Tensor> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
   const nn::Linear& clin = lin;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = clin.infer(x); });
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(lin.weight_quant().codes_frozen());
-  for (int t = 1; t < kThreads; ++t)
-    for (std::size_t i = 0; i < results[0].size(); ++i)
-      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], results[0][i]) << "thread " << t;
+  const auto results = race_first_infers([&] { return clin.infer(x); });
+  EXPECT_TRUE(lin.weight_quant().frozen(/*codes=*/true));
+  expect_all_equal(results, results[0]);
 }
 
 TEST(SnapshotConcurrency, ConcurrentFpPanelsFirstInferAgrees) {
-  // A full-precision Linear's first infers race the weight-panel build
-  // (double-checked under the quantizer's mutex); 16 rows take the packed
-  // path on every tier, and every result must equal a fresh matmul.
+  // A full-precision Linear's first infers race the weight-panel build;
+  // 16 rows take the packed path on every tier, and every result must equal
+  // a fresh matmul.
   nn::Rng rng(37);
   nn::Linear lin(40, 36, rng, /*bias=*/false);
   nn::Tensor x({16, 40});
   rng.fill_normal(x, 0, 1);
-  ASSERT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  ASSERT_FALSE(lin.weight_quant().frozen(/*codes=*/false));
 
-  constexpr int kThreads = 8;
-  std::vector<nn::Tensor> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
   const nn::Linear& clin = lin;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = clin.infer(x); });
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(lin.weight_quant().panels_frozen(/*codes=*/false));
-  const nn::Tensor want = nn::matmul(x, lin.weight().value);
-  for (int t = 0; t < kThreads; ++t)
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], want[i]) << "thread " << t;
+  const auto results = race_first_infers([&] { return clin.infer(x); });
+  EXPECT_TRUE(lin.weight_quant().frozen(/*codes=*/false));
+  expect_all_equal(results, nn::matmul(x, lin.weight().value));
 }
 
 TEST(SnapshotConcurrency, ConcurrentGeluCodeCutsFirstInferAgrees) {
@@ -636,23 +636,14 @@ TEST(SnapshotConcurrency, ConcurrentGeluCodeCutsFirstInferAgrees) {
   }
   nn::Tensor x({12, 16});
   rng.fill_normal(x, 0, 1.5f);
-  (void)mlp.forward(x);  // latch steps; thaws any snapshot
+  (void)mlp.forward(x);  // latch steps; thaws any frozen slot
   ASSERT_TRUE(mlp.fc2().serves_ternary_codes());
   ASSERT_FALSE(mlp.fc2().input_quant().cuts_frozen());
 
-  constexpr int kThreads = 8;
-  std::vector<nn::Tensor> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
   const vit::Mlp& cmlp = mlp;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = cmlp.infer(x); });
-  for (auto& t : threads) t.join();
+  const auto results = race_first_infers([&] { return cmlp.infer(x); });
   EXPECT_TRUE(mlp.fc2().input_quant().cuts_frozen());
-  const nn::Tensor unfused = mlp.fc2().infer(nn::Gelu().infer(mlp.fc1().infer(x)));
-  for (int t = 0; t < kThreads; ++t)
-    for (std::size_t i = 0; i < unfused.size(); ++i)
-      ASSERT_EQ(results[static_cast<std::size_t>(t)][i], unfused[i]) << "thread " << t;
+  expect_all_equal(results, mlp.fc2().infer(nn::Gelu().infer(mlp.fc1().infer(x))));
 }
 
 TEST(GemmConcurrency, ConcurrentMatmulCallersAgree) {

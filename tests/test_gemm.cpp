@@ -631,15 +631,15 @@ TEST(TernaryCodes, LinearInferMatchesDenseFrozenTernaryActivations) {
   for (int c = 0; c < 96; ++c) x.at(2, c) = 0.0f;  // an all-zero row
   (void)lin.forward(x);  // latch the LSQ steps
   const Tensor codes = lin.infer(x);
-  EXPECT_TRUE(lin.weight_quant().codes_frozen());
-  EXPECT_FALSE(lin.weight_quant().frozen());  // the dense snapshot is not built
+  EXPECT_TRUE(lin.weight_quant().frozen(/*codes=*/true));  // the slot holds codes
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/false));
   const Tensor dense = dense_linear_control(lin, x);
   EXPECT_LE(max_abs_diff(codes, dense), 1e-5f);
 }
 
 TEST(TernaryCodes, LinearServesDenseWhenActivationsNotTernary) {
   // Ternary weights + full-precision activations: the dense blocked path
-  // serves (no code snapshot is built), and matches per-call dense
+  // serves (the slot holds the dense matrix), and matches per-call dense
   // requantization bit-exactly.
   Rng rng(18);
   Linear lin(48, 29, rng);
@@ -647,8 +647,8 @@ TEST(TernaryCodes, LinearServesDenseWhenActivationsNotTernary) {
   const Tensor x = random_tensor({3, 48}, rng);
   (void)lin.forward(x);
   const Tensor served = lin.infer(x);
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
-  EXPECT_TRUE(lin.weight_quant().frozen());  // dense snapshot instead
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/true));
+  EXPECT_TRUE(lin.weight_quant().frozen(/*codes=*/false));  // the dense matrix instead
   const Tensor dense = dense_linear_control(lin, x);
   expect_bitwise_equal(served, dense, "dense serving for non-ternary activations");
 }
@@ -663,8 +663,38 @@ TEST(TernaryCodes, UncalibratedInputServesDenseFakeQuant) {
   const Tensor x = random_tensor({3, 40}, rng);
   ASSERT_FALSE(lin.input_quant().calibrated());
   const Tensor served = lin.infer(x);
-  EXPECT_FALSE(lin.weight_quant().codes_frozen());
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/true));
+  EXPECT_TRUE(lin.weight_quant().frozen(/*codes=*/false));
   expect_bitwise_equal(served, dense_linear_control(lin, x), "uncalibrated input serving");
+}
+
+TEST(TernaryCodes, InputCalibrationSwitchesTheFrozenMatrix) {
+  // Restoring the input quantizer's calibration on a served Linear moves it
+  // between the dense and the code regime: the one weight slot rebuilds the
+  // other matrix, and each regime serves its own bits.
+  Rng rng(19);
+  Linear lin(40, 24, rng);
+  lin.set_weight_quant(QuantSpec::ternary());
+  lin.set_input_quant(QuantSpec::ternary());
+  // 10 rows (>= every tier's MR): both regimes multiply through the panels.
+  const Tensor x = random_tensor({10, 40}, rng);
+  (void)lin.forward(x);  // latch both steps
+  const float input_step = lin.input_quant().step();
+  const Linear& served = lin;
+  const LsqQuantizer& wq = lin.weight_quant();
+  const Tensor codes = served.infer(x);
+  ASSERT_TRUE(wq.frozen(/*codes=*/true));
+
+  lin.input_quant().restore_calibration(QuantSpec::ternary(), /*calibrated=*/false, 0.0f);
+  const Tensor dense = served.infer(x);
+  EXPECT_TRUE(wq.frozen(/*codes=*/false));
+  EXPECT_FALSE(wq.frozen(/*codes=*/true));
+  expect_bitwise_equal(dense, dense_linear_control(lin, x), "dense after de-calibrating the input");
+
+  lin.input_quant().restore_calibration(QuantSpec::ternary(), /*calibrated=*/true, input_step);
+  expect_bitwise_equal(served.infer(x), codes, "codes after re-calibrating the input");
+  EXPECT_TRUE(wq.frozen(/*codes=*/true));
+  EXPECT_FALSE(wq.frozen(/*codes=*/false));
 }
 
 TEST(TernaryCodes, DeterministicRunToRun) {
@@ -683,11 +713,11 @@ TEST(TernaryCodes, LevelsMatchDenseQuantization) {
   Tensor w = random_tensor({37, 21}, rng);
   (void)q.forward(w);  // latch the step
   const Tensor wq = q.infer(w);
-  const TernaryCodes& tc = q.frozen_ternary_codes(w);
-  ASSERT_EQ(tc.levels.shape(), w.shape());
+  const FrozenWeight& tc = q.frozen_weight(w, /*codes=*/true);
+  ASSERT_EQ(tc.matrix.shape(), w.shape());
   EXPECT_EQ(tc.step, std::max(q.step(), 1e-6f));
   for (std::size_t i = 0; i < w.size(); ++i) {
-    const float level = tc.levels[i];
+    const float level = tc.matrix[i];
     ASSERT_TRUE(level == -1.0f || level == 0.0f || level == 1.0f) << "element " << i;
     EXPECT_EQ(level * tc.step, wq[i]) << "element " << i;
   }
@@ -701,10 +731,10 @@ TEST(TernaryCodes, ThawRules) {
   // 10 rows (>= every tier's MR): infer multiplies through the code panels.
   const Tensor x = random_tensor({10, 16}, rng);
   const LsqQuantizer& wq = lin.weight_quant();
-  const auto frozen = [&] { return wq.codes_frozen() && wq.panels_frozen(/*codes=*/true); };
-  const auto thawed = [&] { return !wq.codes_frozen() && !wq.panels_frozen(/*codes=*/true); };
+  const auto frozen = [&] { return wq.frozen(/*codes=*/true); };
+  const auto thawed = [&] { return !wq.frozen(/*codes=*/true) && !wq.frozen(/*codes=*/false); };
   (void)lin.forward(x);
-  (void)lin.infer(x);  // freeze the code snapshot and its panels
+  (void)lin.infer(x);  // freeze the codes and their panels
   ASSERT_TRUE(frozen());
 
   // Training forward thaws.
@@ -724,16 +754,19 @@ TEST(TernaryCodes, ThawRules) {
   lin.weight_quant().restore_calibration(QuantSpec::ternary(), true, lin.weight_quant().step());
   EXPECT_TRUE(thawed());
 
-  // A tier change rebuilds the panels for the new tier, same bits.
+  // A tier change rebuilds the slot for the new tier, same bits.
   const Tensor served = lin.infer(x);
   {
     KernelGuard guard;
     for (const gemm::Kernel tier :
          {gemm::Kernel::kBase, gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
       if (!gemm::kernel_supported(tier)) continue;
+      const gemm::Kernel before = gemm::kernel();
       gemm::set_kernel(tier);
+      EXPECT_EQ(frozen(), tier == before) << gemm::kernel_name();
       expect_bitwise_equal(lin.infer(x), served, gemm::kernel_name());
-      EXPECT_EQ(wq.frozen_panels(lin.weight().value, /*codes=*/true).tier, tier);
+      EXPECT_TRUE(frozen()) << gemm::kernel_name();
+      EXPECT_EQ(wq.frozen_weight(lin.weight().value, /*codes=*/true).panels.tier, tier);
     }
   }
 
@@ -753,10 +786,11 @@ TEST(TernaryCodes, ThrowsOnNonTernarySpec) {
   Rng rng(17);
   LsqQuantizer q16(QuantSpec::from_bsl(16));
   const Tensor w = random_tensor({4, 4}, rng);
-  EXPECT_THROW((void)q16.frozen_ternary_codes(w), std::logic_error);
+  EXPECT_THROW((void)q16.frozen_weight(w, /*codes=*/true), std::logic_error);
   LsqQuantizer off;
-  EXPECT_THROW((void)off.frozen_ternary_codes(w), std::logic_error);
+  EXPECT_THROW((void)off.frozen_weight(w, /*codes=*/true), std::logic_error);
   LsqQuantizer tern(QuantSpec::ternary());
-  EXPECT_THROW((void)tern.frozen_ternary_codes(Tensor({4, 0})), std::invalid_argument);
-  EXPECT_THROW((void)tern.frozen_ternary_codes(Tensor({4})), std::invalid_argument);
+  EXPECT_THROW((void)tern.frozen_weight(Tensor({4, 0}), /*codes=*/true), std::invalid_argument);
+  EXPECT_THROW((void)tern.frozen_weight(Tensor({4}), /*codes=*/true), std::invalid_argument);
+  EXPECT_THROW((void)off.frozen_weight(Tensor({4}), /*codes=*/false), std::invalid_argument);
 }

@@ -219,13 +219,14 @@ TEST(InferPath, LinearFrozenSnapshotInvalidatedByApplyPrecision) {
   Tensor x({4, 6});
   rng.fill_normal(x, 0, 1);
   (void)lin.forward(x);  // calibrate the quantizer steps
-  const Tensor served = lin.infer(x);  // freezes the W16 weight snapshot
-  EXPECT_TRUE(lin.weight_quant().frozen());
+  const Tensor served = lin.infer(x);  // freezes the W16 weight
+  EXPECT_TRUE(lin.weight_quant().frozen(/*codes=*/false));
 
   // Tighten precision, as VisionTransformer::apply_precision does.
   lin.set_weight_quant(QuantSpec::ternary());
   lin.set_input_quant(QuantSpec::ternary());
-  EXPECT_FALSE(lin.weight_quant().frozen()) << "apply_precision must thaw the snapshot";
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/false)) << "apply_precision must thaw";
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/true)) << "apply_precision must thaw";
   const Tensor snapshot_path = lin.infer(x);
 
   // Non-snapshot control: quantize weights per call through the quantizer's
@@ -256,12 +257,10 @@ TEST(InferPath, LinearThawRebuildsSnapshotAfterDirectWeightEdit) {
   rng.fill_normal(x, 0, 1);
   (void)lin.forward(x);
   (void)lin.infer(x);  // freeze
-  ASSERT_TRUE(lin.weight_quant().frozen());
-  ASSERT_TRUE(lin.weight_quant().panels_frozen(/*codes=*/false));
-  lin.weight().value[0] += 10.0f;  // out-of-band edit: snapshot is now stale
+  ASSERT_TRUE(lin.weight_quant().frozen(/*codes=*/false));
+  lin.weight().value[0] += 10.0f;  // out-of-band edit: the frozen weight is now stale
   lin.thaw();
-  EXPECT_FALSE(lin.weight_quant().frozen());
-  EXPECT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/false));
   const Tensor after = lin.infer(x);
   const Tensor manual = matmul(lin.input_quant().infer(x),
                                lin.weight_quant().infer(lin.weight().value));
@@ -292,8 +291,9 @@ TEST(InferPath, FpLinearPanelsFollowTrainingAndThaw) {
   };
 
   expect_fresh("first infer");
-  ASSERT_TRUE(lin.weight_quant().panels_frozen(/*codes=*/false));
-  EXPECT_FALSE(lin.weight_quant().frozen());  // no quantized snapshot under fp
+  ASSERT_TRUE(lin.weight_quant().frozen(/*codes=*/false));
+  // No copy of the fp weight: only its panels are frozen.
+  EXPECT_TRUE(lin.weight_quant().frozen_weight(lin.weight().value, /*codes=*/false).matrix.empty());
 
   // Training step: forward thaws, the optimizer moves the weights.
   AdamW opt([&] {
@@ -303,7 +303,7 @@ TEST(InferPath, FpLinearPanelsFollowTrainingAndThaw) {
   }(), /*lr=*/0.05f);
   opt.zero_grad();
   (void)lin.forward(x);
-  EXPECT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/false));
   (void)lin.backward(g);
   opt.step();
   (void)lin.forward(x);
@@ -313,7 +313,7 @@ TEST(InferPath, FpLinearPanelsFollowTrainingAndThaw) {
   for (std::size_t i = 0; i < lin.weight().value.size(); ++i)
     lin.weight().value[i] = -lin.weight().value[i];
   lin.thaw();
-  EXPECT_FALSE(lin.weight_quant().panels_frozen(/*codes=*/false));
+  EXPECT_FALSE(lin.weight_quant().frozen(/*codes=*/false));
   expect_fresh("infer after a weight edit and thaw");
 }
 

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -168,19 +170,20 @@ TEST(LsqQuantizerTest, InferQuantizesAMovedTensorInPlace) {
   }
 }
 
-TEST(LsqQuantizerTest, FrozenInferMatchesInferAndMemoizes) {
+TEST(LsqQuantizerTest, FrozenWeightMatchesInferAndMemoizes) {
   LsqQuantizer q(QuantSpec::ternary());
   Rng rng(6);
   Tensor w({4, 4});
   rng.fill_normal(w, 0, 1);
   (void)q.forward(w);  // latch the step
-  EXPECT_FALSE(q.frozen());
+  EXPECT_FALSE(q.frozen(/*codes=*/false));
   const Tensor ref = q.infer(w);
-  const Tensor& a = q.frozen_infer(w);
-  EXPECT_TRUE(q.frozen());
-  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(a[i], ref[i]);
-  // Memoized: the second call hands back the same tensor object.
-  EXPECT_EQ(&q.frozen_infer(w), &a);
+  const FrozenWeight& a = q.frozen_weight(w, /*codes=*/false);
+  EXPECT_TRUE(q.frozen(/*codes=*/false));
+  EXPECT_FALSE(q.frozen(/*codes=*/true));
+  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(a.matrix[i], ref[i]);
+  // Memoized: the second call hands back the same slot.
+  EXPECT_EQ(&q.frozen_weight(w, /*codes=*/false), &a);
 }
 
 TEST(LsqQuantizerTest, FrozenSnapshotThawedByResetSpecAndTraining) {
@@ -189,66 +192,83 @@ TEST(LsqQuantizerTest, FrozenSnapshotThawedByResetSpecAndTraining) {
   Tensor w({4, 4});
   rng.fill_normal(w, 0, 1);
   (void)q.forward(w);
-  (void)q.frozen_infer(w);
-  (void)q.frozen_panels(w, /*codes=*/false);
-  (void)q.frozen_panels(w, /*codes=*/true);
-  ASSERT_TRUE(q.frozen());
-  ASSERT_TRUE(q.panels_frozen(false));
-  ASSERT_TRUE(q.panels_frozen(true));
+  // One slot: asking for the dense matrix after the codes replaces them.
+  (void)q.frozen_weight(w, /*codes=*/true);
+  ASSERT_TRUE(q.frozen(/*codes=*/true));
+  (void)q.frozen_weight(w, /*codes=*/false);
+  ASSERT_TRUE(q.frozen(/*codes=*/false));
+  ASSERT_FALSE(q.frozen(/*codes=*/true));
 
   // reset_spec (the apply_precision path) must thaw, panels included; the
-  // rebuilt snapshot reflects the new spec, bit-exact with the per-call path.
+  // rebuilt matrix reflects the new spec, bit-exact with the per-call path.
   q.reset_spec(QuantSpec::from_bsl(16));
-  EXPECT_FALSE(q.frozen());
-  EXPECT_FALSE(q.panels_frozen(false));
-  EXPECT_FALSE(q.panels_frozen(true));
+  EXPECT_FALSE(q.frozen(/*codes=*/false));
+  EXPECT_FALSE(q.frozen(/*codes=*/true));
   const Tensor fresh = q.infer(w);
-  const Tensor& rebuilt = q.frozen_infer(w);
-  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(rebuilt[i], fresh[i]);
-  // The panels pack the rebuilt snapshot: unit-vector probes through them
+  const FrozenWeight& rebuilt = q.frozen_weight(w, /*codes=*/false);
+  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(rebuilt.matrix[i], fresh[i]);
+  // The panels pack the rebuilt matrix: unit-vector probes through them
   // (8 rows, enough for every tier to take the packed path) pick out its rows.
-  const gemm::PackedB& panels = q.frozen_panels(w, /*codes=*/false);
-  EXPECT_EQ(panels.tier, gemm::kernel());
+  EXPECT_EQ(rebuilt.panels.tier, gemm::kernel());
   Tensor probe({8, 4}), rows({8, 4});
   for (int r = 0; r < 8; ++r) probe.at(r, r % 4) = 1.0f;
-  gemm::gemm_nn_packed(8, probe.data(), 4, panels, rebuilt.data(), 4, rows.data(), 4);
+  gemm::gemm_nn_packed(8, probe.data(), 4, rebuilt.panels, rebuilt.matrix.data(), 4, rows.data(),
+                       4);
   for (int r = 0; r < 8; ++r)
-    for (int c = 0; c < 4; ++c) EXPECT_EQ(rows.at(r, c), rebuilt.at(r % 4, c));
+    for (int c = 0; c < 4; ++c) EXPECT_EQ(rows.at(r, c), rebuilt.matrix.at(r % 4, c));
 
   // A training forward must thaw too (the step is about to move).
   (void)q.forward(w);
-  EXPECT_FALSE(q.frozen());
-  EXPECT_FALSE(q.panels_frozen(false));
+  EXPECT_FALSE(q.frozen(/*codes=*/false));
 
-  // Disabled spec: frozen_infer is the identity and never freezes, but the
-  // panels of the unquantized matrix are a snapshot, dropped by a training
-  // forward like any other.
+  // Disabled spec: no copy of the weight is frozen, but the panels of the
+  // unquantized matrix are, dropped by a training forward like any other.
   LsqQuantizer off;
-  const Tensor& same = off.frozen_infer(w);
-  EXPECT_EQ(&same, &w);
-  EXPECT_FALSE(off.frozen());
-  (void)off.frozen_panels(w, /*codes=*/false);
-  EXPECT_TRUE(off.panels_frozen(false));
+  EXPECT_TRUE(off.frozen_weight(w, /*codes=*/false).matrix.empty());
+  EXPECT_TRUE(off.frozen(/*codes=*/false));
   (void)off.forward(w);
-  EXPECT_FALSE(off.panels_frozen(false));
+  EXPECT_FALSE(off.frozen(/*codes=*/false));
 }
 
 TEST(LsqQuantizerTest, CopiesDropTheFrozenSnapshot) {
-  LsqQuantizer q(QuantSpec::ternary());
   Rng rng(8);
   Tensor w({3, 3});
   rng.fill_normal(w, 0, 1);
-  (void)q.forward(w);
-  (void)q.frozen_infer(w);
-  ASSERT_TRUE(q.frozen());
-  LsqQuantizer copy(q);
-  EXPECT_FALSE(copy.frozen());
-  EXPECT_EQ(copy.step(), q.step());
-  // The copy rebuilds an identical snapshot from its own state.
-  const Tensor& a = q.frozen_infer(w);
-  const Tensor& b = copy.frozen_infer(w);
-  EXPECT_NE(&a, &b);
-  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  const auto make_frozen = [&](QuantSpec spec) {
+    auto q = std::make_unique<LsqQuantizer>(spec);
+    (void)q->forward(w);
+    (void)q->frozen_weight(w, /*codes=*/false);
+    if (spec.qp == 1) (void)q->frozen_gelu_code_cuts();
+    return q;
+  };
+  const auto ref = make_frozen(QuantSpec::ternary());
+  const FrozenWeight& want = ref->frozen_weight(w, /*codes=*/false);
+  // Each way of making a quantizer from a frozen one carries the spec and the
+  // step but leaves the destination thawed, both slots; the assignments
+  // land on a destination frozen under another spec (clone_for_serving
+  // relies on the copy assignment).
+  for (const std::string how : {"copy-construct", "copy-assign", "move-construct", "move-assign"}) {
+    SCOPED_TRACE(how);
+    auto src = make_frozen(QuantSpec::ternary());
+    auto dst = make_frozen(QuantSpec::from_bsl(16));
+    if (how == "copy-construct") dst = std::make_unique<LsqQuantizer>(*src);
+    if (how == "copy-assign") *dst = *src;
+    if (how == "move-construct") dst = std::make_unique<LsqQuantizer>(std::move(*src));
+    if (how == "move-assign") *dst = std::move(*src);
+    EXPECT_FALSE(dst->frozen(/*codes=*/false));
+    EXPECT_FALSE(dst->cuts_frozen());
+    if (how.rfind("copy", 0) == 0) {
+      EXPECT_TRUE(src->frozen(/*codes=*/false));  // a copy leaves its source frozen
+    }
+    EXPECT_EQ(dst->spec().qp, 1);
+    EXPECT_EQ(dst->step(), ref->step());
+    // The destination rebuilds an identical matrix and panels from its own state.
+    const FrozenWeight& got = dst->frozen_weight(w, /*codes=*/false);
+    EXPECT_NE(&got, &want);
+    for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(got.matrix[i], want.matrix[i]);
+    EXPECT_EQ(got.panels.panels, want.panels.panels);
+    EXPECT_EQ(dst->frozen_gelu_code_cuts().half_step, ref->frozen_gelu_code_cuts().half_step);
+  }
 }
 
 TEST(LsqQuantizerTest, QuantizationErrorShrinksWithBsl) {
@@ -290,7 +310,7 @@ QuantSpec make_spec(int qn, int qp) {
 }
 
 /// Quantizes `xs` at `step` through infer, forward and (ternary specs)
-/// frozen_ternary_codes, and compares each against the reference rounding.
+/// the frozen weight codes, and compares each against the reference rounding.
 void expect_rounding_matches(const QuantSpec& spec, float step, const std::vector<float>& xs) {
   Tensor x = Tensor::uninitialized({1, static_cast<int>(xs.size())});
   std::copy(xs.begin(), xs.end(), x.data());
@@ -300,7 +320,7 @@ void expect_rounding_matches(const QuantSpec& spec, float step, const std::vecto
   const Tensor inferred = q.infer(x);
   const Tensor trained = q.forward(x);
   const bool ternary = spec.qn == -1 && spec.qp == 1;
-  const Tensor* levels = ternary ? &q.frozen_ternary_codes(x).levels : nullptr;
+  const Tensor* levels = ternary ? &q.frozen_weight(x, /*codes=*/true).matrix : nullptr;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const float level = reference_level(xs[i], s, spec);
     const float want = level * s;
