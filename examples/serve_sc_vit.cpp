@@ -348,10 +348,11 @@ static int run_demo() {
                 100.0 * variant_correct[v] / std::max(variant_count[v], 1), lat.size());
 
   const runtime::EngineStats st = engine.stats();
-  std::printf("\nbatching: %llu batches, avg fill %.1f images, %llu full, avg queue wait "
-              "%.2f ms, peak forwards in flight %d\n",
+  std::printf("\nbatching: %llu batches, avg fill %.1f images, %llu full, %llu idle-closed, "
+              "avg queue wait %.2f ms, peak forwards in flight %d\n",
               static_cast<unsigned long long>(st.batches), st.avg_batch(),
-              static_cast<unsigned long long>(st.full_batches), st.avg_queue_ms(),
+              static_cast<unsigned long long>(st.full_batches),
+              static_cast<unsigned long long>(st.idle_batches), st.avg_queue_ms(),
               st.max_in_flight);
   std::printf("scheduler counters (queued / served / deadline-dropped / rejected):\n");
   for (int p = 0; p < runtime::kNumPriorities; ++p) {

@@ -49,6 +49,16 @@ void Batcher::set_drop_observer(std::function<void(Priority)> observer) {
   drop_observer_ = std::move(observer);
 }
 
+void Batcher::set_free_slots(int free) {
+  bool rose;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    rose = free >= 2 && free_slots_ < 2;
+    free_slots_ = free;
+  }
+  if (rose) cv_.notify_all();
+}
+
 std::future<Prediction> Batcher::enqueue(std::vector<float> image, RequestOptions opts) {
   ASCEND_FAILPOINT(fp_enqueue);
   Request req;
@@ -147,7 +157,12 @@ std::vector<Request> Batcher::next_batch() {
         close_at = std::min(close_at, queue_[i].deadline - kDeadlineCloseLead);
     }
     const bool full = members.size() >= static_cast<std::size_t>(max_batch_);
-    if (full || closed_ || now >= close_at) {
+    const bool cut = full || closed_ || now >= close_at;
+    // Idle cutoff: nothing else is queued and a slot stays free after this
+    // batch, so the next arrival would find a slot of its own anyway.
+    const bool idle = members.size() == queue_.size() && free_slots_ >= 2;
+    if (cut || idle) {
+      if (!cut) ++idle_closes_;
       std::vector<Request> batch;
       batch.reserve(members.size());
       const auto close_stamp = Clock::now();
@@ -166,16 +181,19 @@ std::vector<Request> Batcher::next_batch() {
 
     // Wait for more arrivals (which may fill the batch, or bring a
     // higher-priority request that re-aims the whole selection), the close
-    // deadline, or shutdown — then re-evaluate from scratch. Also wake at
-    // the earliest deadline of *any* queued request (not just the leader
-    // group's), so an expiring request of another variant is failed at its
-    // deadline instead of whenever this group's cutoff next fires.
+    // deadline, a second slot freeing up (idle cutoff), or shutdown — then
+    // re-evaluate from scratch. Also wake at the earliest deadline of *any*
+    // queued request (not just the leader group's), so an expiring request
+    // of another variant is failed at its deadline instead of whenever this
+    // group's cutoff next fires.
     auto wake_at = close_at;
     for (const Request& r : queue_)
       if (r.has_deadline) wake_at = std::min(wake_at, r.deadline);
     const std::size_t n = queue_.size();
-    cv_.wait_until(lock, wake_at,
-                   [this, n] { return closed_ || queue_.size() != n; });
+    const bool slot_spare = free_slots_ >= 2;
+    cv_.wait_until(lock, wake_at, [this, n, slot_spare] {
+      return closed_ || queue_.size() != n || (!slot_spare && free_slots_ >= 2);
+    });
   }
 }
 
@@ -213,6 +231,11 @@ std::size_t Batcher::pending(Priority p) const {
   for (const Request& r : queue_)
     if (r.priority == p) ++n;
   return n;
+}
+
+std::uint64_t Batcher::idle_closes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return idle_closes_;
 }
 
 PendingCounts Batcher::pending_counts() const {

@@ -12,8 +12,11 @@
 //     in (priority, arrival) order;
 //   * the batch closes when `max_batch` compatible requests are waiting
 //     (size cutoff), when the group's oldest member has aged past
-//     `max_delay` (latency cutoff), or when waiting any longer would expire
-//     a member's deadline (deadline cutoff);
+//     `max_delay` (latency cutoff), when waiting any longer would expire
+//     a member's deadline (deadline cutoff), or — once the engine reports
+//     forward slots through set_free_slots() — when the group is every
+//     queued request and dispatching it still leaves a slot free (idle
+//     cutoff: holding it could buy no companion a later batch would miss);
 //   * a request whose deadline has already passed is failed fast with
 //     DeadlineExceededError at batch-formation time — it never reaches a
 //     forward — and a higher-priority arrival re-aims the next batch at its
@@ -188,6 +191,15 @@ class Batcher {
   /// Set before the dispatcher starts; not thread-safe against next_batch.
   void set_drop_observer(std::function<void(Priority)> observer);
 
+  /// Forward slots free right now, reported by the owning engine each time
+  /// its in-flight count changes. Enables the idle cutoff: a group that is
+  /// the whole queue closes while `free` >= 2, i.e. while taking it still
+  /// leaves a slot free. A rise to 2 wakes a waiting dispatcher, so a group
+  /// held for the last slot closes as soon as another forward ends. A
+  /// batcher that is never told (standalone, or a one-slot engine) keeps
+  /// the size, latency and deadline cutoffs only.
+  void set_free_slots(int free);
+
   int max_batch() const { return max_batch_; }
   std::chrono::microseconds max_delay() const { return max_delay_; }
   int max_pending() const { return max_pending_; }
@@ -198,6 +210,8 @@ class Batcher {
   /// Total and per-priority queue depth in one consistent snapshot — the
   /// source for the engine's queue-depth gauges.
   PendingCounts pending_counts() const;
+  /// Batches closed by the idle cutoff alone (no other cutoff had fired).
+  std::uint64_t idle_closes() const;
 
  private:
   /// Fail and remove every expired queued request. Drops the lock while
@@ -220,6 +234,8 @@ class Batcher {
   std::vector<Request> queue_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;
+  int free_slots_ = 0;             ///< last set_free_slots() report
+  std::uint64_t idle_closes_ = 0;  ///< see idle_closes()
 };
 
 }  // namespace ascend::runtime

@@ -64,6 +64,7 @@ void InferenceEngine::start() {
   metrics_ = opts_.metrics ? opts_.metrics : std::make_shared<metrics::MetricsRegistry>();
   register_metric_series();
   batcher_.set_drop_observer([this](Priority p) { count_drop(p); });
+  report_free_slots(0);  // before any thread runs: no lock needed yet
   forward_workers_ = std::make_unique<ThreadPool>(opts_.concurrent_forwards);
   if (opts_.forward_timeout.count() > 0) watchdog_ = std::thread([this] { watchdog_loop(); });
   dispatcher_ = std::thread([this] { dispatch_loop(); });
@@ -141,6 +142,10 @@ void InferenceEngine::register_metric_series() {
       [this] { return static_cast<double>(full_batches_.load()); },
       "Batches closed by the size cutoff"));
   metric_callbacks_.push_back(metrics_->register_callback(
+      "ascend_idle_batches_total", {}, SeriesKind::kCounter,
+      [this] { return static_cast<double>(batcher_.idle_closes()); },
+      "Partial batches closed at once: nothing else queued and a forward slot stayed free"));
+  metric_callbacks_.push_back(metrics_->register_callback(
       "ascend_process_allocations_total", {}, SeriesKind::kCounter,
       [] { return static_cast<double>(alloc_count()); },
       "Heap allocations seen by the interposed operator new (stays 0 unless "
@@ -179,7 +184,10 @@ InferenceEngine::~InferenceEngine() {
   // EngineShutdownError; only in-flight forwards are allowed to drain.
   batcher_.close_now();
   dispatcher_.join();
-  forward_workers_.reset();  // drains the in-flight batch forwards
+  // Drain the in-flight batch forwards. shutdown(), not reset(): the
+  // watchdog may still trip a wedged forward and grow() the pool, which
+  // must not find the pointer nulled mid-drain.
+  forward_workers_->shutdown();
   // Stop the watchdog after the pool drain: it stays armed while the last
   // forwards run, so clients blocked on in-flight futures are failed at the
   // deadline even during shutdown (the dtor itself still waits out the
@@ -256,9 +264,14 @@ void InferenceEngine::BatchJob::release_slot() {
   if (slot_released.exchange(true)) return;
   {
     std::lock_guard<std::mutex> lock(eng->flight_mu_);
-    eng->in_flight_.fetch_sub(1);
+    eng->report_free_slots(eng->in_flight_.fetch_sub(1) - 1);
   }
   eng->flight_cv_.notify_all();
+}
+
+void InferenceEngine::report_free_slots(int in_flight) {
+  if (opts_.concurrent_forwards >= 2)
+    batcher_.set_free_slots(opts_.concurrent_forwards - in_flight);
 }
 
 void InferenceEngine::BatchJob::run(const std::shared_ptr<BatchJob>& self) {
@@ -318,13 +331,15 @@ void InferenceEngine::watchdog_loop() {
       const auto err = std::make_exception_ptr(WatchdogTimeoutError{});
       for (const auto& job : tripped) {
         // Order matters: mark abandoned first so the forward thread stops
-        // touching metrics, then take the promises, then free the slot so
-        // the dispatcher resumes, then replace the wedged pool worker.
+        // touching metrics, count the trip before any client can see it,
+        // take the promises, replace the wedged pool worker, and free the
+        // slot last: once the dispatcher resumes, the engine may serve
+        // (and its owner destroy it) with this thread's work all done.
         job->abandoned.store(true);
-        job->fail_unresolved(err);
-        job->release_slot();
         watchdog_trips_.fetch_add(1);
+        job->fail_unresolved(err);
         forward_workers_->grow(1);
+        job->release_slot();
       }
       lock.lock();
       continue;
@@ -351,6 +366,7 @@ void InferenceEngine::dispatch_loop() {
     {
       std::lock_guard<std::mutex> lock(flight_mu_);
       cur = in_flight_.fetch_add(1) + 1;
+      report_free_slots(cur);
     }
     atomic_max(max_in_flight_, cur);
     auto job = std::make_shared<BatchJob>(this, std::move(batch));
@@ -663,6 +679,7 @@ EngineStats InferenceEngine::stats() const {
   st.images = images_.load();
   st.batches = batches_.load();
   st.full_batches = full_batches_.load();
+  st.idle_batches = batcher_.idle_closes();
   st.watchdog_trips = watchdog_trips_.load();
   st.total_queue_ms = static_cast<double>(queue_wait_ns_.load()) / 1e6;
   st.max_batch_seen = max_batch_seen_.load();

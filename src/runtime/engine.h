@@ -8,6 +8,10 @@
 // and serves interactive traffic first, and a dispatcher thread hands each
 // closed batch to a forward pool running up to
 // EngineOptions::concurrent_forwards Servable::infer calls in flight.
+// With two or more slots the engine reports its free-slot count to the
+// batcher, so a lone group closes at once instead of sitting out max_delay
+// while taking it still leaves a slot free (the batcher's idle cutoff); a
+// one-slot engine keeps the plain size/latency/deadline cutoffs.
 // Requests whose deadline expires in the queue fail fast with
 // DeadlineExceededError and never reach a forward. Variants hot-swap through
 // ModelRegistry::publish without pausing the engine: each batch forward runs
@@ -40,7 +44,10 @@ struct WatchdogTimeoutError : std::runtime_error {
 
 struct EngineOptions {
   int max_batch = 32; ///< dynamic-batching size cutoff
-  std::chrono::microseconds max_delay{2000};  ///< dynamic-batching latency cutoff
+  /// Dynamic-batching latency cutoff. With concurrent_forwards >= 2 a group
+  /// that is the whole queue does not wait it out while a slot would stay
+  /// free after dispatch (see Batcher::set_free_slots).
+  std::chrono::microseconds max_delay{2000};
   int concurrent_forwards = 2;  ///< batch forwards in flight (>= 1); see engine doc
   int max_pending = 0;          ///< bounded batcher queue; 0 = unbounded
   OverflowPolicy overflow = OverflowPolicy::kBlock;  ///< full-queue behaviour
@@ -80,6 +87,7 @@ struct EngineStats {
   std::uint64_t images = 0;
   std::uint64_t batches = 0;        ///< batches dispatched via submit()
   std::uint64_t full_batches = 0;   ///< batches closed by the size cutoff
+  std::uint64_t idle_batches = 0;   ///< partial batches closed by the idle cutoff
   std::uint64_t watchdog_trips = 0; ///< forwards abandoned past forward_timeout
   double total_queue_ms = 0.0;      ///< summed enqueue -> batch-close waits
   int max_batch_seen = 0;
@@ -173,6 +181,9 @@ class InferenceEngine {
   void watchdog_loop();
   void register_flight(const std::shared_ptr<BatchJob>& job);
   void unregister_flight(const BatchJob* job);
+  /// Tells the batcher how many slots are free at `in_flight` running
+  /// forwards (caller holds flight_mu_). No-op at one slot.
+  void report_free_slots(int in_flight);
   const std::string& resolve_variant(const std::string& requested) const;
   void count_drop(Priority p);
   void register_metric_series();
@@ -217,7 +228,9 @@ class InferenceEngine {
   // `concurrent_forwards` are already running, so overload queues in the
   // batcher (where max_pending applies) instead of in the forward pool. The
   // counter is atomic for lock-free reads (in_flight gauge); updates stay
-  // under flight_mu_ for the condition variable.
+  // under flight_mu_ for the condition variable, and each one reports the
+  // free-slot count to the batcher under the same lock (lock order:
+  // flight_mu_, then the batcher's queue lock).
   std::mutex flight_mu_;
   std::condition_variable flight_cv_;
   std::atomic<int> in_flight_{0};

@@ -18,13 +18,15 @@ ThreadPool::ThreadPool(int threads) {
   size_.store(n, std::memory_order_relaxed);
 }
 
-ThreadPool::~ThreadPool() {
+void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
   }
   cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  // grow() adds no worker once closed_ is set, so workers_ is stable here.
+  for (auto& w : workers_)
+    if (w.joinable()) w.join();
 }
 
 void ThreadPool::grow(int n) {

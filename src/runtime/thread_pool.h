@@ -46,7 +46,12 @@ class ThreadPool {
   /// `threads` < 1 is clamped to 1. Workers start immediately.
   explicit ThreadPool(int threads);
   /// Drains every queued task, then joins the workers.
-  ~ThreadPool();
+  ~ThreadPool() { shutdown(); }
+  /// What the destructor does, without ending the object's life: drains
+  /// every queued task and joins the workers. Later submits throw and
+  /// grow() is a no-op, so a thread still holding the pool (the engine
+  /// watchdog) may call grow() during and after the drain. Idempotent.
+  void shutdown();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;

@@ -434,6 +434,39 @@ TEST_F(ChaosTest, WatchdogTripsTheWedgedForwardAndTheEngineKeepsServing) {
       << "the abandoned forward's late result must be discarded, not served";
 }
 
+TEST_F(ChaosTest, WatchdogReleasedSlotWakesTheGroupHeldForTheLastSlot) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish(std::make_shared<MockServable>("fast"));
+  registry->publish(std::make_shared<MockServable>("slow", 0, std::chrono::milliseconds{600}));
+  EngineOptions eopts = quick_opts();
+  eopts.default_variant = "fast";
+  eopts.concurrent_forwards = 2;
+  eopts.max_delay = std::chrono::seconds{10};
+  eopts.forward_timeout = std::chrono::milliseconds{150};
+  InferenceEngine engine(registry, eopts);
+
+  RequestOptions to_slow;
+  to_slow.variant = "slow";
+  auto wedged = engine.submit(payload(1.0f), to_slow);
+  for (int probe = 0; probe < 5000 && engine.in_flight() != 1; ++probe)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(engine.in_flight(), 1) << "the slow forward never started";
+
+  // One slot is wedged, so the lone fast request waits for companions
+  // rather than take the last slot...
+  const auto t0 = std::chrono::steady_clock::now();
+  auto fast = engine.submit(payload(2.0f));
+  EXPECT_EQ(fast.wait_for(std::chrono::milliseconds{20}), std::future_status::timeout);
+  // ...until the watchdog frees the wedged slot, which wakes it long before
+  // max_delay (and before the wedged forward itself ends).
+  EXPECT_EQ(fast.get().label, 2);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{5});
+  EXPECT_THROW(wedged.get(), WatchdogTimeoutError);
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.watchdog_trips, 1u);
+  EXPECT_EQ(s.idle_batches, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Canary-validated hot-swap
 // ---------------------------------------------------------------------------

@@ -491,6 +491,12 @@ TEST(EngineObservability, CountersMatchEngineStats) {
   EXPECT_DOUBLE_EQ(series_value("ascend_queue_depth_total", {}), 0.0);
   EXPECT_DOUBLE_EQ(series_value("ascend_in_flight_forwards", {}), 0.0);
   EXPECT_GE(series_value("ascend_peak_in_flight_forwards", {}), 1.0);
+  // Two slots, one client: each lone request closes by the idle cutoff
+  // (at once, or when the previous forward retires its slot).
+  EXPECT_DOUBLE_EQ(series_value("ascend_idle_batches_total", {}),
+                   static_cast<double>(st.idle_batches));
+  EXPECT_GE(st.idle_batches, 1u);
+  EXPECT_LE(st.idle_batches, st.batches);
 
   // Latency histograms exist per (variant, priority) and saw every request.
   const HistogramSnapshot* lat = snap.histogram(

@@ -61,6 +61,29 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(done.load(), 100);
 }
 
+TEST(ThreadPool, ShutdownDrainsAndLeavesALiveClosedPool) {
+  std::atomic<int> done{0};
+  ThreadPool pool(2);
+  for (int i = 0; i < 20; ++i)
+    pool.submit([&done] {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      done.fetch_add(1);
+    });
+  // A second thread grows the pool while it drains, as the engine watchdog
+  // may do during engine shutdown.
+  std::thread grower([&pool] {
+    for (int i = 0; i < 50; ++i) pool.grow(1);
+  });
+  pool.shutdown();
+  grower.join();
+  EXPECT_EQ(done.load(), 20);
+  const int size = pool.size();
+  pool.grow(1);  // closed: adds no worker
+  EXPECT_EQ(pool.size(), size);
+  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
+  pool.shutdown();  // idempotent; the destructor calls it once more
+}
+
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
@@ -758,6 +781,9 @@ TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   EngineOptions opts;
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds(5000);
+  // One slot: the batcher never takes the idle cutoff, so the submits
+  // coalesce (asserted below) instead of each leaving on its own.
+  opts.concurrent_forwards = 1;
   ThreadPool sc_pool(2);
   InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
 
@@ -795,6 +821,7 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   EngineOptions opts;
   opts.max_batch = 2;  // force the good and the bad request into one batch
   opts.max_delay = std::chrono::microseconds(500'000);
+  opts.concurrent_forwards = 1;  // no idle cutoff: the good request waits for the bad one
   ThreadPool sc_pool(1);
   InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
 
@@ -809,5 +836,10 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   // The dispatcher survived; the engine keeps serving.
   auto again = engine.submit(std::vector<float>(static_cast<std::size_t>(pixels), 0.2f));
   EXPECT_GE(again.get().label, 0);
-  EXPECT_EQ(engine.stats().images, 2u);  // the rejected request is not counted
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.images, 2u);  // the rejected request is not counted
+  // The premise: the good and the bad request shared one full forward.
+  EXPECT_EQ(st.batches, 2u);
+  EXPECT_EQ(st.full_batches, 1u);
+  EXPECT_EQ(st.max_batch_seen, 2);
 }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -30,9 +31,11 @@ using namespace ascend::runtime;
 namespace {
 
 /// Deterministic toy servable: label = round(payload[0]) + `bias`, logits
-/// one-hot. Records every served payload row in arrival order and counts
-/// forwards, so tests can assert scheduling order and that dropped requests
-/// never reach a forward.
+/// one-hot. Records every served payload row in arrival order and every
+/// forward's batch size, so tests can assert scheduling order, coalescing,
+/// and that dropped requests never reach a forward. A forward whose first
+/// row carries kHeldHead blocks until release_held(), so a test can hold a
+/// forward slot for as long as it needs.
 class MockServable final : public Servable {
  public:
   MockServable(std::string id, int bias = 0, std::chrono::milliseconds delay = {})
@@ -40,9 +43,14 @@ class MockServable final : public Servable {
 
   nn::Tensor infer(const nn::Tensor& batch) const override {
     if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+    if (batch.at(0, 0) == kHeldHead) {
+      std::unique_lock<std::mutex> lock(mu_);
+      released_cv_.wait(lock, [this] { return released_; });
+    }
     nn::Tensor logits({batch.dim(0), kClasses});
     std::lock_guard<std::mutex> lock(mu_);
     forwards_ += 1;
+    batch_sizes_.push_back(batch.dim(0));
     for (int r = 0; r < batch.dim(0); ++r) {
       const int label = (static_cast<int>(batch.at(r, 0)) + bias_) % kClasses;
       logits.at(r, label) = 1.0f;
@@ -62,17 +70,33 @@ class MockServable final : public Servable {
     std::lock_guard<std::mutex> lock(mu_);
     return served_;
   }
+  std::vector<int> batch_sizes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batch_sizes_;
+  }
+  /// Unblocks every held forward, now and later.
+  void release_held() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    released_cv_.notify_all();
+  }
 
   static constexpr int kInputDim = 4;
   static constexpr int kClasses = 8;
+  static constexpr float kHeldHead = 7.0f;
 
  private:
   std::string id_;
   int bias_;
   std::chrono::milliseconds delay_;
   mutable std::mutex mu_;
+  mutable std::condition_variable released_cv_;
+  bool released_ = false;
   mutable int forwards_ = 0;
   mutable std::vector<float> served_;
+  mutable std::vector<int> batch_sizes_;
 };
 
 std::vector<float> payload(float head) {
@@ -403,6 +427,115 @@ TEST(ServingEngine, ExpiredDeadlineFailsTypedWithoutRunningTheForward) {
   EXPECT_EQ(st.priority(Priority::kInteractive).deadline_dropped, 1u);
   EXPECT_EQ(st.priority(Priority::kInteractive).served, 0u);
   EXPECT_EQ(st.priority(Priority::kInteractive).queued, 1u);
+}
+
+// Idle cutoff: with two forward slots, a group that is the whole queue
+// closes while taking it leaves a slot free. max_delay is 10 s throughout,
+// so any wait near it would show up as a hung test, not a slow pass.
+
+namespace {
+
+EngineOptions two_slot_opts() {
+  EngineOptions opts = quick_engine_opts();
+  opts.concurrent_forwards = 2;
+  opts.max_delay = std::chrono::seconds(10);
+  return opts;
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+}
+
+}  // namespace
+
+TEST(ServingEngine, IdleTwoSlotEngineServesALoneRequestAtOnce) {
+  auto reg = std::make_shared<ModelRegistry>();
+  reg->publish(std::make_shared<MockServable>("m"));
+  InferenceEngine engine(reg, two_slot_opts());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const Prediction pred = engine.submit(payload(3)).get();
+  EXPECT_EQ(pred.label, 3);
+  EXPECT_LT(ms_since(t0), 2000.0) << "a lone request sat out max_delay on an idle engine";
+  EXPECT_LT(pred.queue_ms, 2000.0);
+  EXPECT_EQ(engine.stats().idle_batches, 1u);
+}
+
+TEST(ServingEngine, GroupHeldForTheLastSlotClosesWhenTheOtherForwardEnds) {
+  auto reg = std::make_shared<ModelRegistry>();
+  auto mock = std::make_shared<MockServable>("m");
+  reg->publish(mock);
+  InferenceEngine engine(reg, two_slot_opts());
+
+  // Hold one slot. The other stays free, so queued work may take it, but
+  // only once holding it can buy nothing.
+  auto blocker = engine.submit(payload(MockServable::kHeldHead));
+  ASSERT_TRUE(wait_for_in_flight(engine, 1)) << "blocker never reached a forward slot";
+  auto f1 = engine.submit(payload(1));
+  auto f2 = engine.submit(payload(2));
+  // Dispatching now would take the last slot: the pair keeps waiting for
+  // companions.
+  EXPECT_EQ(f1.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
+  EXPECT_EQ(engine.in_flight(), 1);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  mock->release_held();
+  EXPECT_EQ(f1.get().label, 1);
+  EXPECT_EQ(f2.get().label, 2);
+  EXPECT_LT(ms_since(t0), 2000.0) << "the freed slot did not wake the waiting group";
+  EXPECT_EQ(blocker.get().label, static_cast<int>(MockServable::kHeldHead));
+
+  // The two queued requests shared one forward, closed by the idle cutoff
+  // (as was the blocker on the idle engine).
+  EXPECT_EQ(mock->batch_sizes(), (std::vector<int>{1, 2}));
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.batches, 2u);
+  EXPECT_EQ(st.idle_batches, 2u);
+}
+
+TEST(ServingEngine, AnotherQueuedVariantKeepsTheLatencyCutoff) {
+  auto reg = std::make_shared<ModelRegistry>();
+  auto a = std::make_shared<MockServable>("a");
+  auto b = std::make_shared<MockServable>("b");
+  reg->publish(a);
+  reg->publish(b);
+  EngineOptions opts = two_slot_opts();
+  opts.max_delay = std::chrono::milliseconds(100);
+  opts.default_variant = "a";
+  InferenceEngine engine(reg, opts);
+
+  // Fill both slots, queue one request per variant behind them, then free
+  // both slots at once: the "a" group is not the whole queue, so it waits
+  // out max_delay even though both slots are free.
+  auto held1 = engine.submit(payload(MockServable::kHeldHead));
+  ASSERT_TRUE(wait_for_in_flight(engine, 1));
+  auto held2 = engine.submit(payload(MockServable::kHeldHead));
+  ASSERT_TRUE(wait_for_in_flight(engine, 2));
+  auto fa = engine.submit(payload(1));
+  auto fb = engine.submit(payload(2), req(Priority::kNormal, "b"));
+  a->release_held();
+
+  const Prediction pa = fa.get();
+  const Prediction pb = fb.get();
+  EXPECT_EQ(pa.variant, "a");
+  EXPECT_EQ(pb.variant, "b");
+  EXPECT_GE(pa.queue_ms, 100.0) << "a group sharing the queue closed before max_delay";
+  held1.get();
+  held2.get();
+  // Only the first blocker, alone on an idle engine, took the idle cutoff.
+  EXPECT_EQ(engine.stats().idle_batches, 1u);
+}
+
+TEST(ServingEngine, OneSlotEngineHoldsALoneRequestForMaxDelay) {
+  auto reg = std::make_shared<ModelRegistry>();
+  reg->publish(std::make_shared<MockServable>("m"));
+  EngineOptions opts = quick_engine_opts();
+  opts.max_delay = std::chrono::milliseconds(50);
+  InferenceEngine engine(reg, opts);
+
+  const Prediction pred = engine.submit(payload(3)).get();
+  EXPECT_GE(pred.queue_ms, 50.0);
+  EXPECT_EQ(engine.stats().idle_batches, 0u);
 }
 
 TEST(ServingEngine, PredictBatchPicksVariants) {
