@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string_view>
 
@@ -656,6 +657,196 @@ void gemm_nt_small(int m, int n, int k, const float* a, int lda, const float* b,
     for (int p = 0; p < k; ++p) bt[static_cast<std::size_t>(p) * n + j] = brow[p];
   }
   gemm_nn_small(m, n, k, a, lda, bt, n, c, ldc);
+}
+
+// ---------------------------------------------------------------------------
+// Ternary codes as int8 (pack_codes / gemm_codes).
+//
+// A code GEMM sums products of 0/±1 values, so any order gives the same
+// integer; the kernels below compute it in int32 with dot-product
+// instructions on 4 bytes per lane. The u8 x s8 instructions need an
+// unsigned operand, so A enters as a + 1 in {0, 1, 2} and the packed column
+// sums take the extra sum(b) back out.
+// ---------------------------------------------------------------------------
+
+#ifdef ASCEND_GEMM_X86
+
+namespace {
+
+constexpr int kCodeCols = 16;  ///< columns per packed chunk
+
+/// Grow-only thread-local scratch for A as u8 (a + 1), rows padded to whole
+/// groups of 4 with zeros.
+unsigned char* codes_scratch(std::size_t n) {
+  thread_local CacheLineVector<unsigned char> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+bool has_avx512_vnni() {
+  static const bool yes =
+      __builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512bw");
+  return yes;
+}
+
+/// A[m,k] codes -> u8 a + 1, row stride k4 * 4 (zero padding past k). By
+/// sign, so any float maps to 0, 1 or 2 without a float -> int conversion.
+void codes_to_u8(int m, int k, const float* a, int lda, int k4, unsigned char* out) {
+  for (int i = 0; i < m; ++i) {
+    const float* ar = a + static_cast<std::size_t>(i) * lda;
+    unsigned char* o = out + static_cast<std::size_t>(i) * k4 * 4;
+    for (int p = 0; p < k; ++p)
+      o[p] = static_cast<unsigned char>(1 + (ar[p] > 0.0f) - (ar[p] < 0.0f));
+    for (int p = k; p < k4 * 4; ++p) o[p] = 0;
+  }
+}
+
+// gcc 12 reports the `__Y = __Y` placeholder inside the unmasked AVX-512
+// intrinsics as maybe-uninitialized; the placeholder is never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// 8 rows x 2 chunks (32 columns) per tile, one vpdpbusd per row, chunk and
+/// group of 4 rows of B.
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void gemm_codes_vnni(
+    int m, int k4, const unsigned char* au, const PackedCodes& bp, float* c, int ldc) {
+  const int nchunks = static_cast<int>(bp.colsum.size()) / kCodeCols;
+  const std::size_t chunk_bytes = static_cast<std::size_t>(k4) * 64;
+  for (int i0 = 0; i0 < m; i0 += 8) {
+    const int mr = std::min(8, m - i0);
+    for (int j = 0; j < nchunks; j += 2) {
+      const int nc = std::min(2, nchunks - j);
+      const signed char* b0 = bp.panels.data() + static_cast<std::size_t>(j) * chunk_bytes;
+      const signed char* b1 = nc > 1 ? b0 + chunk_bytes : b0;
+      __m512i acc[8][2];
+      for (auto& row : acc) row[0] = row[1] = _mm512_setzero_si512();
+      for (int g = 0; g < k4; ++g) {
+        const __m512i v0 = _mm512_loadu_si512(b0 + static_cast<std::size_t>(g) * 64);
+        const __m512i v1 = _mm512_loadu_si512(b1 + static_cast<std::size_t>(g) * 64);
+        for (int r = 0; r < 8; ++r) {
+          // Rows past m repeat the last one; their sums are never stored.
+          int a4;
+          std::memcpy(&a4, au + static_cast<std::size_t>(i0 + std::min(r, mr - 1)) * k4 * 4 + g * 4,
+                      4);
+          const __m512i av = _mm512_set1_epi32(a4);
+          acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], av, v0);
+          acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], av, v1);
+        }
+      }
+      for (int r = 0; r < mr; ++r)
+        for (int h = 0; h < nc; ++h) {
+          const int col = (j + h) * kCodeCols;
+          const int live = std::min(kCodeCols, bp.n - col);
+          const __m512i sum =
+              _mm512_sub_epi32(acc[r][h], _mm512_loadu_si512(bp.colsum.data() + col));
+          _mm512_mask_storeu_ps(c + static_cast<std::size_t>(i0 + r) * ldc + col,
+                                static_cast<__mmask16>((1u << live) - 1u),
+                                _mm512_cvtepi32_ps(sum));
+        }
+    }
+  }
+}
+#pragma GCC diagnostic pop
+
+/// 4 rows x 2 half-chunks (16 columns) per tile: vpmaddubsw sums pairs of
+/// u8 x s8 products into int16 (at most 4 in magnitude here), vpmaddwd
+/// pairs those into the group's int32 sum.
+__attribute__((target("avx2"))) void gemm_codes_avx2(int m, int k4, const unsigned char* au,
+                                                      const PackedCodes& bp, float* c, int ldc) {
+  const int nchunks = static_cast<int>(bp.colsum.size()) / kCodeCols;
+  const std::size_t chunk_bytes = static_cast<std::size_t>(k4) * 64;
+  const __m256i ones = _mm256_set1_epi16(1);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (int i0 = 0; i0 < m; i0 += 4) {
+    const int mr = std::min(4, m - i0);
+    for (int j = 0; j < nchunks; ++j) {
+      const signed char* b = bp.panels.data() + static_cast<std::size_t>(j) * chunk_bytes;
+      __m256i acc[4][2];
+      for (auto& row : acc) row[0] = row[1] = _mm256_setzero_si256();
+      for (int g = 0; g < k4; ++g) {
+        const __m256i v0 =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + static_cast<std::size_t>(g) * 64));
+        const __m256i v1 = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(b + static_cast<std::size_t>(g) * 64 + 32));
+        for (int r = 0; r < 4; ++r) {
+          int a4;
+          std::memcpy(&a4, au + static_cast<std::size_t>(i0 + std::min(r, mr - 1)) * k4 * 4 + g * 4,
+                      4);
+          const __m256i av = _mm256_set1_epi32(a4);
+          acc[r][0] = _mm256_add_epi32(acc[r][0],
+                                       _mm256_madd_epi16(_mm256_maddubs_epi16(av, v0), ones));
+          acc[r][1] = _mm256_add_epi32(acc[r][1],
+                                       _mm256_madd_epi16(_mm256_maddubs_epi16(av, v1), ones));
+        }
+      }
+      for (int r = 0; r < mr; ++r)
+        for (int h = 0; h < 2; ++h) {
+          const int col = j * kCodeCols + h * 8;
+          const int live = std::min(8, bp.n - col);
+          if (live <= 0) continue;
+          const __m256i sum = _mm256_sub_epi32(
+              acc[r][h],
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp.colsum.data() + col)));
+          _mm256_maskstore_ps(c + static_cast<std::size_t>(i0 + r) * ldc + col,
+                              _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane),
+                              _mm256_cvtepi32_ps(sum));
+        }
+    }
+  }
+}
+
+}  // namespace
+
+#endif  // ASCEND_GEMM_X86
+
+PackedCodes pack_codes(int k, int n, const float* b, int ldb) {
+  PackedCodes out;
+  out.k = k;
+  out.n = n;
+#ifdef ASCEND_GEMM_X86
+  const Kernel tier = tile().id;
+  if (tier == Kernel::kBase || k <= 0 || n <= 0) return out;
+  // Only 0/±1 pack: a NaN level (from a NaN weight) keeps the float GEMM,
+  // which propagates it.
+  for (int p = 0; p < k; ++p)
+    for (int j = 0; j < n; ++j) {
+      const float v = b[static_cast<std::size_t>(p) * ldb + j];
+      if (v != 0.0f && v != 1.0f && v != -1.0f) return out;
+    }
+  out.tier = tier;
+  const int k4 = (k + 3) / 4;
+  const int nchunks = (n + kCodeCols - 1) / kCodeCols;
+  out.panels.assign(static_cast<std::size_t>(nchunks) * k4 * 64, 0);
+  out.colsum.assign(static_cast<std::size_t>(nchunks) * kCodeCols, 0);
+  for (int p = 0; p < k; ++p)
+    for (int j = 0; j < n; ++j) {
+      const int v = static_cast<int>(b[static_cast<std::size_t>(p) * ldb + j]);
+      out.panels[(static_cast<std::size_t>(j / kCodeCols) * k4 + p / 4) * 64 +
+                 (j % kCodeCols) * 4 + p % 4] = static_cast<signed char>(v);
+      out.colsum[static_cast<std::size_t>(j)] += v;
+    }
+#else
+  (void)b;
+  (void)ldb;
+#endif
+  return out;
+}
+
+bool gemm_codes(int m, const float* a, int lda, const PackedCodes& bp, float* c, int ldc) {
+#ifdef ASCEND_GEMM_X86
+  if (bp.tier == Kernel::kAuto || bp.tier != tile().id) return false;
+  if (m <= 0) return true;
+  const int k4 = (bp.k + 3) / 4;
+  unsigned char* au = codes_scratch(static_cast<std::size_t>(m) * k4 * 4);
+  codes_to_u8(m, bp.k, a, lda, k4, au);
+  if (bp.tier == Kernel::kAvx512 && has_avx512_vnni())
+    gemm_codes_vnni(m, k4, au, bp, c, ldc);
+  else
+    gemm_codes_avx2(m, k4, au, bp, c, ldc);
+  return true;
+#else
+  (void)m, (void)a, (void)lda, (void)bp, (void)c, (void)ldc;
+  return false;
+#endif
 }
 
 }  // namespace ascend::nn::gemm

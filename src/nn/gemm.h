@@ -81,6 +81,30 @@ PackedB pack_b(int k, int n, const float* b, int ldb);
 void gemm_nn_packed(int m, const float* a, int lda, const PackedB& bp, const float* b, int ldb,
                     float* c, int ldc);
 
+/// A ternary right-hand side B[k,n] (every element 0 or ±1) packed once as
+/// int8 for the integer dot-product kernels of the wide tiers: 16-column
+/// chunks of groups of 4 rows, each group 16 columns x 4 bytes, plus every
+/// column's sum. The base tier packs nothing (tier stays kAuto): it keeps
+/// multiplying the float codes through gemm_nn_packed. Neither does a matrix
+/// with an element other than 0 or ±1 (a NaN level).
+struct PackedCodes {
+  int k = 0, n = 0;
+  Kernel tier = Kernel::kAuto;  ///< tier packed for; kAuto: nothing packed
+  CacheLineVector<signed char> panels;
+  CacheLineVector<int> colsum;  ///< per column, padded to whole chunks
+};
+
+/// Packs the 0/±1 matrix B[k,n] (row stride ldb) for the active tier.
+PackedCodes pack_codes(int k, int n, const float* b, int ldb);
+
+/// C[m,n] = A[m,k] * B for 0/±1 codes A (floats, row stride lda; any other
+/// value counts as its sign) and B packed by pack_codes, overwriting C. The
+/// products and sums are exact integers, so C holds the same floats gemm_nn
+/// gives on the float codes as long as every |sum| is below 2^24
+/// (k < 2^24). Returns false, writing nothing, when `bp` is not packed for
+/// the active tier.
+bool gemm_codes(int m, const float* a, int lda, const PackedCodes& bp, float* c, int ldc);
+
 /// Small-shape products for attention's per-head tiles: serial and without
 /// panel packing, reading B rows in place (gemm_nt_small transposes its B
 /// into thread-local scratch first). Each output element keeps the active

@@ -78,9 +78,12 @@ Tensor Linear::infer_codes(const Tensor& codes) const {
     throw std::logic_error("Linear::infer_codes: layer does not serve ternary codes");
   // W2A2: multiply 0/±1 activation codes by the frozen 0/±1 weight codes.
   // Every partial sum is an integer below 2^24, so the GEMM is exact in any
-  // order, and one multiply by fl(w_step * x_step) gives each output.
+  // order (int8 dot products on the wide tiers, the float GEMM on base),
+  // and one multiply by fl(w_step * x_step) gives each output.
   const FrozenWeight& wc = weight_quant_.frozen_weight(w_.value, /*codes=*/true);
-  Tensor y = packed_matmul(codes, wc, w_.value);
+  Tensor y = Tensor::uninitialized({codes.dim(0), out_});
+  if (!gemm::gemm_codes(codes.dim(0), codes.data(), in_, wc.codes, y.data(), out_))
+    y = packed_matmul(codes, wc, w_.value);
   const float scale = wc.step * input_quant_.serving_step();
   for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
   add_bias(y);

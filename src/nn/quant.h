@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "nn/count_table.h"
 #include "nn/frozen_slot.h"
 #include "nn/gemm.h"
 #include "nn/ops.h"
@@ -26,12 +27,16 @@ namespace ascend::nn {
 /// the quantized weight, or its 0/±1 integer levels with their clamped step
 /// (the quantized weight is matrix * step). A GEMM over the levels sums
 /// exact integers (every partial sum is below 2^24), which is what lets
-/// Linear::infer serve W2A2 layers through the dense blocked kernels.
-/// `panels` packs the matrix for the active GEMM tier.
+/// Linear::infer serve W2A2 layers through the dense blocked kernels, or
+/// through int8 dot products on the wide tiers. `panels` packs the matrix
+/// for the active GEMM tier; for the levels on a wide tier `codes` packs
+/// them as int8 instead (gemm::pack_codes) and `panels` stays empty, unless
+/// a NaN weight left a NaN level.
 struct FrozenWeight {
   Tensor matrix;  ///< empty under a disabled spec: the weight itself is multiplied
   float step = 0.0f;  ///< the levels' step; 0 for the quantized weight
   gemm::PackedB panels;
+  gemm::PackedCodes codes;
 };
 
 /// Learnable parameter with gradient and AdamW state.
@@ -44,6 +49,14 @@ struct Param {
 
   void init_shape(std::vector<int> shape);
   void zero_grad();
+};
+
+/// How a GELU's output becomes a ternary quantizer's input codes, frozen in
+/// the quantizer's second slot: the erf GELU's cut points, or a count-table
+/// GELU composed with the code thresholds (one count -> code table).
+struct GeluCodes {
+  GeluCodeCuts cuts{};
+  CountTable table;
 };
 
 struct QuantSpec {
@@ -86,6 +99,10 @@ class LsqQuantizer {
   /// and returns it, so a caller that moves its tensor in pays no copy, and
   /// a disabled quantizer hands the moved input straight back.
   Tensor infer(Tensor x) const;
+  /// infer(nn::add(a, b)) bit for bit, with the add fused into the
+  /// quantizer's pass over b's storage (the residual requantize of an
+  /// encoder block). Throws std::invalid_argument on a shape mismatch.
+  Tensor infer_add(const Tensor& a, Tensor b) const;
 
   /// The frozen matrix Linear::infer multiplies for the *immutable while
   /// serving* rank-2 weight `x`: the levels of `x` with their step when
@@ -113,11 +130,17 @@ class LsqQuantizer {
 
   /// Where GELU's output codes under this ternary quantizer change (see
   /// nn::gelu_code_cuts) at half of serving_step(), the threshold Linear's
-  /// W2A2 input codes use. The quantizer's second slot: built once per step,
-  /// thawed with the weight slot. Throws on a non-ternary spec.
+  /// W2A2 input codes use. Built once per step in the quantizer's second
+  /// slot, thawed with the weight slot. Throws on a non-ternary spec.
   const GeluCodeCuts& frozen_gelu_code_cuts() const;
-  /// True while the GELU code cuts are frozen.
-  bool cuts_frozen() const { return cuts_.key() != FrozenSlot<GeluCodeCuts>::kThawed; }
+  /// `gelu` followed by this quantizer's ternary codes at half of
+  /// serving_step(): gelu.ternary_codes(0.5f * serving_step()), built in the
+  /// same slot as the cuts, keyed by gelu.id(). Asking for the erf cuts or
+  /// for another table (a hook change) rebuilds it, and so does any thaw (a
+  /// calibration change). Throws on a non-ternary spec.
+  const CountTable& frozen_code_table(const CountTable& gelu) const;
+  /// True while the slot holds the erf GELU's cuts or a composed code table.
+  bool cuts_frozen() const { return cuts_.key() != FrozenSlot<GeluCodes>::kThawed; }
 
   /// Drop both frozen slots; the next frozen_* call rebuilds.
   void thaw() {
@@ -127,7 +150,7 @@ class LsqQuantizer {
 
   float step() const { return step_.value.empty() ? 0.0f : step_.value[0]; }
   /// step() floored at 1e-6: the step the ternary code paths threshold at
-  /// (Linear's W2A2 input codes, frozen_gelu_code_cuts).
+  /// (Linear's W2A2 input codes, frozen_gelu_code_cuts, frozen_code_table).
   float serving_step() const { return std::max(step(), 1e-6f); }
   /// True once a training forward has initialised the step under the current
   /// spec (reset_spec de-calibrates; step() may still return the old value).
@@ -150,7 +173,7 @@ class LsqQuantizer {
   // Copies and moves carry the spec and the learned step; the slots start
   // thawed in the destination and rebuild from its own state.
   FrozenSlot<FrozenWeight> weight_;
-  FrozenSlot<GeluCodeCuts> cuts_;
+  FrozenSlot<GeluCodes> cuts_;
 
   /// weight_'s key: the GEMM tier (never kAuto) and which matrix.
   static unsigned weight_key(bool codes) {

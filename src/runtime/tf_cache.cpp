@@ -7,9 +7,15 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "nn/gemm.h"
 #include "sc/fsm_units.h"
 #include "sc/sng.h"
 #include "sc/therm_arith.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define ASCEND_TF_CACHE_X86 1
+#endif
 
 namespace ascend::runtime {
 namespace {
@@ -31,7 +37,7 @@ GateSiLut::GateSiLut(const sc::GateAssistedSI& block)
   out_.reserve(static_cast<std::size_t>(lin_) + 1);
   for (int n = 0; n <= lin_; ++n)
     out_.push_back(block.apply(sc::ThermValue{n, lin_, block.alpha_in()}).value());
-  out_f_.assign(out_.begin(), out_.end());
+  out_f_ = nn::CountTable(lin_, alpha_in_, std::vector<float>(out_.begin(), out_.end()));
 }
 
 // ---------------------------------------------------------------------------
@@ -106,6 +112,20 @@ SoftmaxLut::SoftmaxLut(sc::SoftmaxIterConfig cfg) : cfg_(cfg) {
   y_value_.reserve(static_cast<std::size_t>(cfg_.by) + 1);
   for (int n = 0; n <= cfg_.by; ++n)
     y_value_.push_back(sc::ThermValue{n, cfg_.by, cfg_.alpha_y}.value());
+
+  // The lanes index one group's rows as r * m (r < 16) in int32 and hold
+  // the folded (qx, y) table; configs past these sizes stay scalar.
+  const long long xy_size = static_cast<long long>(cfg_.bx + 1) * (cfg_.by + 1);
+  if (16LL * cfg_.m <= kIntMax && xy_size <= (1LL << 20)) {
+    x_cut_ = nn::count_cuts(cfg_.bx, cfg_.alpha_x);
+    lut_xy_.resize(static_cast<std::size_t>(xy_size));
+    for (int n = 0; n <= cfg_.bx; ++n)
+      for (int y = 0; y <= cfg_.by; ++y)
+        lut_xy_[static_cast<std::size_t>(n) * (cfg_.by + 1) + y] =
+            lut_y_[static_cast<std::size_t>(y)] +
+            lut_zk_[static_cast<std::size_t>((n - hx_) * (y - hy_) + hz_)];
+    y_value_f_.assign(y_value_.begin(), y_value_.end());
+  }
 }
 
 std::vector<double> SoftmaxLut::operator()(const std::vector<double>& x) const {
@@ -118,7 +138,193 @@ std::vector<double> SoftmaxLut::operator()(const std::vector<double>& x) const {
 
 void SoftmaxLut::operator()(const double* x, double* out) const { run(x, 1, out); }
 
-void SoftmaxLut::rows(const float* scores, int rows, float* out) const { run(scores, rows, out); }
+#ifdef ASCEND_TF_CACHE_X86
+
+/// SoftmaxLut::rows on the wide tiers: kLanes rows at a time, row r of a
+/// group in SIMD lane r, so the row sum of MUL-1 is a lane-wise add over the
+/// m elements, the per-row s1 divide is one lane-wise double divide, and
+/// every table read is a gather. Each lane runs the scalar kernel's integer
+/// arithmetic on the same counts:
+/// - the encode counts the x cuts a score reaches (NaN reaches none, as it
+///   encodes to 0 ones);
+/// - sum(z) = sum(qx * qy) + m * Lz/2, with every partial sum inside int32
+///   because |qx * qy| <= Lz/2 and m * Lz <= INT_MAX;
+/// - the s1 sub-sampler floors (sum + s1_round) / s1 for a non-negative
+///   numerator below 2^32: the double quotient is within 2^-20 / s1 of the
+///   exact one, so truncating it never crosses an integer;
+/// - the three tables are lut_xy_ (lut_y_ + lut_zk_ folded), lut_w_ and
+///   lut_close_, and the decode reads y_value_f_.
+/// A group reads all its scores before writing any output, so `out` may
+/// alias `x`. The rows left over run the scalar kernel.
+// gcc 12 reports the `__Y = __Y` placeholder inside the unmasked AVX-512
+// intrinsics as maybe-uninitialized; the placeholder is never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+struct SoftmaxLaneKernels {
+  static int* scratch(std::size_t n) {
+    thread_local std::vector<int> buf;  // grow-only: no heap at steady state
+    if (buf.size() < n) buf.resize(n);
+    return buf.data();
+  }
+
+  __attribute__((target("avx512f"))) static void rows_avx512(const SoftmaxLut& t, const float* x,
+                                                             int rows, float* out) {
+    constexpr int kLanes = 16;
+    const sc::SoftmaxIterConfig& c = t.cfg_;
+    const int m = c.m;
+    const std::size_t group = static_cast<std::size_t>(kLanes) * m;
+    const int groups = rows / kLanes;
+    int* const nx = scratch(2 * group);  // [m][lane] x counts (0..Bx)
+    int* const y = nx + group;           // [m][lane] y counts on the By grid
+    const __m512i row_off =
+        _mm512_mullo_epi32(_mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+                           _mm512_set1_epi32(m));
+    const __m512i one = _mm512_set1_epi32(1), y0 = _mm512_set1_epi32(t.y0_ones_);
+    const __m512i hx = _mm512_set1_epi32(t.hx_), hy = _mm512_set1_epi32(t.hy_);
+    const __m512i hw = _mm512_set1_epi32(t.hw_), hs = _mm512_set1_epi32(t.hs_);
+    const __m512i by1 = _mm512_set1_epi32(c.by + 1), mhz = _mm512_set1_epi32(m * t.hz_);
+    const __m512d s1_round = _mm512_set1_pd(t.s1_round_), s1 = _mm512_set1_pd(c.s1);
+    for (int g = 0; g < groups; ++g) {
+      const float* xg = x + g * group;
+      float* og = out + g * group;
+      for (int i = 0; i < m; ++i) {
+        const __m512 xv = _mm512_i32gather_ps(row_off, xg + i, 4);
+        __m512i n = _mm512_setzero_si512();
+        for (float cut : t.x_cut_)
+          n = _mm512_mask_add_epi32(n, _mm512_cmp_ps_mask(xv, _mm512_set1_ps(cut), _CMP_GE_OQ),
+                                    n, one);
+        _mm512_storeu_si512(nx + i * kLanes, n);
+        _mm512_storeu_si512(y + i * kLanes, y0);
+      }
+      for (int it = 0; it < c.k; ++it) {
+        __m512i acc = _mm512_setzero_si512();
+        for (int i = 0; i < m; ++i) {
+          const __m512i qx = _mm512_sub_epi32(_mm512_loadu_si512(nx + i * kLanes), hx);
+          const __m512i qy = _mm512_sub_epi32(_mm512_loadu_si512(y + i * kLanes), hy);
+          acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(qx, qy));
+        }
+        const __m512i sum = _mm512_add_epi32(acc, mhz);
+        const __m512d lo = _mm512_div_pd(
+            _mm512_add_pd(_mm512_cvtepi32_pd(_mm512_castsi512_si256(sum)), s1_round), s1);
+        const __m512d hi = _mm512_div_pd(
+            _mm512_add_pd(_mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(sum, 1)), s1_round), s1);
+        const __m512i qs = _mm512_sub_epi32(
+            _mm512_inserti64x4(_mm512_castsi256_si512(_mm512_cvttpd_epi32(lo)),
+                               _mm512_cvttpd_epi32(hi), 1),
+            hs);
+        for (int i = 0; i < m; ++i) {
+          const __m512i n = _mm512_loadu_si512(nx + i * kLanes);
+          const __m512i yv = _mm512_loadu_si512(y + i * kLanes);
+          const __m512i a = _mm512_i32gather_epi32(
+              _mm512_add_epi32(_mm512_mullo_epi32(n, by1), yv), t.lut_xy_.data(), 4);
+          const __m512i b = _mm512_i32gather_epi32(
+              _mm512_add_epi32(_mm512_mullo_epi32(_mm512_sub_epi32(yv, hy), qs), hw),
+              t.lut_w_.data(), 4);
+          _mm512_storeu_si512(y + i * kLanes,
+                              _mm512_i32gather_epi32(_mm512_add_epi32(a, b),
+                                                     t.lut_close_.data(), 4));
+        }
+      }
+      for (int i = 0; i < m; ++i)
+        _mm512_i32scatter_ps(og + i, row_off,
+                             _mm512_i32gather_ps(_mm512_loadu_si512(y + i * kLanes),
+                                                 t.y_value_f_.data(), 4),
+                             4);
+    }
+    const std::size_t done = static_cast<std::size_t>(groups) * group;
+    t.run(x + done, rows - groups * kLanes, out + done);
+  }
+
+  __attribute__((target("avx2"))) static void rows_avx2(const SoftmaxLut& t, const float* x,
+                                                        int rows, float* out) {
+    constexpr int kLanes = 8;
+    const sc::SoftmaxIterConfig& c = t.cfg_;
+    const int m = c.m;
+    const std::size_t group = static_cast<std::size_t>(kLanes) * m;
+    const int groups = rows / kLanes;
+    int* const nx = scratch(2 * group);  // [m][lane] x counts (0..Bx)
+    int* const y = nx + group;           // [m][lane] y counts on the By grid
+    const __m256i row_off =
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(m));
+    const __m256i y0 = _mm256_set1_epi32(t.y0_ones_);
+    const __m256i hx = _mm256_set1_epi32(t.hx_), hy = _mm256_set1_epi32(t.hy_);
+    const __m256i hw = _mm256_set1_epi32(t.hw_), hs = _mm256_set1_epi32(t.hs_);
+    const __m256i by1 = _mm256_set1_epi32(c.by + 1), mhz = _mm256_set1_epi32(m * t.hz_);
+    const __m256d s1_round = _mm256_set1_pd(t.s1_round_), s1 = _mm256_set1_pd(c.s1);
+    alignas(32) float lane_out[kLanes];
+    for (int g = 0; g < groups; ++g) {
+      const float* xg = x + g * group;
+      float* og = out + g * group;
+      for (int i = 0; i < m; ++i) {
+        const __m256 xv = _mm256_i32gather_ps(xg + i, row_off, 4);
+        __m256i n = _mm256_setzero_si256();
+        for (float cut : t.x_cut_)  // a reached cut compares to -1
+          n = _mm256_sub_epi32(
+              n, _mm256_castps_si256(_mm256_cmp_ps(xv, _mm256_set1_ps(cut), _CMP_GE_OQ)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(nx + i * kLanes), n);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i * kLanes), y0);
+      }
+      for (int it = 0; it < c.k; ++it) {
+        __m256i acc = _mm256_setzero_si256();
+        for (int i = 0; i < m; ++i) {
+          const __m256i qx = _mm256_sub_epi32(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nx + i * kLanes)), hx);
+          const __m256i qy = _mm256_sub_epi32(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i * kLanes)), hy);
+          acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(qx, qy));
+        }
+        const __m256i sum = _mm256_add_epi32(acc, mhz);
+        const __m256d lo = _mm256_div_pd(
+            _mm256_add_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(sum)), s1_round), s1);
+        const __m256d hi = _mm256_div_pd(
+            _mm256_add_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256(sum, 1)), s1_round), s1);
+        const __m256i qs = _mm256_sub_epi32(
+            _mm256_set_m128i(_mm256_cvttpd_epi32(hi), _mm256_cvttpd_epi32(lo)), hs);
+        for (int i = 0; i < m; ++i) {
+          const __m256i n = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nx + i * kLanes));
+          const __m256i yv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i * kLanes));
+          const __m256i a = _mm256_i32gather_epi32(
+              t.lut_xy_.data(), _mm256_add_epi32(_mm256_mullo_epi32(n, by1), yv), 4);
+          const __m256i b = _mm256_i32gather_epi32(
+              t.lut_w_.data(),
+              _mm256_add_epi32(_mm256_mullo_epi32(_mm256_sub_epi32(yv, hy), qs), hw), 4);
+          _mm256_storeu_si256(
+              reinterpret_cast<__m256i*>(y + i * kLanes),
+              _mm256_i32gather_epi32(t.lut_close_.data(), _mm256_add_epi32(a, b), 4));
+        }
+      }
+      for (int i = 0; i < m; ++i) {
+        _mm256_store_ps(
+            lane_out,
+            _mm256_i32gather_ps(t.y_value_f_.data(),
+                                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i * kLanes)),
+                                4));
+        for (int r = 0; r < kLanes; ++r) og[static_cast<std::size_t>(r) * m + i] = lane_out[r];
+      }
+    }
+    const std::size_t done = static_cast<std::size_t>(groups) * group;
+    t.run(x + done, rows - groups * kLanes, out + done);
+  }
+};
+#pragma GCC diagnostic pop
+
+#endif  // ASCEND_TF_CACHE_X86
+
+void SoftmaxLut::rows(const float* scores, int rows, float* out) const {
+#ifdef ASCEND_TF_CACHE_X86
+  if (!lut_xy_.empty()) {
+    switch (nn::gemm::kernel()) {
+      case nn::gemm::Kernel::kAvx512:
+        return SoftmaxLaneKernels::rows_avx512(*this, scores, rows, out);
+      case nn::gemm::Kernel::kAvx2:
+        return SoftmaxLaneKernels::rows_avx2(*this, scores, rows, out);
+      default:
+        break;
+    }
+  }
+#endif
+  run(scores, rows, out);
+}
 
 template <typename T>
 void SoftmaxLut::run(const T* x, int rows, T* out) const {

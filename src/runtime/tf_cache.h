@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/count_table.h"
 #include "sc/bernstein.h"
 #include "sc/gate_si.h"
 #include "sc/softmax_fsm.h"
@@ -51,22 +52,19 @@ class GateSiLut {
     return out_[static_cast<std::size_t>(sc::ThermValue::encode(x, lin_, alpha_in_).ones)];
   }
 
-  /// Batch twin for the serving GELU hook: out[i] =
-  /// static_cast<float>((*this)(x[i])) for i in [0, n); `out` may alias `x`.
-  void apply(const float* x, std::size_t n, float* out) const {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = out_f_[static_cast<std::size_t>(sc::ThermValue::encode(x[i], lin_, alpha_in_).ones)];
-  }
-
   int lin() const { return lin_; }
   double alpha_in() const { return alpha_in_; }
   const std::vector<double>& table() const { return out_; }
+  /// The response rounded to float as an nn-side table, whose apply() is
+  /// the batch twin of operator(): value(x) == static_cast<float>((*this)(x)).
+  /// The serving GELU hook hands it to the MLP (see vit::GeluHook).
+  const nn::CountTable& count_table() const { return out_f_; }
 
  private:
   int lin_;
   double alpha_in_;
   std::vector<double> out_;  // lin_ + 1 entries
-  std::vector<float> out_f_; // out_ rounded to float, served by apply()
+  nn::CountTable out_f_;     // out_ rounded to float
 };
 
 /// Tabulated iterative-softmax datapath (Fig. 5), served in the count
@@ -97,6 +95,10 @@ class SoftmaxLut {
   /// head's score tile per call): `rows` consecutive rows of config().m
   /// scores. Each output row equals the double overload's
   /// result on the widened row, cast to float. `out` may alias `scores`.
+  /// On the wide GEMM tiers (gemm::kernel()) groups of 16 (avx512) or 8
+  /// (avx2) rows run side by side, one row per SIMD lane, with the rows left
+  /// over on the scalar kernel; the base tier runs every row on the scalar
+  /// kernel, and every tier gives the same bits.
   void rows(const float* scores, int rows, float* out) const;
 
   const sc::SoftmaxIterConfig& config() const { return cfg_; }
@@ -121,6 +123,15 @@ class SoftmaxLut {
   std::vector<int> lut_w_;      // MUL-2 count n in [0, Lw]   -> Lc grid (s2, negate, /k folded)
   std::vector<int> lut_close_;  // BSN-2 output (Lconcat)     -> By grid
   std::vector<double> y_value_; // decode table for the final (By, alpha_y) grid
+  // What the lane-wide kernels read instead: the x encode as float cuts
+  // (nn::count_cuts), lut_y_[y] + lut_zk_[qx*qy + Lz/2] folded into one
+  // table at (qx + Bx/2) * (By + 1) + y, and y_value_ rounded to float.
+  // lut_xy_ stays empty when a config is too large for the lanes.
+  std::vector<float> x_cut_;
+  std::vector<int> lut_xy_;
+  std::vector<float> y_value_f_;
+
+  friend struct SoftmaxLaneKernels;
 };
 
 /// Tabulated FSM-softmax baseline (sc/softmax_fsm.h). Per element index the

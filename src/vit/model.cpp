@@ -50,7 +50,17 @@ Tensor Mlp::forward(const Tensor& x) {
 
 Tensor Mlp::infer(const Tensor& x) const {
   Tensor h = fc1_.infer(x);
-  if (hook_) return fc2_.infer(hook_(h));
+  if (const nn::CountTable* gelu = hook_.table.get()) {
+    // The table GELU runs on the calling thread, in place: under W2A2 as one
+    // count -> code table with fc2's input quantizer folded in.
+    if (fc2_.serves_ternary_codes()) {
+      fc2_.input_quant().frozen_code_table(*gelu).apply(h.data(), h.size(), h.data());
+      return fc2_.infer_codes(h);
+    }
+    gelu->apply(h.data(), h.size(), h.data());
+    return fc2_.infer(h);
+  }
+  if (hook_.fn) return fc2_.infer(hook_.fn(h));
   if (fc2_.serves_ternary_codes()) {
     // W2A2: fc2 consumes only the ternary code of GELU(h), which the cut
     // points decide without erf for all but a narrow band of elements.
@@ -98,12 +108,12 @@ Tensor EncoderBlock::infer(const Tensor& x, int batch, int tokens) const {
     runtime::trace::ScopedSpan span("msa");
     Tensor a = norm1_.infer(x);
     a = msa_.infer(a, batch, tokens);
-    x1 = rq1_.infer(nn::add(x, a));
+    x1 = rq1_.infer_add(x, std::move(a));
   }
   runtime::trace::ScopedSpan span("mlp");
   Tensor b = norm2_.infer(x1);
   b = mlp_.infer(b);
-  return rq2_.infer(nn::add(x1, b));
+  return rq2_.infer_add(x1, std::move(b));
 }
 
 Tensor EncoderBlock::backward(const Tensor& grad) {
@@ -381,7 +391,7 @@ void VisionTransformer::set_softmax_kind(nn::SoftmaxKind kind) {
 }
 
 void VisionTransformer::set_infer_hooks(const nn::SoftmaxTileHook& softmax,
-                                        const nn::InferHook& gelu) {
+                                        const GeluHook& gelu) {
   for (auto& blk : blocks_) {
     blk.msa().set_softmax_hook(softmax);
     blk.mlp().set_gelu_hook(gelu);

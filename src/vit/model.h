@@ -13,9 +13,11 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/attention.h"
+#include "nn/count_table.h"
 #include "nn/module.h"
 #include "vit/config.h"
 
@@ -41,12 +43,31 @@ class NormLayer {
   std::unique_ptr<nn::BatchNorm> bn_;
 };
 
+/// The GELU substituted on the const infer path (the SC GELU of
+/// vit/servable.h): a block given as an nn::CountTable over its input's
+/// thermometer count (the LUT), which the MLP applies itself, or any other
+/// block as a callable (the circuit emulator). Empty = no substitution.
+struct GeluHook {
+  GeluHook() = default;
+  // Implicit, so a lambda or a table passes where a hook is expected.
+  template <class F>
+    requires std::is_constructible_v<nn::InferHook, F>
+  GeluHook(F f) : fn(std::move(f)) {}
+  GeluHook(std::shared_ptr<const nn::CountTable> t) : table(std::move(t)) {}
+
+  nn::InferHook fn;
+  std::shared_ptr<const nn::CountTable> table;
+};
+
 /// MLP block: fc1 -> GELU -> fc2, with an optional GELU hook (SC
-/// gate-assisted-SI emulation) that only the const infer() path applies;
-/// forward()/backward() always run the float GELU. Without a hook, when fc2
-/// serves ternary codes (nn::Linear::serves_ternary_codes), infer() decides
-/// fc2's 0/±1 input codes straight from fc1's output through the fc2 input
-/// quantizer's GELU code cuts, bit-exact with GELU followed by fc2.infer.
+/// gate-assisted-SI GELU) that only the const infer() path applies;
+/// forward()/backward() always run the float GELU. When fc2 serves ternary
+/// codes (nn::Linear::serves_ternary_codes), infer() decides fc2's 0/±1
+/// input codes straight from fc1's output and hands them to
+/// fc2.infer_codes: through the fc2 input quantizer's GELU code cuts without
+/// a hook, and through one count -> code table (the hook's table composed
+/// with fc2's input quantizer, LsqQuantizer::frozen_code_table) under a
+/// table hook. Either is bit-exact with the GELU followed by fc2.infer.
 class Mlp {
  public:
   Mlp(int dim, int hidden, nn::Rng& rng);
@@ -57,12 +78,12 @@ class Mlp {
   nn::Linear& fc1() { return fc1_; }
   nn::Linear& fc2() { return fc2_; }
   /// GELU replacement for infer(); an empty hook clears it.
-  void set_gelu_hook(nn::InferHook hook) noexcept { hook_ = std::move(hook); }
+  void set_gelu_hook(GeluHook hook) noexcept { hook_ = std::move(hook); }
 
  private:
   nn::Linear fc1_, fc2_;
   nn::Gelu gelu_;
-  nn::InferHook hook_;
+  GeluHook hook_;
 };
 
 /// One transformer encoder block.
@@ -155,7 +176,7 @@ class VisionTransformer {
   /// see a hook. An empty hook clears its slot: set_infer_hooks({}, {})
   /// clears both and cannot throw. Copying a non-empty hook may allocate;
   /// if that throws, earlier blocks keep the new hooks.
-  void set_infer_hooks(const nn::SoftmaxTileHook& softmax, const nn::InferHook& gelu);
+  void set_infer_hooks(const nn::SoftmaxTileHook& softmax, const GeluHook& gelu);
 
   std::vector<EncoderBlock>& blocks() { return blocks_; }
   /// Structural sub-layers, exposed for the checkpoint walker

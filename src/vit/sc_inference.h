@@ -27,8 +27,7 @@ struct ScInferenceConfig {
 
 /// Top-1 accuracy with the SC nonlinear blocks swapped in. The model's hooks
 /// are cleared on exit. Evaluates `model` served in place
-/// (vit::make_sc_servable_in_place): nonlinear blocks from the tf_cache LUTs,
-/// per-activation SC GELU work spread across the servable's worker pool.
+/// (vit::make_sc_servable_in_place): nonlinear blocks from the tf_cache LUTs.
 double evaluate_sc(VisionTransformer& model, const Dataset& data, const ScInferenceConfig& cfg,
                    int batch_size = 128);
 

@@ -11,7 +11,6 @@ namespace ascend::vit {
 
 namespace {
 
-using nn::InferHook;
 using nn::SoftmaxTileHook;
 using nn::Tensor;
 
@@ -43,26 +42,21 @@ SoftmaxTileHook sc_softmax_hook(const ScInferenceConfig& cfg, int tokens,
   };
 }
 
-/// The gate-assisted SI GELU of `cfg`: the LUT from `cache`, or the circuit
-/// emulator when `cache` is null.
-InferHook sc_gelu_hook(const ScInferenceConfig& cfg, runtime::TfCache* cache,
-                       runtime::ThreadPool& pool) {
-  if (cache) {
-    const runtime::GateSiLut* lut = &cache->gelu(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16);
-    return [lut, &pool](const Tensor& x) {
-      Tensor y = Tensor::uninitialized(x.shape());
-      pool.parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
-        lut->apply(x.data() + lo, static_cast<std::size_t>(hi - lo), y.data() + lo);
-      });
-      return y;
-    };
-  }
+/// The gate-assisted SI GELU of `cfg`: the LUT from `cache` as a count
+/// table, which the MLP applies on the calling thread (fused with fc2's
+/// input quantizer under W2A2), or, when `cache` is null, the circuit
+/// emulator spread over `pool`.
+GeluHook sc_gelu_hook(const ScInferenceConfig& cfg, runtime::TfCache* cache,
+                      runtime::ThreadPool* pool) {
+  if (cache)
+    return std::make_shared<const nn::CountTable>(
+        cache->gelu(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16).count_table());
   // transfer() is const: every forward and chunk reads this one block.
   auto block = std::make_shared<const sc::GateAssistedSI>(
       sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
-  return [block, &pool](const Tensor& x) {
+  return [block, pool](const Tensor& x) {
     Tensor y = Tensor::uninitialized(x.shape());
-    pool.parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
+    pool->parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
       for (std::size_t i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i)
         y[i] = static_cast<float>(block->transfer(x[i]));
     });
@@ -96,13 +90,13 @@ class VitServable final : public runtime::Servable {
     runtime::TfCache* cache = nullptr;  // null: the circuit emulators
     if (lut) cache = opts.cache ? opts.cache : &runtime::global_tf_cache();
     SoftmaxTileHook softmax;
-    InferHook gelu;
+    GeluHook gelu;
     if (cfg.use_sc_softmax) softmax = sc_softmax_hook(cfg, model_->config().tokens(), cache);
     if (cfg.use_sc_gelu) {
-      if (!opts.pool)  // hardware_concurrency() 0 clamps to 1
+      if (!cache && !opts.pool)  // hardware_concurrency() 0 clamps to 1
         owned_pool_ = std::make_unique<runtime::ThreadPool>(
             static_cast<int>(std::thread::hardware_concurrency()));
-      gelu = sc_gelu_hook(cfg, cache, opts.pool ? *opts.pool : *owned_pool_);
+      gelu = sc_gelu_hook(cfg, cache, opts.pool ? opts.pool : owned_pool_.get());
     }
     model_->set_infer_hooks(softmax, gelu);
   }

@@ -21,11 +21,13 @@
 // at it; requests then pick a variant per call (A/B fidelity, mixed
 // precision tiers) and variants hot-swap via ModelRegistry::publish.
 //
-// SC variants fan their per-activation GELU work out over a
-// runtime::ThreadPool: the caller's (ScServableOptions::pool, which fixes the
-// width) or, when none is given, one the servable owns, sized to the hardware
-// concurrency. The SC softmax runs inside attention's (batch, head) tile
-// loop, one head's rows per call, with no pool hop.
+// The LUT GELU is a count table (vit::GeluHook) the MLP applies on the
+// calling thread; under W2A2 it is composed with fc2's input quantizer into
+// one count -> code table. The emulated GELU fans its per-activation circuit
+// work out over a runtime::ThreadPool: the caller's (ScServableOptions::pool,
+// which fixes the width) or, when none is given, one the servable owns,
+// sized to the hardware concurrency. The SC softmax runs inside attention's
+// (batch, head) tile loop, one head's rows per call, with no pool hop.
 //
 // make_sc_servable_in_place drives the *caller's* model instead of an adopted
 // one (hooks installed at construction, cleared on destruction; while it
@@ -49,10 +51,10 @@ struct ScServableOptions {
   /// false: bit-true per-activation circuit emulation. Read only by
   /// make_sc_servable_in_place; make_servable takes it from the kind.
   bool use_tf_cache = true;
-  /// Worker pool for the per-activation SC GELU inside each forward (the SC
-  /// softmax never uses it). When null, the servable owns a pool sized to
-  /// the hardware concurrency; pass a pool for any other width. An external
-  /// pool must outlive the servable.
+  /// Worker pool for the circuit-emulated SC GELU inside each forward (the
+  /// LUT GELU and the SC softmax never use it). When null, an emulating
+  /// servable owns a pool sized to the hardware concurrency; pass a pool for
+  /// any other width. An external pool must outlive the servable.
   runtime::ThreadPool* pool = nullptr;
   /// Transfer-function LUT cache to tabulate/serve from; null = the
   /// process-wide runtime::global_tf_cache(). Must outlive the servable.

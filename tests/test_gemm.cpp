@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -766,7 +767,10 @@ TEST(TernaryCodes, ThawRules) {
       EXPECT_EQ(frozen(), tier == before) << gemm::kernel_name();
       expect_bitwise_equal(lin.infer(x), served, gemm::kernel_name());
       EXPECT_TRUE(frozen()) << gemm::kernel_name();
-      EXPECT_EQ(wq.frozen_weight(lin.weight().value, /*codes=*/true).panels.tier, tier);
+      // The codes are packed as int8 on the wide tiers and as float panels
+      // on base.
+      const FrozenWeight& fw = wq.frozen_weight(lin.weight().value, /*codes=*/true);
+      EXPECT_EQ(tier == gemm::Kernel::kBase ? fw.panels.tier : fw.codes.tier, tier);
     }
   }
 
@@ -780,6 +784,58 @@ TEST(TernaryCodes, ThawRules) {
   bool any_diff = false;
   for (std::size_t i = 0; i < after.size(); ++i) any_diff = any_diff || after[i] != before[i];
   EXPECT_TRUE(any_diff) << "thaw must rebuild the codes from the edited weights";
+}
+
+TEST(TernaryCodes, Int8KernelsMatchTheFloatGemmOnEveryTier) {
+  // 0/±1 matrices, -0 among B's zeros, strided A; m around the row tiles,
+  // k around groups of 4, n around the 8/16/32-column tiles.
+  KernelGuard guard;
+  std::mt19937 gen(27);
+  std::uniform_int_distribution<int> code(-1, 1);
+  for (const gemm::Kernel tier : {gemm::Kernel::kBase, gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
+    if (!gemm::kernel_supported(tier)) continue;
+    gemm::set_kernel(tier);
+    for (const int m : {1, 3, 4, 5, 8, 9, 16, 17})
+      for (const int k : {1, 3, 4, 5, 64, 129})
+        for (const int n : {1, 7, 8, 15, 16, 17, 33, 192}) {
+          const int lda = k + 3;
+          std::vector<float> a(static_cast<std::size_t>(m) * lda, 7.0f), b(static_cast<std::size_t>(k) * n);
+          for (int i = 0; i < m; ++i)
+            for (int p = 0; p < k; ++p) a[static_cast<std::size_t>(i) * lda + p] = static_cast<float>(code(gen));
+          for (float& v : b) {
+            const int c = code(gen);
+            v = c == 0 && gen() % 2 ? -0.0f : static_cast<float>(c);
+          }
+          std::vector<float> want(static_cast<std::size_t>(m) * n, 0.0f);
+          gemm::gemm_nn(m, n, k, a.data(), lda, b.data(), n, want.data(), n);
+          const gemm::PackedCodes bp = gemm::pack_codes(k, n, b.data(), n);
+          std::vector<float> got(static_cast<std::size_t>(m) * n, 123.0f);
+          const bool served = gemm::gemm_codes(m, a.data(), lda, bp, got.data(), n);
+          ASSERT_EQ(served, tier != gemm::Kernel::kBase) << gemm::kernel_name();
+          if (!served) continue;
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+              << gemm::kernel_name() << " m=" << m << " k=" << k << " n=" << n;
+        }
+  }
+  // Codes packed under another tier are not served, and nothing but 0/±1
+  // packs (a NaN level stays on the float GEMM, which propagates it).
+  gemm::set_kernel(gemm::Kernel::kBase);
+  const std::vector<float> one(4, 1.0f);
+  const gemm::PackedCodes base_packed = gemm::pack_codes(2, 2, one.data(), 2);
+  EXPECT_EQ(base_packed.tier, gemm::Kernel::kAuto);
+  for (const gemm::Kernel tier : {gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
+    if (!gemm::kernel_supported(tier)) continue;
+    gemm::set_kernel(tier);
+    for (const float odd : {std::numeric_limits<float>::quiet_NaN(), 0.5f, 2.0f}) {
+      const std::vector<float> b = {1.0f, odd, 0.0f, -1.0f};
+      EXPECT_EQ(gemm::pack_codes(2, 2, b.data(), 2).tier, gemm::Kernel::kAuto) << odd;
+    }
+    const gemm::PackedCodes bp = gemm::pack_codes(2, 2, one.data(), 2);
+    gemm::set_kernel(tier == gemm::Kernel::kAvx2 ? gemm::Kernel::kBase : gemm::Kernel::kAvx2);
+    std::vector<float> c(4, 5.0f);
+    EXPECT_FALSE(gemm::gemm_codes(2, one.data(), 2, bp, c.data(), 2));
+    EXPECT_EQ(c, std::vector<float>(4, 5.0f));
+  }
 }
 
 TEST(TernaryCodes, ThrowsOnNonTernarySpec) {

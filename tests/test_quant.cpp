@@ -11,11 +11,14 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/gemm.h"
+#include "nn/ops.h"
 #include "nn/quant.h"
 #include "nn/rng.h"
+#include "test_util.h"
 
 using namespace ascend::nn;
 
@@ -170,6 +173,34 @@ TEST(LsqQuantizerTest, InferQuantizesAMovedTensorInPlace) {
   }
 }
 
+TEST(LsqQuantizerTest, InferAddIsInferOfTheSumInTheSecondOperandsStorage) {
+  Rng rng(9);
+  Tensor a({8, 6}), b({8, 6});
+  rng.fill_normal(a, 0, 1);
+  rng.fill_normal(b, 0, 1);
+  LsqQuantizer calibrated(QuantSpec::from_bsl(16));
+  (void)calibrated.forward(add(a, b));
+  // Calibrated, uncalibrated (the step comes from the sum itself) and
+  // disabled (the plain sum).
+  const LsqQuantizer uncalibrated(QuantSpec::from_bsl(16)), disabled;
+  for (const LsqQuantizer* q : {&std::as_const(calibrated), &uncalibrated, &disabled}) {
+    const Tensor want = q->infer(add(a, b));
+    Tensor owned = b;
+    const float* buffer = owned.data();
+    const Tensor got = q->infer_add(a, std::move(owned));
+    EXPECT_EQ(got.data(), buffer);
+    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << i;
+    std::vector<float> blob(b.data(), b.data() + b.size());
+    const Tensor from_view = q->infer_add(a, Tensor::borrow(b.shape(), blob.data()));
+    EXPECT_FALSE(from_view.borrowed());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(from_view[i], want[i]) << i;
+      EXPECT_EQ(blob[i], b[i]) << i;
+    }
+    EXPECT_THROW((void)q->infer_add(Tensor({8, 5}), Tensor(b)), std::invalid_argument);
+  }
+}
+
 TEST(LsqQuantizerTest, FrozenWeightMatchesInferAndMemoizes) {
   LsqQuantizer q(QuantSpec::ternary());
   Rng rng(6);
@@ -309,14 +340,51 @@ QuantSpec make_spec(int qn, int qp) {
   return spec;
 }
 
-/// Quantizes `xs` at `step` through infer, forward and (ternary specs)
-/// the frozen weight codes, and compares each against the reference rounding.
+/// The fused residual requantize on every tier: infer_add(a, x) against the
+/// reference rounding of a + x and, bit for bit, against infer(add(a, x)).
+/// The addends are `xs` rotated, so every edge value meets every other.
+void expect_infer_add_matches(const LsqQuantizer& q, float s, const QuantSpec& spec,
+                              const Tensor& x) {
+  Tensor a = Tensor::uninitialized(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) a[i] = x[(i * 7 + 3) % x.size()];
+  const ascend::testing::TierGuard guard;
+  for (const gemm::Kernel tier : ascend::testing::supported_tiers()) {
+    gemm::set_kernel(tier);
+    const Tensor fused = q.infer_add(a, Tensor(x));
+    const Tensor unfused = q.infer(add(a, x));
+    ASSERT_TRUE(ascend::testing::same_bits(fused.data(), unfused.data(), x.size()))
+        << gemm::kernel_name() << " s=" << s;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_TRUE(same_bits(fused[i], reference_level(a[i] + x[i], s, spec) * s))
+          << gemm::kernel_name() << " a=" << a[i] << " x=" << x[i] << " s=" << s;
+  }
+}
+
+/// Quantizes `xs` at `step` through infer on every GEMM tier, infer_add,
+/// forward and (ternary specs) the frozen weight codes, and compares each
+/// against the reference rounding. Every length from 1 to 33 runs too, so
+/// the wide tiers' tails meet the edge values.
 void expect_rounding_matches(const QuantSpec& spec, float step, const std::vector<float>& xs) {
   Tensor x = Tensor::uninitialized({1, static_cast<int>(xs.size())});
   std::copy(xs.begin(), xs.end(), x.data());
   LsqQuantizer q;
   q.restore_calibration(spec, /*calibrated=*/true, step);
   const float s = std::max(step, 1e-6f);
+  expect_infer_add_matches(q, s, spec, x);
+  {
+    const ascend::testing::TierGuard guard;
+    for (const gemm::Kernel tier : ascend::testing::supported_tiers()) {
+      gemm::set_kernel(tier);
+      for (int n = 1; n <= std::min<int>(33, static_cast<int>(xs.size())); ++n) {
+        Tensor head = Tensor::uninitialized({1, n});
+        std::copy(xs.end() - n, xs.end(), head.data());
+        const Tensor got = q.infer(head);
+        for (int i = 0; i < n; ++i)
+          ASSERT_TRUE(same_bits(got[i], reference_level(head[i], s, spec) * s))
+              << gemm::kernel_name() << " n=" << n << " x=" << head[i] << " s=" << s;
+      }
+    }
+  }
   const Tensor inferred = q.infer(x);
   const Tensor trained = q.forward(x);
   const bool ternary = spec.qn == -1 && spec.qp == 1;

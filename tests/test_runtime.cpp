@@ -478,6 +478,112 @@ TEST(SoftmaxLut, RowsMayRunInPlace) {
   EXPECT_EQ(buf, expect);
 }
 
+namespace {
+
+/// The serving configuration (the perfbench/serve examples') at row length m.
+sc::SoftmaxIterConfig serving_softmax_config(int m) {
+  sc::SoftmaxIterConfig cfg;
+  cfg.m = m;
+  cfg.bx = 8;
+  cfg.alpha_x = 1.0;
+  cfg.by = 32;
+  cfg.k = 3;
+  cfg.s1 = 4;
+  cfg.s2 = 2;
+  cfg.alpha_y = 3.0 / 32;
+  return cfg;
+}
+
+/// `rows` rows of m scores: sampled logits, with every fifth score replaced
+/// by an edge value (the x encode's cuts and the floats just below them,
+/// +-inf, NaN, +-FLT_MAX, +-1e30).
+std::vector<float> edge_scores(const sc::SoftmaxIterConfig& cfg, int rows, std::uint64_t seed) {
+  std::vector<float> edges = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::max(),
+                              -std::numeric_limits<float>::max(),
+                              1e30f,
+                              -1e30f,
+                              0.0f,
+                              -0.0f};
+  for (float c : nn::count_cuts(cfg.bx, cfg.alpha_x)) {
+    edges.push_back(c);
+    edges.push_back(std::nextafter(c, -std::numeric_limits<float>::infinity()));
+  }
+  std::vector<float> x;
+  for (const auto& row : sc::sample_attention_logits(cfg.m, rows, seed))
+    for (double v : row) x.push_back(static_cast<float>(v));
+  for (std::size_t i = 0; i < x.size(); i += 5) x[i] = edges[(i / 5 + seed) % edges.size()];
+  return x;
+}
+
+}  // namespace
+
+TEST(SoftmaxLut, LaneTiersMatchBaseTierAndEmulator) {
+  // Row counts around the 8- and 16-row interleaves; short and odd row
+  // lengths leave no element tail to hide. The circuit needs m >= 2.
+  ascend::testing::TierGuard guard;
+  EXPECT_THROW(SoftmaxLut{serving_softmax_config(1)}, std::invalid_argument);
+  for (int m : {2, 5, 16, 17, 33}) {
+    const sc::SoftmaxIterConfig cfg = serving_softmax_config(m);
+    const SoftmaxLut lut(cfg);
+    for (int rows : {1, 7, 8, 9, 15, 16, 17, 24, 33}) {
+      const std::size_t n = static_cast<std::size_t>(rows) * m;
+      const std::vector<float> x = edge_scores(cfg, rows, static_cast<std::uint64_t>(m * 100 + rows));
+      // The emulator on every widened row, cast to float.
+      std::vector<float> want(n);
+      for (int r = 0; r < rows; ++r) {
+        const float* xr = x.data() + static_cast<std::size_t>(r) * m;
+        const auto y = sc::softmax_iterative_sc(std::vector<double>(xr, xr + m), cfg);
+        for (int i = 0; i < m; ++i) want[static_cast<std::size_t>(r) * m + i] = static_cast<float>(y[i]);
+      }
+      for (const nn::gemm::Kernel tier : ascend::testing::supported_tiers()) {
+        nn::gemm::set_kernel(tier);
+        const std::string where = std::string(nn::gemm::kernel_name()) + " m=" +
+                                  std::to_string(m) + " rows=" + std::to_string(rows);
+        std::vector<float> got(n);
+        lut.rows(x.data(), rows, got.data());
+        ASSERT_TRUE(ascend::testing::same_bits(got.data(), want.data(), n)) << where;
+        std::vector<float> buf = x;  // in place
+        lut.rows(buf.data(), rows, buf.data());
+        ASSERT_TRUE(ascend::testing::same_bits(buf.data(), want.data(), n)) << where << " (in place)";
+      }
+    }
+  }
+}
+
+TEST(SoftmaxLut, LaneTiersMatchBaseTierOnRandomConfigs) {
+  // 40 rows: two full 16-row groups and a tail, five 8-row groups.
+  ascend::testing::TierGuard guard;
+  std::mt19937_64 rng(20261019);
+  int checked = 0;
+  for (int c = 0; c < 120; ++c) {
+    const sc::SoftmaxIterConfig cfg = random_softmax_config(rng);
+    std::unique_ptr<SoftmaxLut> lut;
+    try {
+      lut = std::make_unique<SoftmaxLut>(cfg);
+    } catch (const std::exception&) {
+      continue;  // no balanced re-scaling plan (see the differential test)
+    }
+    ++checked;
+    const int rows = 40;
+    const std::size_t n = static_cast<std::size_t>(rows) * cfg.m;
+    const std::vector<float> x = edge_scores(cfg, rows, static_cast<std::uint64_t>(c));
+    nn::gemm::set_kernel(nn::gemm::Kernel::kBase);
+    std::vector<float> want(n);
+    lut->rows(x.data(), rows, want.data());
+    for (const nn::gemm::Kernel tier : ascend::testing::supported_tiers()) {
+      nn::gemm::set_kernel(tier);
+      std::vector<float> got(n);
+      lut->rows(x.data(), rows, got.data());
+      ASSERT_TRUE(ascend::testing::same_bits(got.data(), want.data(), n))
+          << nn::gemm::kernel_name() << " " << softmax_cache_key(cfg);
+    }
+  }
+  EXPECT_GE(checked, 80);
+}
+
 TEST(SoftmaxLut, RejectsConfigsThatOverflowInt) {
   sc::SoftmaxIterConfig cfg;  // Lsum = m * Bx*By/2 = 2^31
   cfg.m = 1 << 20;
@@ -506,10 +612,10 @@ TEST(GateSiLut, FloatApplyMatchesCircuitEmulation) {
     x.push_back(std::numeric_limits<float>::infinity());
     x.push_back(-std::numeric_limits<float>::infinity());
     std::vector<float> y(x.size());
-    lut.apply(x.data(), x.size(), y.data());
+    lut.count_table().apply(x.data(), x.size(), y.data());
     for (std::size_t i = 0; i < x.size(); ++i)
       ASSERT_EQ(y[i], static_cast<float>(block.transfer(x[i]))) << "B=" << b << " x=" << x[i];
-    lut.apply(x.data(), x.size(), x.data());  // in place
+    lut.count_table().apply(x.data(), x.size(), x.data());  // in place
     EXPECT_EQ(x, y);
   }
 }

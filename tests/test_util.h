@@ -2,9 +2,12 @@
 // test_util.h — shared helpers for the ASCEND test suite.
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "nn/gemm.h"
 #include "nn/tensor.h"
 #include "runtime/registry.h"
 #include "vit/servable.h"
@@ -27,6 +30,28 @@ inline double max_grad_error(nn::Tensor& x, const std::function<double()>& loss_
     worst = std::max(worst, std::fabs(num - static_cast<double>(analytic[i])));
   }
   return worst;
+}
+
+/// Restores the process-wide GEMM tier on scope exit, for tests that walk
+/// the tiers the lane-wide kernels dispatch on.
+struct TierGuard {
+  nn::gemm::Kernel saved = nn::gemm::kernel();  // resolved tier, never kAuto
+  ~TierGuard() { nn::gemm::set_kernel(saved); }
+};
+
+/// Every tier this CPU runs, the base tier (the tests' oracle) first.
+inline std::vector<nn::gemm::Kernel> supported_tiers() {
+  std::vector<nn::gemm::Kernel> out;
+  for (nn::gemm::Kernel k : {nn::gemm::Kernel::kBase, nn::gemm::Kernel::kAvx2,
+                             nn::gemm::Kernel::kAvx512})
+    if (nn::gemm::kernel_supported(k)) out.push_back(k);
+  return out;
+}
+
+/// Bitwise float equality (NaN payloads and the sign of zero included).
+/// Empty spans compare equal (their pointers may be null).
+inline bool same_bits(const float* a, const float* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
 }
 
 /// `model` served in place as a registry's sole SC variant, the hooks'
