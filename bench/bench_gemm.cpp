@@ -1,12 +1,16 @@
-// bench_gemm — the blocked/tiled GEMM kernel subsystem, and the W2A2
-// Linear::infer path that runs ternary codes through it.
+// bench_gemm — the blocked/tiled GEMM kernel subsystem, the W2A2
+// Linear::infer path that runs ternary codes through it, and the lane
+// kernels that dispatch on the same tier.
 //
-// Two questions: (1) what throughput does the cache-blocked, register-tiled
-// kernel layer reach across square and ViT-shaped products, and (2) what
-// does a W2A2 Linear::infer cost next to the same layer in fp32 at the
-// bench topology's shapes. Pin ASCEND_GEMM_KERNEL to compare micro-kernel
-// tiers.
+// Three questions: (1) what throughput does the cache-blocked, register-tiled
+// kernel layer reach across square and ViT-shaped products, (2) what does a
+// W2A2 Linear::infer cost next to the same layer in fp32 at the bench
+// topology's shapes, and (3) what does each tier's copy of the batch-1 lane
+// kernels (softmax LUT tile, GELU count table, residual requantize, code
+// GEMMs) cost, head to head in one process. Pin ASCEND_GEMM_KERNEL to compare
+// micro-kernel tiers in (1) and (2).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -17,6 +21,8 @@
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/rng.h"
+#include "runtime/tf_cache.h"
+#include "sc/gate_si.h"
 
 using namespace ascend;
 using namespace ascend::nn;
@@ -105,6 +111,97 @@ void w2a2_linear_table(bool fast, bench::JsonWriter* json) {
   }
 }
 
+/// Median of `samples` seconds_per_call readings: one slow sample (a
+/// preempted slice) does not move it.
+double median_seconds_per_call(const std::function<void()>& fn, int iters, int samples) {
+  std::vector<double> t;
+  for (int s = 0; s < samples; ++s) t.push_back(seconds_per_call(fn, iters));
+  std::nth_element(t.begin(), t.begin() + samples / 2, t.end());
+  return t[static_cast<std::size_t>(samples / 2)];
+}
+
+void lane_kernel_table(bool fast) {
+  // engine_vit's batch-1 work per call: one head's 16 x 16 score tile
+  // through the softmax LUT (bx 8, by 32), the 16 x 128 GELU count table
+  // (BSL 16 over +-4) as values and composed with a ternary quantizer (the
+  // table sc-lut's W2A2 MLP applies), one 16 x 64 residual requantize (R16)
+  // and the four encoder code GEMMs at 16 rows. The same calls run on every
+  // tier the CPU supports, so each tier's kernel copies compare head to head.
+  constexpr int kTokens = 16, kDim = 64, kHidden = 128;
+  sc::SoftmaxIterConfig sm;
+  sm.m = kTokens;
+  sm.bx = 8;
+  sm.alpha_x = 1.0;
+  sm.by = 32;
+  sm.k = 3;
+  sm.s1 = 4;
+  sm.s2 = 2;
+  sm.alpha_y = 3.0 / 32;
+  const runtime::SoftmaxLut softmax(sm);
+  const runtime::GateSiLut gelu(sc::make_gelu_block(16, -4.0, 4.0, 16));
+  const CountTable gelu_codes = gelu.count_table().ternary_codes(0.15f);
+  LsqQuantizer residual;
+  residual.restore_calibration(QuantSpec::from_bsl(16), /*calibrated=*/true, 0.25f);
+
+  Rng rng(9);
+  Tensor scores({kTokens, kTokens}), gx({kTokens, kHidden}), ra({kTokens, kDim}),
+      rb({kTokens, kDim});
+  rng.fill_normal(scores, 0, 2);
+  rng.fill_normal(gx, 0, 1.5f);
+  rng.fill_normal(ra, 0, 1);
+  rng.fill_normal(rb, 0, 1);
+  Tensor probs(scores.shape()), gy(gx.shape()), rq(rb.shape());
+  struct Layer {
+    int in, out;
+  };
+  const Layer layers[] = {{kDim, 3 * kDim}, {kDim, kDim}, {kDim, kHidden}, {kHidden, kDim}};
+  std::vector<Linear> linears;
+  std::vector<Tensor> codes;
+  for (const Layer& l : layers) {
+    Linear& lin = linears.emplace_back(l.in, l.out, rng);
+    lin.set_weight_quant(QuantSpec::ternary());
+    lin.set_input_quant(QuantSpec::ternary());
+    Tensor x({kTokens, l.in});
+    rng.fill_normal(x, 0, 1);
+    (void)lin.forward(x);  // latch the LSQ steps
+    const float half = 0.5f * lin.input_quant().serving_step();
+    Tensor& c = codes.emplace_back(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i) c[i] = ternary_code(x[i], half);
+  }
+
+  const int iters = fast ? 20 : 2000, samples = fast ? 3 : 11;
+  const gemm::Kernel saved = gemm::kernel();
+  std::printf("\n-- lane kernels per tier, batch 1 (ns/call, median of %d samples) --\n", samples);
+  std::printf("  %-8s %13s %13s %13s %13s %13s\n", "tier", "softmax tile", "gelu values",
+              "gelu codes", "requant", "4 code GEMMs");
+  for (const gemm::Kernel tier :
+       {gemm::Kernel::kBase, gemm::Kernel::kAvx2, gemm::Kernel::kAvx512}) {
+    if (!gemm::kernel_supported(tier)) continue;
+    gemm::set_kernel(tier);
+    const double t_softmax = median_seconds_per_call(
+        [&] { softmax.rows(scores.data(), kTokens, probs.data()); }, iters, samples);
+    const double t_gelu = median_seconds_per_call(
+        [&] { gelu.count_table().apply(gx.data(), gx.size(), gy.data()); }, iters, samples);
+    const double t_gelu_codes = median_seconds_per_call(
+        [&] { gelu_codes.apply(gx.data(), gx.size(), gy.data()); }, iters, samples);
+    const double t_requant = median_seconds_per_call(
+        [&] {
+          std::copy(rb.data(), rb.data() + rb.size(), rq.data());
+          rq = residual.infer_add(ra, std::move(rq));
+        },
+        iters, samples);
+    const double t_codes = median_seconds_per_call(
+        [&] {
+          for (std::size_t l = 0; l < linears.size(); ++l)
+            ::benchmark::DoNotOptimize(linears[l].infer_codes(codes[l]).data());
+        },
+        iters, samples);
+    std::printf("  %-8s %13.0f %13.0f %13.0f %13.0f %13.0f\n", gemm::kernel_name(),
+                t_softmax * 1e9, t_gelu * 1e9, t_gelu_codes * 1e9, t_requant * 1e9, t_codes * 1e9);
+  }
+  gemm::set_kernel(saved);
+}
+
 // Registered google-benchmark kernels for flag-driven runs.
 
 void bm_gemm_blocked_192(benchmark::State& state) {
@@ -126,6 +223,7 @@ int main(int argc, char** argv) {
   const bool fast = bench::fast_mode();
   dense_kernel_table(fast, &json);
   w2a2_linear_table(fast, &json);
+  lane_kernel_table(fast);
   if (!json_path.empty()) json.write(json_path);
   bench::run_timing_kernels(argc, argv);
   return 0;

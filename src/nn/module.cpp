@@ -81,9 +81,13 @@ Tensor Linear::infer_codes(const Tensor& codes) const {
   // order (int8 dot products on the wide tiers, the float GEMM on base),
   // and one multiply by fl(w_step * x_step) gives each output.
   const FrozenWeight& wc = weight_quant_.frozen_weight(w_.value, /*codes=*/true);
-  Tensor y = Tensor::uninitialized({codes.dim(0), out_});
-  if (!gemm::gemm_codes(codes.dim(0), codes.data(), in_, wc.codes, y.data(), out_))
+  Tensor y;
+  if (wc.codes.tier == gemm::kernel()) {
+    y = Tensor::uninitialized({codes.dim(0), out_});
+    gemm::gemm_codes(codes.dim(0), codes.data(), in_, wc.codes, y.data(), out_);
+  } else {
     y = packed_matmul(codes, wc, w_.value);
+  }
   const float scale = wc.step * input_quant_.serving_step();
   for (std::size_t i = 0; i < y.size(); ++i) y[i] *= scale;
   add_bias(y);
