@@ -56,18 +56,16 @@ constexpr int kTimedPasses = 5;
 // circuit emulation when `cached` is false. Both sides run on one thread:
 // the OpenMP team that attention's head loop (and with it the emulated
 // softmax) would spread over is pinned to 1 here and restored afterwards,
-// and the emulated GELU gets a 1-worker pool, so the ratio does not follow
-// the host's core count. One warm-up pass, then kTimedPasses timed ones.
+// and the emulated GELU, given no pool, runs on the calling thread, so the
+// ratio does not follow the host's core count. One warm-up pass, then kTimedPasses timed ones.
 PassRates images_per_sec(VisionTransformer& model, const Dataset& data,
                          const ScInferenceConfig& sc_cfg, bool cached) {
 #ifdef _OPENMP
   const int omp_threads = omp_get_max_threads();
   omp_set_num_threads(1);
 #endif
-  runtime::ThreadPool pool(1);
   ScServableOptions sopts;
   sopts.use_tf_cache = cached;
-  sopts.pool = &pool;
   const auto servable = make_sc_servable_in_place(model, sc_cfg, sopts);
   evaluate(*servable, data, 32);  // warm-up: builds LUTs / touches every code path
   std::vector<double> rates;
@@ -95,13 +93,9 @@ void allocation_audit(VisionTransformer& model, const Dataset& data,
     std::printf("  (operator-new interposer not linked — section skipped)\n");
     return;
   }
-  runtime::ThreadPool sc_pool(2);
-  ScServableOptions sopts;
-  sopts.pool = &sc_pool;
   std::vector<std::pair<std::string, std::shared_ptr<runtime::Servable>>> variants;
   variants.emplace_back("sc-lut", make_servable(model.clone_for_serving(),
-                                                runtime::VariantKind::kScLut, "sc-lut", sc_cfg,
-                                                sopts));
+                                                runtime::VariantKind::kScLut, "sc-lut", sc_cfg));
   variants.emplace_back("w2a2-packed", make_servable(model.clone_for_serving(),
                                                      runtime::VariantKind::kPackedTernary,
                                                      "w2a2-packed"));

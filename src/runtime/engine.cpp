@@ -660,20 +660,6 @@ void InferenceEngine::process_batch(BatchJob& job) {
         std::move(preds[static_cast<std::size_t>(r)]));
 }
 
-std::vector<int> InferenceEngine::predict_batch(const Tensor& images, const std::string& variant) {
-  const std::shared_ptr<const Servable> servable = registry_->get(resolve_variant(variant));
-  std::vector<int> labels;
-  {
-    ArenaLease lease(arenas_);
-    ASCEND_FAILPOINT(fp_infer);
-    const Tensor logits = servable->infer(images);
-    labels.resize(static_cast<std::size_t>(logits.dim(0)));
-    for (int r = 0; r < logits.dim(0); ++r)
-      labels[static_cast<std::size_t>(r)] = argmax_row(logits, r);
-  }
-  return labels;
-}
-
 EngineStats InferenceEngine::stats() const {
   EngineStats st;
   st.images = images_.load();

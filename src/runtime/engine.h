@@ -118,11 +118,6 @@ class InferenceEngine {
   /// batch forward starts fails the future with DeadlineExceededError.
   std::future<Prediction> submit(std::vector<float> image, RequestOptions ropts = {});
 
-  /// Synchronous batch path (no batcher): argmax labels for [B, pixels]
-  /// through `variant` (empty = default). Re-entrant — callers from
-  /// different threads run concurrently.
-  std::vector<int> predict_batch(const nn::Tensor& images, const std::string& variant = {});
-
   /// Consistent snapshot of the serving counters. Since the observability
   /// layer landed this is a *view* assembled from the same atomics that back
   /// the metrics registry — one code path, so a scrape and stats() can never
@@ -248,9 +243,9 @@ class InferenceEngine {
   std::string default_variant_;
 
   /// Warm per-forward activation arenas, one per in-flight forward, leased
-  /// around each Servable::infer by process_batch / predict_batch: every
-  /// intermediate tensor bump-allocates from the leased slab, so a
-  /// steady-state forward makes no heap allocations.
+  /// around each Servable::infer by process_batch: every intermediate
+  /// tensor bump-allocates from the leased slab, so a steady-state forward
+  /// makes no heap allocations.
   ArenaPool arenas_;
 
   std::unique_ptr<ThreadPool> forward_workers_;  ///< runs the in-flight batch forwards

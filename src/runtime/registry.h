@@ -70,10 +70,6 @@ struct PublishResult {
 };
 
 struct RegisterFromFileOptions {
-  /// Serve weights zero-copy out of a read-only mmap of the checkpoint (the
-  /// servable keeps the mapping alive across hot-swaps until the last
-  /// in-flight forward drops it). false: eager heap copies.
-  bool use_mmap = true;
   /// SC variant knobs (kScLut / kScEmulated only); null = defaults. The
   /// pointees are only read during the register_from_file call.
   const vit::ScInferenceConfig* sc_config = nullptr;
@@ -122,8 +118,10 @@ class ModelRegistry {
   /// cold-start load or canary fails and the incumbent is kept.
   void count_rollback() { rollbacks_.fetch_add(1); }
 
-  /// Cold-start a variant from a checkpoint file: load the model (zero-copy
-  /// mmap by default), shape it per `kind`, and publish() it under
+  /// Cold-start a variant from a checkpoint file: load the model as
+  /// zero-copy views into a read-only mmap of the file (the servable keeps
+  /// the mapping alive across hot-swaps until the last in-flight forward
+  /// drops it), shape it per `kind`, and publish() it under
   /// `variant_id` — including atomically hot-swapping a live variant to the
   /// fresh mapping. Throws serialize::CheckpointError on a bad file, kSchema
   /// also when vit::make_servable refuses the loaded model for `kind` (e.g.

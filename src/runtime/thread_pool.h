@@ -1,24 +1,16 @@
 #pragma once
-// thread_pool.h — fixed-size worker pool for the SC inference runtime.
+// thread_pool.h — fixed-size worker pool with one FIFO task queue.
 //
-// The engine's hot path includes the per-activation SC nonlinear blocks
-// (GELU elements; the softmax runs inside attention's tile loop); those units
-// are independent, so the pool's
-// job is plain data parallelism: `submit` for fire-and-forget futures and
-// `parallel_for` for blocking chunked loops. Tasks submitted from one thread
-// run FIFO per worker; the destructor drains the queue before joining so no
-// accepted task is ever dropped.
-//
-// parallel_for is allocation-free at steady state: the per-call job state
-// lives on the caller's stack in an intrusive list the workers poll, chunks
-// are claimed under the pool mutex (no per-chunk task objects, futures, or
-// type-erased closures), and the body is passed by reference through a
-// function-pointer trampoline instead of a std::function. This is what keeps
-// the SC GELU hooks — which fan every fc1 output over the pool — off the
-// heap during serving (see runtime/arena.h for the tensor half of that
-// story). Concurrent parallel_for calls from different threads interleave:
-// workers drain whichever jobs are live, oldest first.
+// `submit` enqueues fire-and-forget tasks with futures; `parallel_for` runs a
+// blocking chunked loop by posting helper tasks to the same queue while the
+// caller claims chunks itself. The engine runs its in-flight batch forwards
+// on a pool, the DSE sweep its design points, and the circuit-emulated SC
+// GELU its activations when a pool is given (the LUT variants apply their
+// tables on the calling thread and never touch a pool). Tasks submitted from
+// one thread run FIFO per worker; shutdown() and the destructor drain the
+// queue before joining so no accepted task is ever dropped.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -26,6 +18,7 @@
 #include <future>
 #include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -72,12 +65,8 @@ class ThreadPool {
           return f();
         });
     std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) throw std::runtime_error("ThreadPool::submit after shutdown");
-      queue_.push([task] { (*task)(); });
-    }
-    cv_.notify_one();
+    if (!post([task] { (*task)(); }))
+      throw std::runtime_error("ThreadPool::submit after shutdown");
     return fut;
   }
 
@@ -85,51 +74,83 @@ class ThreadPool {
   /// until all complete. By default the range splits into ~size() chunks;
   /// `max_chunk > 0` caps the chunk size instead — submit many small chunks
   /// when per-index cost varies wildly (the DSE sweep), so chunk claiming
-  /// load-balances dynamically. The caller claims chunks alongside the
-  /// workers, so the loop makes progress even on a single-core pool. Must
-  /// not be called from inside a pool task (the caller-waits pattern would
-  /// deadlock). Rethrows the first chunk exception after all chunks finish.
+  /// load-balances dynamically. A range of one chunk runs inline. Otherwise
+  /// up to size() helper tasks join the queue and the caller claims chunks
+  /// alongside them, so it never waits for a helper that has not started:
+  /// on a busy or shut-down pool the caller runs every chunk itself, and a
+  /// helper that starts late finds nothing left to claim. Rethrows the first
+  /// chunk exception after every claimed chunk finishes.
   template <typename Body>
   void parallel_for(int begin, int end, const Body& body, int max_chunk = 0) {
-    parallel_for_impl(
-        begin, end,
-        [](void* ctx, int lo, int hi) { (*static_cast<const Body*>(ctx))(lo, hi); },
-        const_cast<void*>(static_cast<const void*>(&body)), max_chunk);
+    const int n = end - begin;
+    if (n <= 0) return;
+    const int width = std::min(n, size());
+    int step = (n + width - 1) / width;
+    if (max_chunk > 0) step = std::min(step, max_chunk);
+    const int chunks = (n + step - 1) / step;
+    if (chunks <= 1) {
+      body(begin, end);
+      return;
+    }
+    auto claims = std::make_shared<ChunkClaims>(begin, end, step, chunks);
+    // A helper reads `body` only after claiming a chunk, and the caller
+    // waits for every claimed chunk, so `b` is never read after it dangles.
+    const Body* b = &body;
+    for (int h = std::min(chunks - 1, size()); h > 0; --h)
+      if (!post([claims, b] { claims->run_all(b); })) break;
+    claims->run_all(b);
+    claims->wait();
   }
 
  private:
-  using ChunkFn = void (*)(void* ctx, int lo, int hi);
+  /// The shared state of one parallel_for: which chunks are claimed, how
+  /// many finished, and the first chunk exception. Heap-held so a helper
+  /// task that starts after the call returned still finds it alive.
+  class ChunkClaims {
+   public:
+    ChunkClaims(int begin, int end, int step, int chunks)
+        : begin_(begin), end_(end), step_(step), chunks_(chunks) {}
 
-  /// One in-flight parallel_for: lives on the caller's stack, linked into
-  /// jobs_. All fields are guarded by mu_ except during body execution.
-  struct ParallelJob {
-    ChunkFn invoke = nullptr;
-    void* ctx = nullptr;
-    int begin = 0;
-    int end = 0;
-    int step = 1;
-    int chunks = 0;
-    int next = 0;     ///< next chunk index to claim (under mu_)
-    int running = 0;  ///< chunks claimed but not yet finished (under mu_)
-    std::exception_ptr error;  ///< first failure (under mu_)
-    ParallelJob* next_job = nullptr;
+    /// Claim and run chunks until none is left. `body` is dereferenced only
+    /// once a chunk is claimed.
+    template <typename Body>
+    void run_all(const Body* body) {
+      std::unique_lock<std::mutex> lock(mu_);
+      while (next_ < chunks_) {
+        const int lo = begin_ + next_++ * step_;
+        lock.unlock();
+        std::exception_ptr err;
+        try {
+          (*body)(lo, std::min(end_, lo + step_));
+        } catch (...) {
+          err = std::current_exception();
+        }
+        lock.lock();
+        if (err && !error_) error_ = std::move(err);
+        if (++finished_ == chunks_) cv_.notify_all();
+      }
+    }
+    /// Blocks until every chunk finished; rethrows the first failure.
+    void wait();
+
+   private:
+    const int begin_, end_, step_, chunks_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    int next_ = 0;              ///< next chunk index to claim (under mu_)
+    int finished_ = 0;          ///< under mu_
+    std::exception_ptr error_;  ///< first failure (under mu_)
   };
 
-  void parallel_for_impl(int begin, int end, ChunkFn invoke, void* ctx, int max_chunk);
-  /// Any live job with an unclaimed chunk? (under mu_)
-  bool claimable() const;
-  /// Claim and run one chunk of the oldest live job. Caller holds `lock`;
-  /// returns false when no job has unclaimed chunks.
-  bool run_one_chunk(std::unique_lock<std::mutex>& lock);
+  /// Queue `task` for a worker; false (task dropped) once shut down.
+  bool post(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;  ///< mutated under mu_ (ctor aside)
   std::atomic<int> size_{0};          ///< workers_.size(), lock-free for readers
   std::queue<std::function<void()>> queue_;
-  ParallelJob* jobs_ = nullptr;  ///< newest-first intrusive list (under mu_)
   std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable done_cv_;  ///< signalled when a job's last chunk retires
   bool closed_ = false;
 };
 

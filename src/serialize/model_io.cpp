@@ -257,20 +257,13 @@ std::uint64_t ModelRegistry::register_from_file(const std::string& variant_id,
                                                 const RegisterFromFileOptions& opts) {
   std::shared_ptr<Servable> servable;
   try {
-    std::unique_ptr<vit::VisionTransformer> model;
-    std::shared_ptr<const void> retain;
-    if (opts.use_mmap) {
-      serialize::MappedModel mm = serialize::load_model_mmap(path);
-      model = std::move(mm.model);
-      retain = std::move(mm.mapping);  // anchored in the servable: outlives forwards
-    } else {
-      model = serialize::load_model(path);
-    }
-
+    serialize::MappedModel mm = serialize::load_model_mmap(path);
     const vit::ScInferenceConfig sc = opts.sc_config ? *opts.sc_config : vit::ScInferenceConfig{};
     const vit::ScServableOptions so = opts.sc_options ? *opts.sc_options : vit::ScServableOptions{};
     try {
-      servable = vit::make_servable(std::move(model), kind, variant_id, sc, so, std::move(retain));
+      // The mapping is anchored in the servable, so it outlives every forward.
+      servable = vit::make_servable(std::move(mm.model), kind, variant_id, sc, so,
+                                    std::move(mm.mapping));
     } catch (const std::invalid_argument& e) {
       // The file is well formed but its model cannot serve as `kind`.
       throw serialize::CheckpointError(serialize::CheckpointError::Kind::kSchema,

@@ -145,38 +145,44 @@ ShardSet::Ticket ShardSet::submit(std::vector<float> payload, runtime::RequestOp
   }
 }
 
-PublishAllResult ShardSet::publish_all(const ServableFactory& make,
-                                       const runtime::CanaryOptions* canary) {
-  PublishAllResult result;
-  result.generations.resize(static_cast<std::size_t>(shards()), 0);
+std::vector<std::shared_ptr<runtime::Servable>> ShardSet::build_candidates(
+    const ServableFactory& make, const runtime::CanaryOptions* canary,
+    PublishAllResult& result) {
+  result.generations.assign(static_cast<std::size_t>(shards()), 0);
   std::vector<std::shared_ptr<runtime::Servable>> candidates(
       static_cast<std::size_t>(shards()));
-  std::string variant;
-  // Phase 1 — build and validate every shard's candidate before any shard
-  // swaps. A rejection here leaves every generation untouched: this is the
-  // broadcast-to-all-ranks idiom with a validate barrier in front of the
-  // commit, so a half-published fleet cannot exist.
   for (int s = 0; s < shards(); ++s) {
     Shard& sh = *shards_[static_cast<std::size_t>(s)];
+    auto& cand = candidates[static_cast<std::size_t>(s)];
     try {
-      candidates[static_cast<std::size_t>(s)] = make(s);
-      if (!candidates[static_cast<std::size_t>(s)])
-        throw std::invalid_argument("ShardSet::publish_all: factory returned null");
-      if (canary) sh.registry->validate(*candidates[static_cast<std::size_t>(s)], *canary);
+      cand = make(s);
+      if (!cand) throw std::invalid_argument("ShardSet: factory returned null");
+      if (canary) sh.registry->validate(*cand, *canary);
     } catch (const std::exception& e) {
       sh.registry->count_rollback();
       result.failed_shard = s;
       result.error = e.what();
-      for (int i = 0; i < shards(); ++i) {
-        const auto& cand = candidates[static_cast<std::size_t>(i)];
-        result.generations[static_cast<std::size_t>(i)] =
-            cand ? shards_[static_cast<std::size_t>(i)]->registry->generation(cand->variant_id())
-                 : 0;
+      for (int i = 0; i <= s; ++i) {
+        const auto& built = candidates[static_cast<std::size_t>(i)];
+        if (built)
+          result.generations[static_cast<std::size_t>(i)] =
+              shards_[static_cast<std::size_t>(i)]->registry->generation(built->variant_id());
       }
-      return result;
+      return candidates;
     }
-    if (s == 0) variant = candidates[0]->variant_id();
   }
+  return candidates;
+}
+
+PublishAllResult ShardSet::publish_all(const ServableFactory& make,
+                                       const runtime::CanaryOptions* canary) {
+  PublishAllResult result;
+  // Phase 1 — build and validate every shard's candidate before any shard
+  // swaps. A rejection here leaves every generation untouched: this is the
+  // broadcast-to-all-ranks idiom with a validate barrier in front of the
+  // commit, so a half-published fleet cannot exist.
+  auto candidates = build_candidates(make, canary, result);
+  if (result.failed_shard >= 0) return result;
   // Phase 2 — commit on every shard. publish() only throws for null/unnamed
   // servables (checked above) or an armed registry.publish fail point; the
   // latter deliberately models a torn broadcast and propagates.
@@ -206,24 +212,9 @@ void ShardSet::readmit(int shard) {
 PublishAllResult ShardSet::rolling_publish(const ServableFactory& make,
                                            const runtime::CanaryOptions* canary) {
   PublishAllResult result;
-  result.generations.resize(static_cast<std::size_t>(shards()), 0);
-  std::vector<std::shared_ptr<runtime::Servable>> candidates(
-      static_cast<std::size_t>(shards()));
   // Validate everything up front (all-or-nothing, as in publish_all)...
-  for (int s = 0; s < shards(); ++s) {
-    Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    try {
-      candidates[static_cast<std::size_t>(s)] = make(s);
-      if (!candidates[static_cast<std::size_t>(s)])
-        throw std::invalid_argument("ShardSet::rolling_publish: factory returned null");
-      if (canary) sh.registry->validate(*candidates[static_cast<std::size_t>(s)], *canary);
-    } catch (const std::exception& e) {
-      sh.registry->count_rollback();
-      result.failed_shard = s;
-      result.error = e.what();
-      return result;
-    }
-  }
+  auto candidates = build_candidates(make, canary, result);
+  if (result.failed_shard >= 0) return result;
   // ...then roll shard by shard: drain -> swap -> readmit. At least
   // shards()-1 shards admit at every instant.
   for (int s = 0; s < shards(); ++s) {

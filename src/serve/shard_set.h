@@ -85,7 +85,9 @@ struct PublishAllResult {
   bool published = false;
   int failed_shard = -1;  ///< shard whose canary rejected; -1 on success
   std::string error;      ///< rejection reason; empty on success
-  std::vector<std::uint64_t> generations;  ///< per-shard generation after the call
+  /// Per-shard generation after the call. On a rejection: the incumbent's
+  /// generation on each shard whose candidate was built, 0 on the rest.
+  std::vector<std::uint64_t> generations;
 };
 
 class ShardSet {
@@ -156,6 +158,13 @@ class ShardSet {
   };
 
   void register_metric_series();
+  /// Build every shard's candidate and canary-validate it against that
+  /// shard's incumbent. On the first failure: counts one rollback on that
+  /// shard, fills result.failed_shard and result.error, reports the live
+  /// generation of every candidate built so far, and stops.
+  std::vector<std::shared_ptr<runtime::Servable>> build_candidates(
+      const ServableFactory& make, const runtime::CanaryOptions* canary,
+      PublishAllResult& result);
 
   ShardSetOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,7 +1,6 @@
 #include "vit/servable.h"
 
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "sc/gate_si.h"
@@ -45,7 +44,8 @@ SoftmaxTileHook sc_softmax_hook(const ScInferenceConfig& cfg, int tokens,
 /// The gate-assisted SI GELU of `cfg`: the LUT from `cache` as a count
 /// table, which the MLP applies on the calling thread (fused with fc2's
 /// input quantizer under W2A2), or, when `cache` is null, the circuit
-/// emulator spread over `pool`.
+/// emulator, spread over `pool` when one is given and run on the calling
+/// thread otherwise.
 GeluHook sc_gelu_hook(const ScInferenceConfig& cfg, runtime::TfCache* cache,
                       runtime::ThreadPool* pool) {
   if (cache)
@@ -56,10 +56,15 @@ GeluHook sc_gelu_hook(const ScInferenceConfig& cfg, runtime::TfCache* cache,
       sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
   return [block, pool](const Tensor& x) {
     Tensor y = Tensor::uninitialized(x.shape());
-    pool->parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
+    auto run = [&](int lo, int hi) {
       for (std::size_t i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi); ++i)
         y[i] = static_cast<float>(block->transfer(x[i]));
-    });
+    };
+    const int n = static_cast<int>(x.size());
+    if (pool)
+      pool->parallel_for(0, n, run);
+    else
+      run(0, n);
     return y;
   };
 }
@@ -92,12 +97,7 @@ class VitServable final : public runtime::Servable {
     SoftmaxTileHook softmax;
     GeluHook gelu;
     if (cfg.use_sc_softmax) softmax = sc_softmax_hook(cfg, model_->config().tokens(), cache);
-    if (cfg.use_sc_gelu) {
-      if (!cache && !opts.pool)  // hardware_concurrency() 0 clamps to 1
-        owned_pool_ = std::make_unique<runtime::ThreadPool>(
-            static_cast<int>(std::thread::hardware_concurrency()));
-      gelu = sc_gelu_hook(cfg, cache, opts.pool ? opts.pool : owned_pool_.get());
-    }
+    if (cfg.use_sc_gelu) gelu = sc_gelu_hook(cfg, cache, opts.pool);
     model_->set_infer_hooks(softmax, gelu);
   }
 
@@ -119,7 +119,6 @@ class VitServable final : public runtime::Servable {
   std::shared_ptr<const void> retain_;
   VisionTransformer* model_;
   std::unique_ptr<VisionTransformer> owned_;
-  std::unique_ptr<runtime::ThreadPool> owned_pool_;
   std::string variant_id_;
   int input_dim_ = 0;
   int output_dim_ = 0;

@@ -23,11 +23,11 @@
 //
 // The LUT GELU is a count table (vit::GeluHook) the MLP applies on the
 // calling thread; under W2A2 it is composed with fc2's input quantizer into
-// one count -> code table. The emulated GELU fans its per-activation circuit
-// work out over a runtime::ThreadPool: the caller's (ScServableOptions::pool,
-// which fixes the width) or, when none is given, one the servable owns,
-// sized to the hardware concurrency. The SC softmax runs inside attention's
-// (batch, head) tile loop, one head's rows per call, with no pool hop.
+// one count -> code table. The emulated GELU runs its per-activation circuit
+// work on the calling thread too, or fans it out over the caller's
+// runtime::ThreadPool when ScServableOptions::pool names one. The SC softmax
+// runs inside attention's (batch, head) tile loop, one head's rows per call,
+// with no pool hop.
 //
 // make_sc_servable_in_place drives the *caller's* model instead of an adopted
 // one (hooks installed at construction, cleared on destruction; while it
@@ -51,10 +51,9 @@ struct ScServableOptions {
   /// false: bit-true per-activation circuit emulation. Read only by
   /// make_sc_servable_in_place; make_servable takes it from the kind.
   bool use_tf_cache = true;
-  /// Worker pool for the circuit-emulated SC GELU inside each forward (the
-  /// LUT GELU and the SC softmax never use it). When null, an emulating
-  /// servable owns a pool sized to the hardware concurrency; pass a pool for
-  /// any other width. An external pool must outlive the servable.
+  /// Worker pool the circuit-emulated SC GELU spreads each forward's
+  /// activations over; null runs them on the calling thread. The LUT GELU
+  /// and the SC softmax never use it. The pool must outlive the servable.
   runtime::ThreadPool* pool = nullptr;
   /// Transfer-function LUT cache to tabulate/serve from; null = the
   /// process-wide runtime::global_tf_cache(). Must outlive the servable.

@@ -1,7 +1,7 @@
 // Concurrency tests for the re-entrant const inference path: N-thread
 // VisionTransformer::infer must be bit-exact with the serial eval-mode
 // forward, and concurrent engine submit() streams must agree with the
-// synchronous predict_batch path. Also covers batcher backpressure.
+// servable's own batch forward. Also covers batcher backpressure.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 
 using namespace ascend;
 using ascend::testing::in_place_sc_registry;
+using ascend::testing::infer_labels;
 using namespace ascend::runtime;
 
 namespace {
@@ -145,7 +146,7 @@ TEST(VitInfer, LeavesNoFeatureTaps) {
 // InferenceEngine concurrency
 // ---------------------------------------------------------------------------
 
-TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchPredictBatch) {
+TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchBatchInfer) {
   const vit::VitConfig top = tiny_topology();
   vit::VisionTransformer model(top, /*seed=*/44);
   const vit::Dataset data = vit::make_synthetic_vision(32, top.classes, 54, top.image_size);
@@ -156,12 +157,13 @@ TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchPredictBatch) {
   opts.max_delay = std::chrono::microseconds(2000);
   opts.concurrent_forwards = 3;
   ThreadPool sc_pool(2);
-  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
+  const auto registry = in_place_sc_registry(model, cfg, sc_pool);
+  InferenceEngine engine(registry, opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
   const vit::Batch all = vit::take_batch(data, idx);
-  const std::vector<int> sync_labels = engine.predict_batch(all.images);
+  const std::vector<int> sync_labels = infer_labels(*registry, "sc", all.images);
   const int pixels = all.images.dim(1);
 
   // Several client threads each stream a disjoint slice of the dataset.
@@ -193,26 +195,26 @@ TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchPredictBatch) {
   EXPECT_LE(st.max_in_flight, opts.concurrent_forwards);
 }
 
-TEST(EngineConcurrency, ConcurrentPredictBatchCallersAgree) {
+TEST(EngineConcurrency, ConcurrentBatchInferCallersAgree) {
   const vit::VitConfig top = tiny_topology();
   vit::VisionTransformer model(top, /*seed=*/45);
   const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 55, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   ThreadPool sc_pool(2);
-  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool));
+  const auto registry = in_place_sc_registry(model, cfg, sc_pool);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
   const vit::Batch all = vit::take_batch(data, idx);
-  const std::vector<int> ref = engine.predict_batch(all.images);
+  const std::vector<int> ref = infer_labels(*registry, "sc", all.images);
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {
     callers.emplace_back([&] {
       for (int rep = 0; rep < 2; ++rep)
-        if (engine.predict_batch(all.images) != ref) mismatches.fetch_add(1);
+        if (infer_labels(*registry, "sc", all.images) != ref) mismatches.fetch_add(1);
     });
   }
   for (auto& th : callers) th.join();
@@ -243,7 +245,7 @@ TEST(RegistryConcurrency, HotSwapMidTrafficIsBitExactWithQuiescedServing) {
   InferenceEngine engine(reg, opts);
 
   // Quiesced reference: no swaps in flight.
-  const std::vector<int> ref = engine.predict_batch(all.images);
+  const std::vector<int> ref = infer_labels(*reg, "m", all.images);
   const int pixels = all.images.dim(1);
 
   // Client threads stream the dataset while the main thread keeps
@@ -271,8 +273,8 @@ TEST(RegistryConcurrency, HotSwapMidTrafficIsBitExactWithQuiescedServing) {
   for (auto& th : clients) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(reg->generation("m"), 9u);  // 1 initial + 8 swaps
-  // Post-swap sync path still matches the quiesced reference.
-  EXPECT_EQ(engine.predict_batch(all.images), ref);
+  // The live servable after the swaps still matches the quiesced reference.
+  EXPECT_EQ(infer_labels(*reg, "m", all.images), ref);
 }
 
 TEST(RegistryConcurrency, HotSwapToFreshMmapCheckpointMidTrafficIsBitExact) {
@@ -301,7 +303,7 @@ TEST(RegistryConcurrency, HotSwapToFreshMmapCheckpointMidTrafficIsBitExact) {
   opts.concurrent_forwards = 2;
   InferenceEngine engine(reg, opts);
 
-  const std::vector<int> ref = engine.predict_batch(all.images);
+  const std::vector<int> ref = infer_labels(*reg, "m", all.images);
   const int pixels = all.images.dim(1);
 
   constexpr int kClients = 3;
@@ -327,7 +329,7 @@ TEST(RegistryConcurrency, HotSwapToFreshMmapCheckpointMidTrafficIsBitExact) {
   for (auto& th : clients) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(reg->generation("m"), 9u);  // 1 cold start + 8 swaps
-  EXPECT_EQ(engine.predict_batch(all.images), ref);
+  EXPECT_EQ(infer_labels(*reg, "m", all.images), ref);
 }
 
 TEST(RegistryConcurrency, ConcurrentMultiVariantSubmitsMatchPerVariantReferences) {
@@ -355,8 +357,8 @@ TEST(RegistryConcurrency, ConcurrentMultiVariantSubmitsMatchPerVariantReferences
   opts.default_variant = "packed";
   InferenceEngine engine(reg, opts);
 
-  const std::vector<int> ref_packed = engine.predict_batch(all.images, "packed");
-  const std::vector<int> ref_sc = engine.predict_batch(all.images, "sc-lut");
+  const std::vector<int> ref_packed = infer_labels(*reg, "packed", all.images);
+  const std::vector<int> ref_sc = infer_labels(*reg, "sc-lut", all.images);
   const int pixels = all.images.dim(1);
 
   // Interleaved mixed-priority streams against both variants at once.

@@ -369,24 +369,31 @@ TEST_F(FrontdoorTest, PublishAllCommitsEveryShardWhenAllCanariesPass) {
 }
 
 TEST_F(FrontdoorTest, PublishAllWithOneFailingCanaryLeavesAllShardsOnIncumbent) {
-  ShardSet shards(bootstrap_ab, quick_shard_opts());
   runtime::CanaryOptions canary;
   canary.golden_input = golden_batch(3);
   canary.require_label_match = true;
   // Shard 1's candidate diverges (bias 5 flips every argmax); shard 0's is
-  // clean. All-or-nothing: neither shard may swap.
-  const PublishAllResult r = shards.publish_all(
-      [](int shard) { return std::make_shared<MockServable>("a", shard == 1 ? 5 : 0); },
-      &canary);
-  EXPECT_FALSE(r.published);
-  EXPECT_EQ(r.failed_shard, 1);
-  EXPECT_FALSE(r.error.empty());
-  for (int s = 0; s < 2; ++s)
-    EXPECT_EQ(shards.registry(s)->generation("a"), 1u) << "shard " << s << " must keep incumbent";
-  EXPECT_EQ(shards.registry(1)->rollbacks(), 1u);
-  EXPECT_EQ(shards.registry(0)->rollbacks(), 0u);
-  // The incumbent keeps serving on every shard.
-  EXPECT_EQ(shards.submit(payload(2), {}).future.get().label, 2);
+  // clean. All-or-nothing: neither shard may swap, and both publishes report
+  // the rejection the same way.
+  for (const auto publish : {&ShardSet::publish_all, &ShardSet::rolling_publish}) {
+    SCOPED_TRACE(publish == &ShardSet::publish_all ? "publish_all" : "rolling_publish");
+    ShardSet shards(bootstrap_ab, quick_shard_opts());
+    const PublishAllResult r = (shards.*publish)(
+        [](int shard) { return std::make_shared<MockServable>("a", shard == 1 ? 5 : 0); },
+        &canary);
+    EXPECT_FALSE(r.published);
+    EXPECT_EQ(r.failed_shard, 1);
+    EXPECT_FALSE(r.error.empty());
+    EXPECT_EQ(r.generations, (std::vector<std::uint64_t>{1, 1}));
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(shards.registry(s)->generation("a"), 1u) << "shard " << s << " must keep incumbent";
+      EXPECT_TRUE(shards.admitting(s));
+    }
+    EXPECT_EQ(shards.registry(1)->rollbacks(), 1u);
+    EXPECT_EQ(shards.registry(0)->rollbacks(), 0u);
+    // The incumbent keeps serving on every shard.
+    EXPECT_EQ(shards.submit(payload(2), {}).future.get().label, 2);
+  }
 }
 
 TEST_F(FrontdoorTest, RollingPublishSwapsEveryShardAndRestoresAdmission) {

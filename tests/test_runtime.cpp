@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -24,6 +26,7 @@
 
 using namespace ascend;
 using ascend::testing::in_place_sc_registry;
+using ascend::testing::infer_labels;
 using namespace ascend::runtime;
 
 // ---------------------------------------------------------------------------
@@ -129,6 +132,98 @@ TEST(ThreadPool, ParallelForDrainsAllChunksBeforeRethrowing) {
   // No chunk was abandoned mid-flight and the pool is still serviceable.
   EXPECT_EQ(visited.load(), 400);
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+}
+
+TEST(ThreadPool, ParallelForFinishesWhileTheOnlyWorkerIsBlocked) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto blocker = pool.submit([released] { released.wait(); });
+  {
+    // Ten chunks: one helper task queues behind the blocker, so the caller
+    // must run every chunk itself rather than wait for it.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> hits(100, 0);
+    std::atomic<int> off_caller{0};
+    pool.parallel_for(
+        0, 100,
+        [&](int lo, int hi) {
+          if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+          for (int i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+        },
+        /*max_chunk=*/10);
+    EXPECT_EQ(off_caller.load(), 0);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << i;
+  }  // the body is gone before the late helper starts
+  release.set_value();
+  blocker.get();
+  // The late helper found nothing to claim; the pool still serves.
+  EXPECT_EQ(pool.submit([] { return 2; }).get(), 2);
+}
+
+TEST(ThreadPool, ParallelForAfterShutdownRunsEveryChunkOnTheCaller) {
+  ThreadPool pool(2);
+  pool.shutdown();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(60, 0);
+  int chunks = 0;
+  bool off_caller = false;
+  pool.parallel_for(
+      0, 60,
+      [&](int lo, int hi) {
+        off_caller |= std::this_thread::get_id() != caller;
+        ++chunks;
+        for (int i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+      },
+      /*max_chunk=*/7);
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(chunks, 9);
+  for (int i = 0; i < 60; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << i;
+}
+
+TEST(ThreadPool, MaxChunkLoadBalancesAcrossThreeWorkers) {
+  // Chunk 0 stalls until every other chunk has finished. Dynamic claiming
+  // lets the other threads take the rest of the range meanwhile; a static
+  // split would leave chunk 0's thread holding part of it, and the stall
+  // would time out.
+  ThreadPool pool(3);
+  constexpr int kChunks = 48;
+  std::atomic<int> finished{0};
+  std::atomic<bool> stalled_out{false};
+  std::mutex mu;
+  std::map<std::thread::id, int> per_thread;
+  std::thread::id stalled;
+  pool.parallel_for(
+      0, kChunks,
+      [&](int lo, int hi) {
+        EXPECT_EQ(hi - lo, 1);
+        if (lo == 0) {
+          stalled = std::this_thread::get_id();
+          const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+          while (finished.load() < kChunks - 1) {
+            if (std::chrono::steady_clock::now() > give_up) {
+              stalled_out = true;
+              break;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+        } else {
+          finished.fetch_add(1);
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        ++per_thread[std::this_thread::get_id()];
+      },
+      /*max_chunk=*/1);
+  EXPECT_FALSE(stalled_out.load());
+  EXPECT_EQ(finished.load(), kChunks - 1);
+  // Chunk 0's thread ran nothing else; the other chunks spread over at
+  // least one more thread, and never beyond the caller plus 3 workers.
+  EXPECT_EQ(per_thread[stalled], 1);
+  EXPECT_GE(per_thread.size(), 2u);
+  EXPECT_LE(per_thread.size(), 4u);
+  int total = 0;
+  for (const auto& [id, n] : per_thread) total += n;
+  EXPECT_EQ(total, kChunks);
 }
 
 // ---------------------------------------------------------------------------
@@ -878,7 +973,7 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
   EXPECT_EQ(vit::evaluate(ModelInfer(model), data), float_acc);
 }
 
-TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
+TEST(InferenceEngine, SubmitAgreesWithBatchInfer) {
   const vit::VitConfig top = tiny_topology();
   vit::VisionTransformer model(top, /*seed=*/23);
   const vit::Dataset data = vit::make_synthetic_vision(24, top.classes, 33, top.image_size);
@@ -891,12 +986,13 @@ TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   // coalesce (asserted below) instead of each leaving on its own.
   opts.concurrent_forwards = 1;
   ThreadPool sc_pool(2);
-  InferenceEngine engine(in_place_sc_registry(model, cfg, sc_pool), opts);
+  const auto registry = in_place_sc_registry(model, cfg, sc_pool);
+  InferenceEngine engine(registry, opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
   const vit::Batch all = vit::take_batch(data, idx);
-  const std::vector<int> sync_labels = engine.predict_batch(all.images);
+  const std::vector<int> sync_labels = infer_labels(*registry, "sc", all.images);
 
   const int pixels = all.images.dim(1);
   std::vector<std::future<Prediction>> futs;

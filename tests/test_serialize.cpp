@@ -515,15 +515,4 @@ TEST(SerializeColdStart, W2a2KindRejectsFpCheckpoint) {
   }
 }
 
-TEST(SerializeColdStart, EagerLoadOptionAlsoServes) {
-  const std::string path = saved_w2a2_checkpoint("eager_opt.ckpt");
-  const nn::Tensor input = random_images(tiny_topology(), 2, 93);
-  runtime::ModelRegistry registry;
-  runtime::RegisterFromFileOptions opts;
-  opts.use_mmap = false;
-  registry.register_from_file("w2a2", path, runtime::VariantKind::kPackedTernary, opts);
-  serialize::MappedModel mapped = serialize::load_model_mmap(path);
-  expect_same_logits(registry.get("w2a2")->infer(input), const_infer(*mapped.model, input));
-}
-
 }  // namespace

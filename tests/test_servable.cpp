@@ -21,12 +21,14 @@
 #include "runtime/engine.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
+#include "test_util.h"
 #include "vit/model.h"
 #include "vit/servable.h"
 #include "vit/train.h"
 
 using namespace ascend;
 using namespace ascend::runtime;
+using ascend::testing::infer_labels;
 
 namespace {
 
@@ -538,22 +540,6 @@ TEST(ServingEngine, OneSlotEngineHoldsALoneRequestForMaxDelay) {
   EXPECT_EQ(engine.stats().idle_batches, 0u);
 }
 
-TEST(ServingEngine, PredictBatchPicksVariants) {
-  auto reg = std::make_shared<ModelRegistry>();
-  reg->publish(std::make_shared<MockServable>("a", /*bias=*/0));
-  reg->publish(std::make_shared<MockServable>("b", /*bias=*/1));
-  EngineOptions opts = quick_engine_opts();
-  opts.default_variant = "a";
-  InferenceEngine engine(reg, opts);
-
-  nn::Tensor x({2, MockServable::kInputDim});
-  x.at(0, 0) = 5.0f;
-  x.at(1, 0) = 6.0f;
-  EXPECT_EQ(engine.predict_batch(x), (std::vector<int>{5, 6}));
-  EXPECT_EQ(engine.predict_batch(x, "b"), (std::vector<int>{6, 7}));
-  EXPECT_THROW(engine.predict_batch(x, "nope"), UnknownVariantError);
-}
-
 // ---------------------------------------------------------------------------
 // ViT servable adapters — one trained model, four fidelity variants
 // ---------------------------------------------------------------------------
@@ -684,6 +670,30 @@ TEST(VitServables, ScAdapterMatchesInPlaceServableAndLeavesSourceHookFree) {
   }
 }
 
+TEST(VitServables, EmulatedGeluWithoutPoolMatchesPooledBitForBit) {
+  const vit::VitConfig top = tiny_topology();
+  const vit::Dataset data = vit::make_synthetic_vision(3, top.classes, 77, top.image_size);
+  vit::VisionTransformer model(top, /*seed=*/68);
+  ThreadPool sc_pool(3);
+  vit::ScServableOptions pooled;
+  pooled.pool = &sc_pool;
+  // No pool: the circuit-emulated GELU runs on the calling thread.
+  const auto inline_sv = vit::make_servable(model.clone_for_serving(), VariantKind::kScEmulated,
+                                            "sc-emulated", tiny_sc_config());
+  const auto pooled_sv = vit::make_servable(model.clone_for_serving(), VariantKind::kScEmulated,
+                                            "sc-emulated", tiny_sc_config(), pooled);
+  for (const int batch : {1, 3}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    std::vector<int> idx(static_cast<std::size_t>(batch));
+    std::iota(idx.begin(), idx.end(), 0);
+    const nn::Tensor images = vit::take_batch(data, idx).images;
+    const nn::Tensor want = pooled_sv->infer(images);
+    const nn::Tensor got = inline_sv->infer(images);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_TRUE(ascend::testing::same_bits(got.data(), want.data(), want.size()));
+  }
+}
+
 TEST(VitServables, FailedHookInstallRollsBackTheHalfInstalledHooks) {
   const vit::VitConfig top = tiny_topology();
   const vit::Dataset data = vit::make_synthetic_vision(4, top.classes, 76, top.image_size);
@@ -722,7 +732,7 @@ TEST(VitServables, FailedHookInstallRollsBackTheHalfInstalledHooks) {
                  std::invalid_argument);
 }
 
-TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
+TEST(VitServables, EvaluateMatchesPerBatchInferAccuracy) {
   const vit::VitConfig top = tiny_topology();
   const vit::Dataset data = vit::make_synthetic_vision(40, top.classes, 75, top.image_size);
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
@@ -738,9 +748,6 @@ TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
   reg->publish(
       vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "w2a2-packed"));
   reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kFp32, "fp32"));
-  EngineOptions opts = quick_engine_opts();
-  opts.default_variant = "fp32";
-  InferenceEngine engine(reg, opts);
 
   // Batches of 16 over 40 images: two full batches, then a partial tail.
   const int batch_size = 16;
@@ -751,7 +758,7 @@ TEST(VitServables, EvaluateMatchesEnginePredictBatchAccuracy) {
       std::vector<int> rows(static_cast<std::size_t>(std::min(batch_size, data.size() - start)));
       std::iota(rows.begin(), rows.end(), start);
       const vit::Batch batch = vit::take_batch(data, rows);
-      const std::vector<int> labels = engine.predict_batch(batch.images, variant);
+      const std::vector<int> labels = infer_labels(*reg, variant, batch.images);
       for (std::size_t r = 0; r < labels.size(); ++r)
         if (labels[r] == batch.labels[r]) ++correct;
     }
@@ -770,11 +777,10 @@ TEST(VitServables, HotSwapRefreezesWithoutChangingResults) {
 
   auto reg = std::make_shared<ModelRegistry>();
   reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "m"));
-  InferenceEngine engine(reg, quick_engine_opts());
-  const std::vector<int> before = engine.predict_batch(all.images);
+  const std::vector<int> before = infer_labels(*reg, "m", all.images);
   // Re-publish a freshly cloned servable (new frozen snapshots, same
   // weights): generation bumps, results stay bit-identical.
   reg->publish(vit::make_servable(model.clone_for_serving(), VariantKind::kPackedTernary, "m"));
   EXPECT_EQ(reg->generation("m"), 2u);
-  EXPECT_EQ(engine.predict_batch(all.images), before);
+  EXPECT_EQ(infer_labels(*reg, "m", all.images), before);
 }

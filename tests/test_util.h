@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -66,6 +67,20 @@ inline std::shared_ptr<runtime::ModelRegistry> in_place_sc_registry(
   auto registry = std::make_shared<runtime::ModelRegistry>();
   registry->publish(vit::make_sc_servable_in_place(model, cfg, sopts));
   return registry;
+}
+
+/// Argmax label of each row of `variant`'s forward over `images`.
+inline std::vector<int> infer_labels(const runtime::ModelRegistry& registry,
+                                     const std::string& variant, const nn::Tensor& images) {
+  const nn::Tensor logits = registry.get(variant)->infer(images);
+  std::vector<int> labels(static_cast<std::size_t>(logits.dim(0)));
+  for (int r = 0; r < logits.dim(0); ++r) {
+    int best = 0;
+    for (int c = 1; c < logits.dim(1); ++c)
+      if (logits.at(r, c) > logits.at(r, best)) best = c;
+    labels[static_cast<std::size_t>(r)] = best;
+  }
+  return labels;
 }
 
 }  // namespace ascend::testing
