@@ -49,14 +49,8 @@ void Batcher::set_drop_observer(std::function<void(Priority)> observer) {
   drop_observer_ = std::move(observer);
 }
 
-void Batcher::set_free_slots(int free) {
-  bool rose;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rose = free >= 2 && free_slots_ < 2;
-    free_slots_ = free;
-  }
-  if (rose) cv_.notify_all();
+void Batcher::set_take_observer(std::function<void()> observer) {
+  take_observer_ = std::move(observer);
 }
 
 std::future<Prediction> Batcher::enqueue(std::vector<float> image, RequestOptions opts) {
@@ -137,11 +131,15 @@ std::vector<std::size_t> Batcher::select_group() const {
 
 std::vector<Request> Batcher::next_batch() {
   std::unique_lock<std::mutex> lock(mu_);
+  ++waiting_;
   for (;;) {
     cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
     drop_expired(lock, Clock::now());
     if (queue_.empty()) {
-      if (closed_) return {};  // closed and drained
+      if (closed_) {  // closed and drained
+        --waiting_;
+        return {};
+      }
       continue;
     }
 
@@ -158,9 +156,9 @@ std::vector<Request> Batcher::next_batch() {
     }
     const bool full = members.size() >= static_cast<std::size_t>(max_batch_);
     const bool cut = full || closed_ || now >= close_at;
-    // Idle cutoff: nothing else is queued and a slot stays free after this
-    // batch, so the next arrival would find a slot of its own anyway.
-    const bool idle = members.size() == queue_.size() && free_slots_ >= 2;
+    // Idle cutoff: nothing else is queued and another consumer waits here,
+    // so the next arrival would find a consumer of its own anyway.
+    const bool idle = members.size() == queue_.size() && waiting_ >= 2;
     if (cut || idle) {
       if (!cut) ++idle_closes_;
       std::vector<Request> batch;
@@ -175,24 +173,32 @@ std::vector<Request> Batcher::next_batch() {
       std::sort(sorted.begin(), sorted.end());
       for (auto it = sorted.rbegin(); it != sorted.rend(); ++it)
         queue_.erase(queue_.begin() + static_cast<long>(*it));
+      --waiting_;
+      if (take_observer_) take_observer_();
       if (max_pending_ > 0) space_cv_.notify_all();
+      // What is left forms a new group: the other consumers re-evaluate it.
+      if (!queue_.empty()) cv_.notify_all();
       return batch;
     }
 
     // Wait for more arrivals (which may fill the batch, or bring a
-    // higher-priority request that re-aims the whole selection), the close
-    // deadline, a second slot freeing up (idle cutoff), or shutdown — then
-    // re-evaluate from scratch. Also wake at the earliest deadline of *any*
-    // queued request (not just the leader group's), so an expiring request
-    // of another variant is failed at its deadline instead of whenever this
-    // group's cutoff next fires.
+    // higher-priority request that re-aims the whole selection), another
+    // consumer taking part of the queue, the close deadline, or shutdown —
+    // then re-evaluate from scratch. A consumer arriving in next_batch()
+    // evaluates the idle cutoff itself, so this one need not wake for it.
+    // Also wake at the earliest deadline of *any* queued request (not just
+    // the leader group's), so an expiring request of another variant is
+    // failed at its deadline instead of whenever this group's cutoff next
+    // fires.
     auto wake_at = close_at;
     for (const Request& r : queue_)
       if (r.has_deadline) wake_at = std::min(wake_at, r.deadline);
+    // A changed size or arrival count marks a changed queue; both together
+    // catch an arrival that refilled a slot another consumer emptied.
     const std::size_t n = queue_.size();
-    const bool slot_spare = free_slots_ >= 2;
-    cv_.wait_until(lock, wake_at, [this, n, slot_spare] {
-      return closed_ || queue_.size() != n || (!slot_spare && free_slots_ >= 2);
+    const std::uint64_t arrivals = next_seq_;
+    cv_.wait_until(lock, wake_at, [this, n, arrivals] {
+      return closed_ || queue_.size() != n || next_seq_ != arrivals;
     });
   }
 }

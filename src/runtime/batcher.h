@@ -2,21 +2,22 @@
 // batcher.h — priority/deadline-aware dynamic request batching.
 //
 // Clients enqueue single payloads tagged with RequestOptions{variant,
-// priority, deadline} and get a future; a dispatcher thread (owned by the
-// engine) pulls coalesced batches. The queue is a priority queue over
-// (priority, arrival order), and a batch only ever groups requests bound for
-// the same variant ("compatible" requests — different servables cannot share
-// a forward). Batch formation:
+// priority, deadline} and get a future; consumer threads (the engine's
+// forward workers, one per forward slot) pull coalesced batches. The queue
+// is a priority queue over (priority, arrival order), and a batch only ever
+// groups requests bound for the same variant ("compatible" requests —
+// different servables cannot share a forward). Batch formation:
 //   * the scheduler always serves the highest-priority waiting request
 //     first: the next batch is built around it, from same-variant requests
 //     in (priority, arrival) order;
 //   * the batch closes when `max_batch` compatible requests are waiting
 //     (size cutoff), when the group's oldest member has aged past
 //     `max_delay` (latency cutoff), when waiting any longer would expire
-//     a member's deadline (deadline cutoff), or — once the engine reports
-//     forward slots through set_free_slots() — when the group is every
-//     queued request and dispatching it still leaves a slot free (idle
-//     cutoff: holding it could buy no companion a later batch would miss);
+//     a member's deadline (deadline cutoff), or when the group is every
+//     queued request and at least two consumers wait in next_batch() (idle
+//     cutoff: another consumer stays free after this batch, so holding it
+//     could buy no companion a later batch would miss). A lone consumer
+//     never sees two waiters and keeps the first three cutoffs;
 //   * a request whose deadline has already passed is failed fast with
 //     DeadlineExceededError at batch-formation time — it never reaches a
 //     forward — and a higher-priority arrival re-aims the next batch at its
@@ -25,11 +26,11 @@
 // Scheduling is priority-strict, not earliest-deadline-first: a deadline
 // never promotes a request ahead of its (priority, arrival) rank. The
 // deadline cutoff closes the batch the request is *scheduled into*; a
-// deadline expiring on a request outside the current selection wakes the
-// dispatcher only to fail it fast at the deadline.
+// deadline expiring on a request outside the current selection wakes a
+// consumer only to fail it fast at the deadline.
 //
 // Overload: an optional `max_pending` bounds the queue. When it is full,
-// enqueue() either blocks until the dispatcher drains space (kBlock) or
+// enqueue() either blocks until a consumer drains space (kBlock) or
 // fails fast with QueueFullError (kReject), per the configured policy.
 
 #include <array>
@@ -49,7 +50,7 @@ namespace ascend::runtime {
 
 /// What enqueue() does when the bounded queue is full.
 enum class OverflowPolicy {
-  kBlock,   ///< wait for the dispatcher to drain space (default)
+  kBlock,   ///< wait for a consumer to drain space (default)
   kReject,  ///< fail fast with QueueFullError
 };
 
@@ -169,13 +170,14 @@ class Batcher {
   /// through its future (DeadlineExceededError) without queueing.
   std::future<Prediction> enqueue(std::vector<float> image, RequestOptions opts = {});
 
-  /// Consumer side (single dispatcher thread): blocks until a batch is ready
-  /// per the cutoff rules, or the batcher is closed. Every returned request
-  /// shares one variant. Expired requests are failed and dropped here, never
-  /// returned. Returns an empty vector only when closed *and* drained.
+  /// Consumer side, safe for several consumer threads: blocks until a batch
+  /// is ready per the cutoff rules, or the batcher is closed. Every returned
+  /// request shares one variant, and no request is returned twice. Expired
+  /// requests are failed and dropped here, never returned. Returns an empty
+  /// vector only when closed *and* drained.
   std::vector<Request> next_batch();
 
-  /// Stop accepting work and wake the dispatcher; queued requests still drain.
+  /// Stop accepting work and wake the consumers; queued requests still drain.
   void close();
 
   /// Shutdown close: stop accepting work AND fail every queued request
@@ -184,21 +186,19 @@ class Batcher {
   void close_now();
 
   /// Observer for deadline-expired drops (stats); called outside the queue
-  /// lock, from the thread that dropped the request (the dispatcher inside
+  /// lock, from the thread that dropped the request (a consumer inside
   /// next_batch, or a producer that enqueued an already-expired request),
   /// before the request's future resolves — stats read after the future
   /// already count the drop.
-  /// Set before the dispatcher starts; not thread-safe against next_batch.
+  /// Set before a consumer starts; not thread-safe against next_batch.
   void set_drop_observer(std::function<void(Priority)> observer);
 
-  /// Forward slots free right now, reported by the owning engine each time
-  /// its in-flight count changes. Enables the idle cutoff: a group that is
-  /// the whole queue closes while `free` >= 2, i.e. while taking it still
-  /// leaves a slot free. A rise to 2 wakes a waiting dispatcher, so a group
-  /// held for the last slot closes as soon as another forward ends. A
-  /// batcher that is never told (standalone, or a one-slot engine) keeps
-  /// the size, latency and deadline cutoffs only.
-  void set_free_slots(int free);
+  /// Observer for batches leaving the queue: called by the consumer that
+  /// took the batch, under the queue lock, before next_batch returns it. The
+  /// engine counts the batch in flight here, so a reader that no longer
+  /// sees a request in pending() already sees its batch counted.
+  /// Set before a consumer starts; not thread-safe against next_batch.
+  void set_take_observer(std::function<void()> observer);
 
   int max_batch() const { return max_batch_; }
   std::chrono::microseconds max_delay() const { return max_delay_; }
@@ -228,13 +228,14 @@ class Batcher {
   const int max_pending_;
   const OverflowPolicy overflow_;
   std::function<void(Priority)> drop_observer_;
+  std::function<void()> take_observer_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;        ///< wakes the dispatcher (work / close)
+  std::condition_variable cv_;        ///< wakes the consumers (work / close)
   std::condition_variable space_cv_;  ///< wakes blocked producers (space / close)
   std::vector<Request> queue_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;
-  int free_slots_ = 0;             ///< last set_free_slots() report
+  int waiting_ = 0;                ///< consumers inside next_batch()
   std::uint64_t idle_closes_ = 0;  ///< see idle_closes()
 };
 

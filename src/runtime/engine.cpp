@@ -64,10 +64,13 @@ void InferenceEngine::start() {
   metrics_ = opts_.metrics ? opts_.metrics : std::make_shared<metrics::MetricsRegistry>();
   register_metric_series();
   batcher_.set_drop_observer([this](Priority p) { count_drop(p); });
-  report_free_slots(0);  // before any thread runs: no lock needed yet
-  forward_workers_ = std::make_unique<ThreadPool>(opts_.concurrent_forwards);
+  batcher_.set_take_observer([this] { atomic_max(max_in_flight_, in_flight_.fetch_add(1) + 1); });
   if (opts_.forward_timeout.count() > 0) watchdog_ = std::thread([this] { watchdog_loop(); });
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  for (int i = 0; i < opts_.concurrent_forwards; ++i) start_worker();
+}
+
+void InferenceEngine::start_worker() {
+  workers_.emplace_back([this] { worker_loop(); });
 }
 
 void InferenceEngine::register_metric_series() {
@@ -183,12 +186,23 @@ InferenceEngine::~InferenceEngine() {
   // Shutdown close: everything still queued fails promptly with
   // EngineShutdownError; only in-flight forwards are allowed to drain.
   batcher_.close_now();
-  dispatcher_.join();
-  // Drain the in-flight batch forwards. shutdown(), not reset(): the
-  // watchdog may still trip a wedged forward and grow() the pool, which
-  // must not find the pointer nulled mid-drain.
-  forward_workers_->shutdown();
-  // Stop the watchdog after the pool drain: it stays armed while the last
+  // Drain the in-flight batch forwards: each worker exits once its forward
+  // ends and next_batch() reports the batcher closed. The watchdog may
+  // still trip a wedged forward and start a replacement meanwhile, so join
+  // in rounds until a round finds no worker left.
+  const auto join_workers = [this] {
+    for (;;) {
+      std::vector<std::thread> round;
+      {
+        std::lock_guard<std::mutex> lock(watch_mu_);
+        round.swap(workers_);
+      }
+      if (round.empty()) return;
+      for (std::thread& w : round) w.join();
+    }
+  };
+  join_workers();
+  // Stop the watchdog after the drain: it stays armed while the last
   // forwards run, so clients blocked on in-flight futures are failed at the
   // deadline even during shutdown (the dtor itself still waits out the
   // slow worker — it cannot cancel a thread, only outlive its clients).
@@ -198,6 +212,7 @@ InferenceEngine::~InferenceEngine() {
   }
   watch_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
+  join_workers();  // a replacement the watchdog started after the first round
   // A shared metrics registry outlives the engine: drop the callback series
   // that capture `this` before the members they read are destroyed.
   for (const metrics::CallbackId id : metric_callbacks_) metrics_->remove_callback(id);
@@ -237,22 +252,10 @@ std::future<Prediction> InferenceEngine::submit(std::vector<float> image, Reques
   }
 }
 
-InferenceEngine::BatchJob::BatchJob(InferenceEngine* engine, std::vector<Request> b)
-    : eng(engine), batch(std::move(b)), claimed(new std::atomic<bool>[batch.size()]) {
+InferenceEngine::BatchJob::BatchJob(std::vector<Request> b)
+    : batch(std::move(b)), claimed(new std::atomic<bool>[batch.size()]) {
   for (std::size_t r = 0; r < batch.size(); ++r)
     claimed[r].store(false, std::memory_order_relaxed);
-}
-
-InferenceEngine::BatchJob::~BatchJob() {
-  // Unresolved rows here mean run() never executed — the pool.task fail
-  // point threw inside the packaged task before the body. The injected
-  // fault becomes the rows' typed error, and the slot is never leaked.
-  bool unresolved = false;
-  for (std::size_t r = 0; r < batch.size(); ++r)
-    if (!claimed[r].load(std::memory_order_relaxed)) unresolved = true;
-  if (unresolved)
-    fail_unresolved(std::make_exception_ptr(failpoint::InjectedFaultError("pool.task")));
-  release_slot();
 }
 
 void InferenceEngine::BatchJob::fail_unresolved(const std::exception_ptr& err) {
@@ -260,31 +263,24 @@ void InferenceEngine::BatchJob::fail_unresolved(const std::exception_ptr& err) {
     if (claim(r)) batch[r].promise.set_exception(err);
 }
 
-void InferenceEngine::BatchJob::release_slot() {
-  if (slot_released.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(eng->flight_mu_);
-    eng->report_free_slots(eng->in_flight_.fetch_sub(1) - 1);
+void InferenceEngine::worker_loop() {
+  for (;;) {
+    std::vector<Request> batch = batcher_.next_batch();  // counted in flight by the take observer
+    if (batch.empty()) return;                            // closed and drained
+    const auto job = std::make_shared<BatchJob>(std::move(batch));
+    register_flight(job);
+    try {
+      process_batch(*job);
+    } catch (...) {
+      // Any error escaping the forward path fails the whole batch (rows the
+      // watchdog already claimed stay with their WatchdogTimeoutError).
+      job->fail_unresolved(std::current_exception());
+    }
+    // Abandoned: the watchdog already stopped counting this forward and
+    // started a replacement worker, so this one bows out.
+    if (!unregister_flight(job.get())) return;
+    in_flight_.fetch_sub(1);
   }
-  eng->flight_cv_.notify_all();
-}
-
-void InferenceEngine::report_free_slots(int in_flight) {
-  if (opts_.concurrent_forwards >= 2)
-    batcher_.set_free_slots(opts_.concurrent_forwards - in_flight);
-}
-
-void InferenceEngine::BatchJob::run(const std::shared_ptr<BatchJob>& self) {
-  eng->register_flight(self);
-  try {
-    eng->process_batch(*this);
-  } catch (...) {
-    // Any error escaping the forward path fails the whole batch (rows the
-    // watchdog already claimed stay with their WatchdogTimeoutError).
-    fail_unresolved(std::current_exception());
-  }
-  eng->unregister_flight(this);
-  release_slot();
 }
 
 void InferenceEngine::register_flight(const std::shared_ptr<BatchJob>& job) {
@@ -297,16 +293,16 @@ void InferenceEngine::register_flight(const std::shared_ptr<BatchJob>& job) {
   watch_cv_.notify_all();
 }
 
-void InferenceEngine::unregister_flight(const BatchJob* job) {
-  if (opts_.forward_timeout.count() <= 0) return;
+bool InferenceEngine::unregister_flight(const BatchJob* job) {
+  if (opts_.forward_timeout.count() <= 0) return true;
   std::lock_guard<std::mutex> lock(watch_mu_);
   for (std::size_t i = 0; i < flights_.size(); ++i) {
     if (flights_[i].get() == job) {
       flights_.erase(flights_.begin() + static_cast<long>(i));
-      return;
+      return true;
     }
   }
-  // Absent: the watchdog already abandoned this flight.
+  return false;  // absent: the watchdog already abandoned this flight
 }
 
 void InferenceEngine::watchdog_loop() {
@@ -330,52 +326,24 @@ void InferenceEngine::watchdog_loop() {
       lock.unlock();
       const auto err = std::make_exception_ptr(WatchdogTimeoutError{});
       for (const auto& job : tripped) {
-        // Order matters: mark abandoned first so the forward thread stops
+        // Order matters: mark abandoned first so the wedged worker stops
         // touching metrics, count the trip before any client can see it,
-        // take the promises, replace the wedged pool worker, and free the
-        // slot last: once the dispatcher resumes, the engine may serve
-        // (and its owner destroy it) with this thread's work all done.
+        // take the promises, and restore capacity last — stop counting the
+        // forward in flight, then start a replacement worker — once the
+        // engine serves on, this thread's work on the job is all done.
         job->abandoned.store(true);
         watchdog_trips_.fetch_add(1);
         job->fail_unresolved(err);
-        forward_workers_->grow(1);
-        job->release_slot();
+        in_flight_.fetch_sub(1);
       }
       lock.lock();
+      for (std::size_t i = 0; i < tripped.size(); ++i) start_worker();
       continue;
     }
     if (wake == std::chrono::steady_clock::time_point::max())
       watch_cv_.wait(lock);
     else
       watch_cv_.wait_until(lock, wake);
-  }
-}
-
-void InferenceEngine::dispatch_loop() {
-  for (;;) {
-    // Throttle before pulling: while `concurrent_forwards` batches are in
-    // flight, requests keep coalescing in the batcher.
-    {
-      std::unique_lock<std::mutex> lock(flight_mu_);
-      flight_cv_.wait(lock, [this] { return in_flight_ < opts_.concurrent_forwards; });
-    }
-    std::vector<Request> batch = batcher_.next_batch();
-    if (batch.empty()) return;  // closed and drained
-
-    int cur;
-    {
-      std::lock_guard<std::mutex> lock(flight_mu_);
-      cur = in_flight_.fetch_add(1) + 1;
-      report_free_slots(cur);
-    }
-    atomic_max(max_in_flight_, cur);
-    auto job = std::make_shared<BatchJob>(this, std::move(batch));
-    try {
-      forward_workers_->submit([job] { job->run(job); });
-    } catch (...) {
-      // submit itself failed (pool shutting down): the job's destructor
-      // fails the rows and releases the slot on scope exit below.
-    }
   }
 }
 
@@ -405,8 +373,8 @@ void InferenceEngine::process_batch(BatchJob& job) {
   for (int r = 0; r < b; ++r) {
     Request& req = batch[static_cast<std::size_t>(r)];
     if (req.expired(closed_at)) {
-      // Last line of deadline defence: expired while the batch sat in the
-      // forward queue. Fail fast; the forward never sees this row.
+      // Last line of deadline defence: expired between batch close and
+      // forward start. Fail fast; the forward never sees this row.
       if (job.claim(static_cast<std::size_t>(r))) {
         pstats_[static_cast<std::size_t>(req.priority)].deadline_dropped.fetch_add(1);
         req.promise.set_exception(std::make_exception_ptr(DeadlineExceededError{}));

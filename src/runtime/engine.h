@@ -5,13 +5,12 @@
 // one priority/deadline-aware request queue: submit(payload, RequestOptions)
 // routes a request to a named variant with a scheduling class and an
 // optional deadline, the batcher groups compatible (same-variant) requests
-// and serves interactive traffic first, and a dispatcher thread hands each
-// closed batch to a forward pool running up to
-// EngineOptions::concurrent_forwards Servable::infer calls in flight.
-// With two or more slots the engine reports its free-slot count to the
-// batcher, so a lone group closes at once instead of sitting out max_delay
-// while taking it still leaves a slot free (the batcher's idle cutoff); a
-// one-slot engine keeps the plain size/latency/deadline cutoffs.
+// and serves interactive traffic first, and EngineOptions::concurrent_forwards
+// worker threads each loop next_batch() -> Servable::infer, so the worker
+// count bounds the forwards in flight. With two or more workers, a lone
+// group closes at once instead of sitting out max_delay while another
+// worker still waits for work (the batcher's idle cutoff); a one-worker
+// engine keeps the plain size/latency/deadline cutoffs.
 // Requests whose deadline expires in the queue fail fast with
 // DeadlineExceededError and never reach a forward. Variants hot-swap through
 // ModelRegistry::publish without pausing the engine: each batch forward runs
@@ -29,15 +28,14 @@
 #include "runtime/metrics/registry.h"
 #include "runtime/metrics/trace.h"
 #include "runtime/registry.h"
-#include "runtime/thread_pool.h"
 
 namespace ascend::runtime {
 
 /// Delivered through a request future when its batch forward overran
-/// EngineOptions::forward_timeout: the watchdog failed the batch, released
-/// the concurrency slot and replaced the pool worker; the engine keeps
-/// serving. The wedged forward finishes (or not) in the background and its
-/// late results are discarded.
+/// EngineOptions::forward_timeout: the watchdog failed the batch, stopped
+/// counting it in flight and started a replacement worker; the engine keeps
+/// serving. The wedged forward finishes (or not) in the background, its
+/// late results are discarded, and its worker then exits.
 struct WatchdogTimeoutError : std::runtime_error {
   WatchdogTimeoutError() : std::runtime_error("forward exceeded watchdog deadline") {}
 };
@@ -45,10 +43,10 @@ struct WatchdogTimeoutError : std::runtime_error {
 struct EngineOptions {
   int max_batch = 32; ///< dynamic-batching size cutoff
   /// Dynamic-batching latency cutoff. With concurrent_forwards >= 2 a group
-  /// that is the whole queue does not wait it out while a slot would stay
-  /// free after dispatch (see Batcher::set_free_slots).
+  /// that is the whole queue does not wait it out while another worker
+  /// waits for work (the batcher's idle cutoff).
   std::chrono::microseconds max_delay{2000};
-  int concurrent_forwards = 2;  ///< batch forwards in flight (>= 1); see engine doc
+  int concurrent_forwards = 2;  ///< forward worker threads (>= 1); see engine doc
   int max_pending = 0;          ///< bounded batcher queue; 0 = unbounded
   OverflowPolicy overflow = OverflowPolicy::kBlock;  ///< full-queue behaviour
   /// Variant served when RequestOptions::variant is empty. Empty: the
@@ -67,9 +65,9 @@ struct EngineOptions {
   trace::TracerOptions trace;
   /// Watchdog deadline on an in-flight batch forward — the whole service
   /// attempt, retries and fallback included. A forward that overruns it has
-  /// its unresolved requests failed with WatchdogTimeoutError, its
-  /// concurrency slot released, and a replacement forward-pool worker
-  /// started; the engine keeps serving around the wedged thread. 0 = off.
+  /// its unresolved requests failed with WatchdogTimeoutError, stops counting
+  /// in flight, and a replacement worker starts; the engine keeps serving
+  /// around the wedged thread. 0 = off.
   std::chrono::milliseconds forward_timeout{0};
 };
 
@@ -140,45 +138,36 @@ class InferenceEngine {
 
  private:
   /// One in-flight batch forward. Owns the requests' promises through a
-  /// per-row claim protocol: whoever wins claim(r) — the forward thread
-  /// resolving the row, the watchdog abandoning it, or the destructor
-  /// cleaning up after an injected pool fault — is the only writer of that
-  /// promise. The concurrency slot is released exactly once, whichever of
-  /// the three paths gets there first.
+  /// per-row claim protocol: whoever wins claim(r) — the worker resolving
+  /// the row or the watchdog abandoning it — is the only writer of that
+  /// promise.
   struct BatchJob {
-    BatchJob(InferenceEngine* engine, std::vector<Request> b);
-    /// Fails any still-unresolved row (reachable only when the pool.task
-    /// fail point threw before run()) and releases the slot.
-    ~BatchJob();
+    explicit BatchJob(std::vector<Request> b);
 
     /// True when the caller won ownership of row r's promise.
     bool claim(std::size_t r) { return !claimed[r].exchange(true); }
     void fail_unresolved(const std::exception_ptr& err);
-    void release_slot();
-    /// The forward task body: registers with the watchdog, runs
-    /// process_batch, unregisters, releases the slot.
-    void run(const std::shared_ptr<BatchJob>& self);
 
-    InferenceEngine* eng;
     std::vector<Request> batch;
     std::unique_ptr<std::atomic<bool>[]> claimed;  ///< per-row promise ownership
-    std::atomic<bool> slot_released{false};
-    /// Set by the watchdog when it abandons this forward: the forward thread
-    /// must not touch metrics or promises past the next check (its rows were
+    /// Set by the watchdog when it abandons this forward: the worker must
+    /// not touch metrics or promises past the next check (its rows were
     /// already failed; late results are discarded).
     std::atomic<bool> abandoned{false};
     std::chrono::steady_clock::time_point started{};  ///< set before flight registration
   };
 
   void start();
-  void dispatch_loop();
+  /// Starts one forward worker (caller holds watch_mu_, or no other thread
+  /// runs yet).
+  void start_worker();
+  void worker_loop();
   void process_batch(BatchJob& job);
   void watchdog_loop();
   void register_flight(const std::shared_ptr<BatchJob>& job);
-  void unregister_flight(const BatchJob* job);
-  /// Tells the batcher how many slots are free at `in_flight` running
-  /// forwards (caller holds flight_mu_). No-op at one slot.
-  void report_free_slots(int in_flight);
+  /// False when the watchdog already abandoned `job` (and took over its
+  /// in-flight count); true when the caller still owns it.
+  bool unregister_flight(const BatchJob* job);
   const std::string& resolve_variant(const std::string& requested) const;
   void count_drop(Priority p);
   void register_metric_series();
@@ -189,9 +178,7 @@ class InferenceEngine {
   // Serving counters. Plain seq_cst atomics, updated in program order per
   // request (queued strictly before served/deadline_dropped), so any reader
   // — stats() or a metrics scrape, which both read these — observes
-  // `served + deadline_dropped <= queued` per priority. This replaces the
-  // old stats_mu_/flight_mu_ split, where max_in_flight could be paired
-  // with counters from a different instant.
+  // `served + deadline_dropped <= queued` per priority.
   struct AtomicPriorityStats {
     std::atomic<std::uint64_t> queued{0};
     std::atomic<std::uint64_t> served{0};
@@ -219,15 +206,10 @@ class InferenceEngine {
   std::vector<metrics::CallbackId> metric_callbacks_;
   trace::Tracer tracer_;
 
-  // In-flight forward accounting: the dispatcher stops pulling batches while
-  // `concurrent_forwards` are already running, so overload queues in the
-  // batcher (where max_pending applies) instead of in the forward pool. The
-  // counter is atomic for lock-free reads (in_flight gauge); updates stay
-  // under flight_mu_ for the condition variable, and each one reports the
-  // free-slot count to the batcher under the same lock (lock order:
-  // flight_mu_, then the batcher's queue lock).
-  std::mutex flight_mu_;
-  std::condition_variable flight_cv_;
+  // Batches taken from the batcher whose forward has not ended (or been
+  // abandoned by the watchdog). Incremented under the batcher's queue lock
+  // as the batch leaves the queue (its take observer), so pending() and
+  // in_flight() never both miss a batch; atomic for lock-free reads.
   std::atomic<int> in_flight_{0};
 
   // Watchdog (EngineOptions::forward_timeout > 0): the flight list of
@@ -248,8 +230,10 @@ class InferenceEngine {
   /// makes no heap allocations.
   ArenaPool arenas_;
 
-  std::unique_ptr<ThreadPool> forward_workers_;  ///< runs the in-flight batch forwards
-  std::thread dispatcher_;
+  /// The forward workers, replacements for abandoned ones included: each
+  /// loops next_batch() -> forward until the batcher closes. Under
+  /// watch_mu_ (the watchdog appends replacements).
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ascend::runtime

@@ -11,7 +11,7 @@
 //     before its `queued` increment — see InferenceEngine).
 //   * Histogram buckets are striped into per-thread shards (thread-local
 //     shard index, relaxed atomics, cache-line padded) merged on scrape, so
-//     concurrent recorders on the forward pool never contend on a line.
+//     concurrent recorders on the forward workers never contend on a line.
 // Histograms are log-bucketed (HDR-style): `sub_bits` sub-buckets per power
 // of two bound the relative quantile error by 2^-sub_bits (default 1/32 ≈
 // 3.1%); values below 2^sub_bits are exact. Record in integer units

@@ -1,74 +1,35 @@
 #pragma once
-// thread_pool.h — fixed-size worker pool with one FIFO task queue.
+// thread_pool.h — fixed-size worker pool behind a blocking parallel_for.
 //
-// `submit` enqueues fire-and-forget tasks with futures; `parallel_for` runs a
-// blocking chunked loop by posting helper tasks to the same queue while the
-// caller claims chunks itself. The engine runs its in-flight batch forwards
-// on a pool, the DSE sweep its design points, and the circuit-emulated SC
-// GELU its activations when a pool is given (the LUT variants apply their
-// tables on the calling thread and never touch a pool). Tasks submitted from
-// one thread run FIFO per worker; shutdown() and the destructor drain the
-// queue before joining so no accepted task is ever dropped.
+// `parallel_for` runs a chunked loop by posting helper tasks to one FIFO
+// queue while the caller claims chunks itself. The DSE sweep runs its design
+// points on a pool, and the circuit-emulated SC GELU its activations when a
+// pool is given (the LUT variants apply their tables on the calling thread
+// and never touch a pool). The destructor drains the queue before joining.
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
-#include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "runtime/failpoint.h"
-
 namespace ascend::runtime {
-
-namespace detail {
-/// The "pool.task" fail point (defined in thread_pool.cpp). It fires inside
-/// the packaged task, so an injected fault lands in the task's future like
-/// any other task exception — it never escapes into a worker loop.
-failpoint::Site& pool_task_site();
-}  // namespace detail
 
 class ThreadPool {
  public:
   /// `threads` < 1 is clamped to 1. Workers start immediately.
   explicit ThreadPool(int threads);
-  /// Drains every queued task, then joins the workers.
-  ~ThreadPool() { shutdown(); }
-  /// What the destructor does, without ending the object's life: drains
-  /// every queued task and joins the workers. Later submits throw and
-  /// grow() is a no-op, so a thread still holding the pool (the engine
-  /// watchdog) may call grow() during and after the drain. Idempotent.
-  void shutdown();
+  /// Drains every queued helper task, then joins the workers.
+  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return size_.load(std::memory_order_relaxed); }
-
-  /// Add `n` workers to a live pool. Used by the engine watchdog to replace
-  /// a worker wedged in a stuck forward, so pool capacity never decays.
-  void grow(int n);
-
-  /// Enqueue a callable; the future resolves with its result (or exception).
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(
-        [f = std::forward<F>(fn)]() mutable -> R {
-          ASCEND_FAILPOINT(detail::pool_task_site());
-          return f();
-        });
-    std::future<R> fut = task->get_future();
-    if (!post([task] { (*task)(); }))
-      throw std::runtime_error("ThreadPool::submit after shutdown");
-    return fut;
-  }
+  int size() const { return static_cast<int>(workers_.size()); }
 
   /// Run body(begin, end) over [begin, end) split into chunks and block
   /// until all complete. By default the range splits into ~size() chunks;
@@ -77,9 +38,10 @@ class ThreadPool {
   /// load-balances dynamically. A range of one chunk runs inline. Otherwise
   /// up to size() helper tasks join the queue and the caller claims chunks
   /// alongside them, so it never waits for a helper that has not started:
-  /// on a busy or shut-down pool the caller runs every chunk itself, and a
-  /// helper that starts late finds nothing left to claim. Rethrows the first
-  /// chunk exception after every claimed chunk finishes.
+  /// on a busy pool the caller runs every chunk itself, and a helper that
+  /// starts late finds nothing left to claim. Rethrows the first chunk
+  /// exception after every claimed chunk finishes. Safe to call from
+  /// several threads at once.
   template <typename Body>
   void parallel_for(int begin, int end, const Body& body, int max_chunk = 0) {
     const int n = end - begin;
@@ -97,7 +59,7 @@ class ThreadPool {
     // waits for every claimed chunk, so `b` is never read after it dangles.
     const Body* b = &body;
     for (int h = std::min(chunks - 1, size()); h > 0; --h)
-      if (!post([claims, b] { claims->run_all(b); })) break;
+      post([claims, b] { claims->run_all(b); });
     claims->run_all(b);
     claims->wait();
   }
@@ -142,16 +104,15 @@ class ThreadPool {
     std::exception_ptr error_;  ///< first failure (under mu_)
   };
 
-  /// Queue `task` for a worker; false (task dropped) once shut down.
-  bool post(std::function<void()> task);
+  /// Queue `task` for a worker.
+  void post(std::function<void()> task);
   void worker_loop();
 
-  std::vector<std::thread> workers_;  ///< mutated under mu_ (ctor aside)
-  std::atomic<int> size_{0};          ///< workers_.size(), lock-free for readers
-  std::queue<std::function<void()>> queue_;
+  std::queue<std::function<void()>> queue_;  ///< under mu_
   std::mutex mu_;
   std::condition_variable cv_;
-  bool closed_ = false;
+  bool closed_ = false;  ///< set by the destructor (under mu_)
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ascend::runtime

@@ -200,7 +200,9 @@ void ShardSet::drain(int shard) {
   sh.admitting.store(false);
   // Flush: wait out the queue and the in-flight forwards. Poll-based — the
   // queue only ever shrinks once routing stopped (deadline drops included),
-  // so this terminates as fast as the shard serves.
+  // so this terminates as fast as the shard serves. Read the queue first:
+  // the engine counts a batch in flight under the queue lock as it leaves
+  // the queue, so no batch slips between the two reads.
   while (sh.engine->pending().total > 0 || sh.engine->in_flight() > 0)
     std::this_thread::sleep_for(std::chrono::microseconds(200));
 }

@@ -3,7 +3,7 @@
 //
 // A ShardSet scales the single-process serving core horizontally inside one
 // process: each shard owns its own ModelRegistry, InferenceEngine (and with
-// it a private batcher, forward pool and activation arenas), so shards share
+// it a private batcher, forward workers and activation arenas), so shards share
 // nothing on the request path and a wedged or draining shard never stalls
 // the others. The router shards by variant first — only shards whose
 // registry holds the requested variant are eligible — then picks the

@@ -4,9 +4,9 @@
 //     seeded deterministic probability draws, parked-spec adoption, the
 //     delay and err actions, and zero allocations on the disabled path
 //     (this target links alloc_interpose, see CMakeLists.txt);
-//   * injection at each serving site: batcher.enqueue, pool.task,
-//     engine.infer, ckpt.*, registry.publish, and the front door's
-//     serve.accept / serve.read / serve.write / router.route — every fault
+//   * injection at each serving site: batcher.enqueue, engine.infer,
+//     ckpt.*, registry.publish, and the front door's serve.accept /
+//     serve.read / serve.write / router.route — every fault
 //     surfaces as a typed error (or drops only the faulted connection),
 //     never a crash or a silent wrong answer;
 //   * self-healing: retry with backoff, fallback-variant degradation, the
@@ -272,19 +272,6 @@ TEST_F(ChaosTest, EnqueueInjectionFailsFastAtSubmit) {
   EXPECT_EQ(engine.submit(payload(2.0f)).get().label, 2);
 }
 
-TEST_F(ChaosTest, PoolTaskInjectionResolvesTheBatchWithATypedError) {
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->publish(std::make_shared<MockServable>("m"));
-  InferenceEngine engine(registry, quick_opts());
-
-  // The fault fires inside the pool's packaged task, before the forward body
-  // runs: the BatchJob destructor must still resolve every promise.
-  failpoint::arm("pool.task", "once,throw");
-  auto fut = engine.submit(payload(1.0f));
-  EXPECT_THROW(fut.get(), failpoint::InjectedFaultError);
-  EXPECT_EQ(engine.submit(payload(2.0f)).get().label, 2);
-}
-
 TEST_F(ChaosTest, RegistryPublishInjectionLeavesTheRegistryUnchanged) {
   ModelRegistry registry;
   failpoint::arm("registry.publish", "once,throw");
@@ -425,7 +412,7 @@ TEST_F(ChaosTest, WatchdogTripsTheWedgedForwardAndTheEngineKeepsServing) {
   auto wedged = engine.submit(payload(1.0f), to_slow);
   EXPECT_THROW(wedged.get(), WatchdogTimeoutError);
 
-  // The trip released the concurrency slot and grew a replacement worker:
+  // The trip stopped counting the forward and started a replacement worker:
   // the engine serves on while the wedged forward still sleeps.
   EXPECT_EQ(engine.submit(payload(2.0f)).get().label, 2);
   const EngineStats s = engine.stats();
@@ -547,7 +534,6 @@ TEST_F(ChaosTest, SeededScheduleUnderMixedTrafficLosesNoRequestAndRecovers) {
   const std::uint64_t fires_before = failpoint::total_fires();
   failpoint::arm("engine.infer", "p0.3,seed11,throw");
   failpoint::arm("batcher.enqueue", "p0.05,seed12,throw");
-  failpoint::arm("pool.task", "p0.03,seed13,throw");
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;

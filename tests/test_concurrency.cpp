@@ -1,14 +1,18 @@
 // Concurrency tests for the re-entrant const inference path: N-thread
 // VisionTransformer::infer must be bit-exact with the serial eval-mode
 // forward, and concurrent engine submit() streams must agree with the
-// servable's own batch forward. Also covers batcher backpressure.
+// servable's own batch forward. Also covers batcher backpressure and
+// several consumers sharing one batcher.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -411,7 +415,7 @@ TEST(BatcherBackpressure, BlockPolicyWaitsForSpace) {
   auto f1 = b.enqueue({1.0f});
   std::atomic<bool> second_enqueued{false};
   std::thread producer([&] {
-    auto f2 = b.enqueue({2.0f});  // blocks until the dispatcher drains a batch
+    auto f2 = b.enqueue({2.0f});  // blocks until the consumer drains a batch
     second_enqueued.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -462,6 +466,68 @@ TEST(BatcherBackpressure, CloseNowFailsQueuedRequestsWithTypedError) {
   EXPECT_THROW(f2.get(), EngineShutdownError);
   EXPECT_THROW((void)b.enqueue({3.0f}), EngineShutdownError);
   EXPECT_TRUE(b.next_batch().empty()) << "close_now leaves nothing to drain";
+}
+
+// ---------------------------------------------------------------------------
+// Several consumers in Batcher::next_batch (the engine's forward workers)
+// ---------------------------------------------------------------------------
+
+TEST(BatcherConsumers, TwoConsumersTakeEveryRequestExactlyOnceInDisjointBatches) {
+  constexpr int kRequests = 2000;
+  constexpr int kMaxBatch = 8;
+  Batcher b(kMaxBatch, std::chrono::microseconds(200));
+  std::mutex mu;
+  std::vector<int> seen(kRequests, 0);  // under mu
+  std::vector<std::string> bad;         // under mu
+  auto consume = [&] {
+    for (;;) {
+      std::vector<Request> batch = b.next_batch();
+      if (batch.empty()) return;  // closed and drained
+      std::lock_guard<std::mutex> lock(mu);
+      if (batch.size() > static_cast<std::size_t>(kMaxBatch)) bad.push_back("oversized batch");
+      for (Request& r : batch) {
+        if (r.variant != batch[0].variant) bad.push_back("batch mixes variants");
+        ++seen[static_cast<std::size_t>(r.image[0])];
+        r.promise.set_value(Prediction{});
+      }
+    }
+  };
+  std::thread c1(consume), c2(consume);
+  for (int i = 0; i < kRequests; ++i) {
+    RequestOptions o;
+    o.variant = (i % 3 == 0) ? "x" : "y";
+    (void)b.enqueue({static_cast<float>(i)}, std::move(o));
+  }
+  b.close();  // queued requests still drain
+  c1.join();
+  c2.join();
+  for (const std::string& what : bad) ADD_FAILURE() << what;
+  for (int i = 0; i < kRequests; ++i)
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1) << "request " << i;
+}
+
+TEST(BatcherConsumers, LoneRequestClosesAtOnceWhileTwoConsumersWait) {
+  // A 10 s latency budget: only the idle cutoff can release the request in
+  // time, and it needs a second consumer waiting in next_batch.
+  Batcher b(8, std::chrono::seconds(10));
+  std::promise<double> first_ms;
+  auto consume = [&] {
+    for (;;) {
+      std::vector<Request> batch = b.next_batch();
+      if (batch.empty()) return;
+      first_ms.set_value(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - batch[0].enqueued)
+                             .count());
+    }
+  };
+  std::thread c1(consume), c2(consume);
+  auto fut = b.enqueue({1.0f});
+  const double ms = first_ms.get_future().get();
+  EXPECT_LT(ms, 5000.0) << "a lone request sat out max_delay with two consumers waiting";
+  EXPECT_EQ(b.idle_closes(), 1u);
+  b.close();
+  c1.join();
+  c2.join();
 }
 
 namespace {

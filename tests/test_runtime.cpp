@@ -1,4 +1,4 @@
-// Tests for the batched SC inference runtime: thread-pool ordering/shutdown,
+// Tests for the batched SC inference runtime: thread-pool parallel_for,
 // batcher cutoff behaviour, bit-exact agreement of the tf_cache LUTs with the
 // circuit emulators, and engine-vs-manual-hook equivalence.
 
@@ -32,60 +32,6 @@ using namespace ascend::runtime;
 // ---------------------------------------------------------------------------
 // ThreadPool
 // ---------------------------------------------------------------------------
-
-TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 64; ++i) futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
-  for (auto& f : futs) f.get();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPool, SubmitPropagatesResultsAndExceptions) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 6 * 7; });
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 42);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        done.fetch_add(1);
-      });
-  }  // destructor must wait for every accepted task
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, ShutdownDrainsAndLeavesALiveClosedPool) {
-  std::atomic<int> done{0};
-  ThreadPool pool(2);
-  for (int i = 0; i < 20; ++i)
-    pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      done.fetch_add(1);
-    });
-  // A second thread grows the pool while it drains, as the engine watchdog
-  // may do during engine shutdown.
-  std::thread grower([&pool] {
-    for (int i = 0; i < 50; ++i) pool.grow(1);
-  });
-  pool.shutdown();
-  grower.join();
-  EXPECT_EQ(done.load(), 20);
-  const int size = pool.size();
-  pool.grow(1);  // closed: adds no worker
-  EXPECT_EQ(pool.size(), size);
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  pool.shutdown();  // idempotent; the destructor calls it once more
-}
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
@@ -131,17 +77,37 @@ TEST(ThreadPool, ParallelForDrainsAllChunksBeforeRethrowing) {
                std::runtime_error);
   // No chunk was abandoned mid-flight and the pool is still serviceable.
   EXPECT_EQ(visited.load(), 400);
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  std::atomic<int> again{0};
+  pool.parallel_for(0, 40, [&again](int lo, int hi) { again.fetch_add(hi - lo); });
+  EXPECT_EQ(again.load(), 40);
 }
 
 TEST(ThreadPool, ParallelForFinishesWhileTheOnlyWorkerIsBlocked) {
   ThreadPool pool(1);
-  std::promise<void> release;
+  std::promise<void> entered, release;
+  std::shared_future<void> worker_entered = entered.get_future().share();
   std::shared_future<void> released = release.get_future().share();
-  auto blocker = pool.submit([released] { released.wait(); });
+  // A concurrent two-chunk parallel_for parks the only worker: its caller
+  // holds its own chunk until the worker has claimed the other one, and the
+  // worker's chunk blocks until released.
+  std::thread blocker([&] {
+    const std::thread::id blocker_id = std::this_thread::get_id();
+    pool.parallel_for(
+        0, 2,
+        [&](int, int) {
+          if (std::this_thread::get_id() == blocker_id) {
+            worker_entered.wait();
+          } else {
+            entered.set_value();
+            released.wait();
+          }
+        },
+        /*max_chunk=*/1);
+  });
+  worker_entered.wait();
   {
-    // Ten chunks: one helper task queues behind the blocker, so the caller
-    // must run every chunk itself rather than wait for it.
+    // Ten chunks: one helper task queues behind the blocked worker, so the
+    // caller must run every chunk itself rather than wait for it.
     const std::thread::id caller = std::this_thread::get_id();
     std::vector<int> hits(100, 0);
     std::atomic<int> off_caller{0};
@@ -156,29 +122,11 @@ TEST(ThreadPool, ParallelForFinishesWhileTheOnlyWorkerIsBlocked) {
     for (int i = 0; i < 100; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << i;
   }  // the body is gone before the late helper starts
   release.set_value();
-  blocker.get();
+  blocker.join();
   // The late helper found nothing to claim; the pool still serves.
-  EXPECT_EQ(pool.submit([] { return 2; }).get(), 2);
-}
-
-TEST(ThreadPool, ParallelForAfterShutdownRunsEveryChunkOnTheCaller) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<int> hits(60, 0);
-  int chunks = 0;
-  bool off_caller = false;
-  pool.parallel_for(
-      0, 60,
-      [&](int lo, int hi) {
-        off_caller |= std::this_thread::get_id() != caller;
-        ++chunks;
-        for (int i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
-      },
-      /*max_chunk=*/7);
-  EXPECT_FALSE(off_caller);
-  EXPECT_EQ(chunks, 9);
-  for (int i = 0; i < 60; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << i;
+  std::atomic<int> again{0};
+  pool.parallel_for(0, 8, [&again](int lo, int hi) { again.fetch_add(hi - lo); }, 1);
+  EXPECT_EQ(again.load(), 8);
 }
 
 TEST(ThreadPool, MaxChunkLoadBalancesAcrossThreeWorkers) {
@@ -1035,7 +983,7 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   EXPECT_GE(pred.label, 0);
   EXPECT_LT(pred.label, top.classes);
 
-  // The dispatcher survived; the engine keeps serving.
+  // The worker survived; the engine keeps serving.
   auto again = engine.submit(std::vector<float>(static_cast<std::size_t>(pixels), 0.2f));
   EXPECT_GE(again.get().label, 0);
   const EngineStats st = engine.stats();

@@ -206,7 +206,7 @@ TEST(PriorityBatcher, BatchesNeverMixVariants) {
 TEST(PriorityBatcher, HigherPriorityVariantReaimsTheNextBatch) {
   Batcher b(4, std::chrono::microseconds(200'000));  // 200 ms latency budget
   auto f0 = b.enqueue(payload(0), req(Priority::kBatch, "slow"));
-  // While the dispatcher would wait out the batch's latency budget, an
+  // While the consumer would wait out the batch's latency budget, an
   // interactive request for another variant arrives and must be served first.
   std::thread late([&b] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -278,7 +278,7 @@ TEST(PriorityBatcher, MemberDeadlineClosesTheBatchEarlyAndIsServed) {
 }
 
 TEST(PriorityBatcher, CrossVariantDeadlineFailsFastDuringAnotherGroupsWait) {
-  // While the dispatcher waits out the leader group's cutoff, an expiring
+  // While the consumer waits out the leader group's cutoff, an expiring
   // request bound for a *different* variant must still be failed at its
   // deadline, not whenever that cutoff fires.
   Batcher b(64, std::chrono::microseconds(150'000));  // 150 ms batching budget
@@ -422,7 +422,7 @@ TEST(ServingEngine, ExpiredDeadlineFailsTypedWithoutRunningTheForward) {
                                               std::chrono::microseconds(5'000)));
   EXPECT_THROW(doomed.get(), DeadlineExceededError);
   EXPECT_EQ(blocker.get().label, 1);
-  // Give the dispatcher a beat, then assert the dropped payload never ran.
+  // Give the workers a beat, then assert the dropped payload never ran.
   const std::vector<float> served = mock->served();
   for (float v : served) EXPECT_NE(v, 2.0f);
   const EngineStats st = engine.stats();
@@ -526,6 +526,93 @@ TEST(ServingEngine, AnotherQueuedVariantKeepsTheLatencyCutoff) {
   held2.get();
   // Only the first blocker, alone on an idle engine, took the idle cutoff.
   EXPECT_EQ(engine.stats().idle_batches, 1u);
+}
+
+TEST(ServingEngine, ThreeSlotEngineClosesALoneRequestWhileTwoWorkersWait) {
+  auto reg = std::make_shared<ModelRegistry>();
+  auto mock = std::make_shared<MockServable>("m");
+  reg->publish(mock);
+  EngineOptions opts = two_slot_opts();
+  opts.concurrent_forwards = 3;
+  InferenceEngine engine(reg, opts);
+
+  // One forward held: two workers still wait, so a lone request is served
+  // at once.
+  auto held1 = engine.submit(payload(MockServable::kHeldHead));
+  ASSERT_TRUE(wait_for_in_flight(engine, 1));
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(engine.submit(payload(3)).get().label, 3);
+  EXPECT_LT(ms_since(t0), 2000.0) << "a lone request sat out max_delay beside two idle workers";
+  // Its worker stops counting only after resolving the request.
+  ASSERT_TRUE(wait_for_in_flight(engine, 1));
+
+  // Two held: taking the lone request would leave no worker waiting, so it
+  // waits for max_delay or a release.
+  auto held2 = engine.submit(payload(MockServable::kHeldHead));
+  ASSERT_TRUE(wait_for_in_flight(engine, 2));
+  auto f = engine.submit(payload(5));
+  EXPECT_EQ(f.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
+  EXPECT_EQ(engine.in_flight(), 2);
+
+  t0 = std::chrono::steady_clock::now();
+  mock->release_held();
+  EXPECT_EQ(f.get().label, 5);
+  EXPECT_LT(ms_since(t0), 2000.0) << "the released forwards did not wake the waiting request";
+  EXPECT_EQ(held1.get().label, static_cast<int>(MockServable::kHeldHead));
+  EXPECT_EQ(held2.get().label, static_cast<int>(MockServable::kHeldHead));
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.batches, 4u);
+  EXPECT_EQ(st.idle_batches, 4u);
+}
+
+TEST(ServingEngine, PendingPlusInFlightNeverMissesAnUnresolvedRequest) {
+  // ShardSet::drain polls pending().total, then in_flight(): a batch must be
+  // counted in flight from the instant it leaves the queue, or the poll can
+  // read 0 and 0 while its requests are still on their way to a forward.
+  auto reg = std::make_shared<ModelRegistry>();
+  reg->publish(std::make_shared<MockServable>("m"));
+  EngineOptions opts = quick_engine_opts();
+  opts.concurrent_forwards = 2;
+  opts.max_delay = std::chrono::microseconds(100);
+  InferenceEngine engine(reg, opts);
+
+  constexpr int kRequests = 2000;
+  std::vector<std::future<Prediction>> futs(kRequests);
+  std::atomic<int> submitted{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> misses{0};
+  std::thread poller([&] {
+    int verified = 0;  // futures [0, verified) were seen resolved
+    while (!stop.load()) {
+      const int n = submitted.load();  // before the reads: these were all submitted
+      const std::size_t pending = engine.pending().total;
+      const int in_flight = engine.in_flight();
+      if (pending > 0 || in_flight > 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      // Neither the queue nor a forward holds a request: every future
+      // submitted before the reads must already be resolved.
+      while (verified < n) {
+        if (futs[static_cast<std::size_t>(verified)].wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready) {
+          misses.fetch_add(1);
+          break;
+        }
+        ++verified;
+      }
+    }
+  });
+  for (int i = 0; i < kRequests; ++i) {
+    futs[static_cast<std::size_t>(i)] = engine.submit(payload(static_cast<float>(i % 7)));
+    submitted.store(i + 1);
+  }
+  for (const auto& f : futs) f.wait();  // const: safe beside the poller's wait_for
+  stop.store(true);
+  poller.join();
+  for (int i = 0; i < kRequests; ++i)
+    EXPECT_EQ(futs[static_cast<std::size_t>(i)].get().label, i % 7);
+  EXPECT_EQ(misses.load(), 0) << "pending() and in_flight() both read 0 with a request unresolved";
 }
 
 TEST(ServingEngine, OneSlotEngineHoldsALoneRequestForMaxDelay) {
