@@ -180,8 +180,8 @@ std::vector<Request> Batcher::next_batch() {
       // What is left forms a new group: wake the other consumers to
       // re-evaluate it, then yield before this thread runs the batch. The
       // kernel may queue a woken consumer on this CPU, where it would wait
-      // out the whole forward (measured: +8% on engine_vit's closed-loop
-      // pass_s without the yield).
+      // out the whole forward (without the yield, engine_vit's closed-loop
+      // pass_s read 8% slower on a 4-vCPU VM; see docs/perf.md).
       const bool leftovers = !queue_.empty();
       if (leftovers) cv_.notify_all();
       lock.unlock();
