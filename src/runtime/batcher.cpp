@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "runtime/failpoint.h"
 
@@ -157,9 +156,9 @@ std::vector<Request> Batcher::next_batch() {
     }
     const bool full = members.size() >= static_cast<std::size_t>(max_batch_);
     const bool cut = full || closed_ || now >= close_at;
-    // Idle cutoff: nothing else is queued and another consumer waits here,
-    // so the next arrival would find a consumer of its own anyway.
-    const bool idle = members.size() == queue_.size() && waiting_ >= 2;
+    // Idle cutoff: another consumer waits here and stays free after this
+    // take, so it can serve the next arrival, or the next group, itself.
+    const bool idle = waiting_ >= 2;
     if (cut || idle) {
       if (!cut) ++idle_closes_;
       std::vector<Request> batch;
@@ -178,14 +177,9 @@ std::vector<Request> Batcher::next_batch() {
       if (take_observer_) take_observer_();
       if (max_pending_ > 0) space_cv_.notify_all();
       // What is left forms a new group: wake the other consumers to
-      // re-evaluate it, then yield before this thread runs the batch. The
-      // kernel may queue a woken consumer on this CPU, where it would wait
-      // out the whole forward (without the yield, engine_vit's closed-loop
-      // pass_s read 8% slower on a 4-vCPU VM; see docs/perf.md).
-      const bool leftovers = !queue_.empty();
-      if (leftovers) cv_.notify_all();
+      // re-evaluate it.
+      if (!queue_.empty()) cv_.notify_all();
       lock.unlock();
-      if (leftovers) std::this_thread::yield();
       return batch;
     }
 

@@ -13,11 +13,11 @@
 //   * the batch closes when `max_batch` compatible requests are waiting
 //     (size cutoff), when the group's oldest member has aged past
 //     `max_delay` (latency cutoff), when waiting any longer would expire
-//     a member's deadline (deadline cutoff), or when the group is every
-//     queued request and at least two consumers wait in next_batch() (idle
-//     cutoff: another consumer stays free after this batch, so holding it
-//     could buy no companion a later batch would miss). A lone consumer
-//     never sees two waiters and keeps the first three cutoffs;
+//     a member's deadline (deadline cutoff), or when at least two consumers
+//     wait in next_batch() (idle cutoff: another consumer stays free after
+//     this batch to serve the next group, or a later arrival, itself; the
+//     group it holds leaves once a consumer returns). A lone consumer never
+//     sees two waiters and keeps the first three cutoffs;
 //   * a request whose deadline has already passed is failed fast with
 //     DeadlineExceededError at batch-formation time — it never reaches a
 //     forward — and a higher-priority arrival re-aims the next batch at its

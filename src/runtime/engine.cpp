@@ -147,7 +147,7 @@ void InferenceEngine::register_metric_series() {
   metric_callbacks_.push_back(metrics_->register_callback(
       "ascend_idle_batches_total", {}, SeriesKind::kCounter,
       [this] { return static_cast<double>(batcher_.idle_closes()); },
-      "Partial batches closed at once: nothing else queued and a forward slot stayed free"));
+      "Partial batches closed at once: another forward worker waited and stayed free"));
   metric_callbacks_.push_back(metrics_->register_callback(
       "ascend_process_allocations_total", {}, SeriesKind::kCounter,
       [] { return static_cast<double>(alloc_count()); },

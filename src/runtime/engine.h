@@ -7,7 +7,7 @@
 // optional deadline, the batcher groups compatible (same-variant) requests
 // and serves interactive traffic first, and EngineOptions::concurrent_forwards
 // worker threads each loop next_batch() -> Servable::infer, so the worker
-// count bounds the forwards in flight. With two or more workers, a lone
+// count bounds the forwards in flight. With two or more workers, the next
 // group closes at once instead of sitting out max_delay while another
 // worker still waits for work (the batcher's idle cutoff); a one-worker
 // engine keeps the plain size/latency/deadline cutoffs.
@@ -43,8 +43,8 @@ struct WatchdogTimeoutError : std::runtime_error {
 struct EngineOptions {
   int max_batch = 32; ///< dynamic-batching size cutoff
   /// Dynamic-batching latency cutoff. With concurrent_forwards >= 2 a group
-  /// that is the whole queue does not wait it out while another worker
-  /// waits for work (the batcher's idle cutoff).
+  /// does not wait it out while another worker waits for work (the
+  /// batcher's idle cutoff).
   std::chrono::microseconds max_delay{2000};
   int concurrent_forwards = 2;  ///< forward worker threads (>= 1); see engine doc
   int max_pending = 0;          ///< bounded batcher queue; 0 = unbounded

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -528,6 +530,103 @@ TEST(BatcherConsumers, LoneRequestClosesAtOnceWhileTwoConsumersWait) {
   b.close();
   c1.join();
   c2.join();
+}
+
+TEST(BatcherConsumers, ThreeConsumersTakeTwoOfThreeQueuedVariantsAtOnce) {
+  // Three variants queued under a 10 s latency budget: a waiting consumer
+  // takes the leader group whenever another consumer stays free after the
+  // take, so two groups leave at once and the third waits for a consumer to
+  // come back.
+  Batcher b(8, std::chrono::seconds(10));
+  for (const char* v : {"x", "y", "z"}) {
+    RequestOptions o;
+    o.variant = v;
+    (void)b.enqueue({1.0f}, std::move(o));
+  }
+  std::mutex mu;
+  std::condition_variable taken_cv;
+  std::vector<std::string> taken;  // under mu; "" = closed and drained
+  auto take_one = [&] {
+    std::vector<Request> batch = b.next_batch();
+    std::lock_guard<std::mutex> lock(mu);
+    taken.push_back(batch.empty() ? "" : batch[0].variant);
+    taken_cv.notify_all();
+  };
+  auto taken_reaches = [&](std::size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu);
+    return taken_cv.wait_for(lock, timeout, [&] { return taken.size() >= n; });
+  };
+  std::vector<std::thread> consumers;
+  for (int i = 0; i < 3; ++i) consumers.emplace_back(take_one);
+  EXPECT_TRUE(taken_reaches(2, std::chrono::seconds(5)))
+      << "queued groups sat out max_delay with three consumers waiting";
+  EXPECT_FALSE(taken_reaches(3, std::chrono::milliseconds(50)))
+      << "the last group left although no consumer stayed free after it";
+  EXPECT_EQ(b.idle_closes(), 2u);
+  EXPECT_EQ(b.pending(), 1u);
+
+  // A consumer comes back: the one still waiting stays free, so the last
+  // group leaves at once.
+  consumers.emplace_back(take_one);
+  EXPECT_TRUE(taken_reaches(3, std::chrono::seconds(5)))
+      << "the returning consumer did not take the last group";
+  EXPECT_EQ(b.idle_closes(), 3u);
+  b.close();  // releases the consumer still waiting
+  for (std::thread& c : consumers) c.join();
+  std::sort(taken.begin(), taken.end());  // consumers record outside the queue lock
+  EXPECT_EQ(taken, (std::vector<std::string>{"", "x", "y", "z"}));
+}
+
+TEST(BatcherConsumers, ClosedLoopOverThreeVariantsNeverWaitsOutMaxDelay) {
+  // A bulk pass over the served fidelity variants: 2 consumers with short
+  // forwards, 4 clients with one request in flight each, a 50/25/25 variant
+  // mix. A group is held only while taking it would leave no consumer
+  // waiting, so no wait comes near the 10 s max_delay. A rule that holds a
+  // group while both consumers wait would stall the loop; the 5 s limit
+  // turns that stall into a failure.
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 100;
+  const auto max_delay = std::chrono::seconds(10);
+  Batcher b(16, max_delay);
+  auto consume = [&] {
+    for (;;) {
+      std::vector<Request> batch = b.next_batch();
+      if (batch.empty()) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));  // the forward
+      for (Request& r : batch) {
+        Prediction p;
+        p.queue_ms =
+            std::chrono::duration<double, std::milli>(r.trace.batch_close - r.enqueued).count();
+        r.promise.set_value(std::move(p));
+      }
+    }
+  };
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<int> served{0};
+  std::mutex mu;
+  double max_wait_ms = 0.0;  // under mu
+  auto client = [&](int c) {
+    for (int i = 0; i < kPerClient; ++i) {
+      const int k = (c + i) % 4;
+      RequestOptions o;
+      o.variant = k < 2 ? "sc-lut" : (k == 2 ? "w2a2-packed" : "fp32");
+      std::future<Prediction> f = b.enqueue({0.0f}, std::move(o));
+      if (f.wait_until(give_up) != std::future_status::ready) return;
+      const double q = f.get().queue_ms;
+      served.fetch_add(1);
+      std::lock_guard<std::mutex> lock(mu);
+      max_wait_ms = std::max(max_wait_ms, q);
+    }
+  };
+  std::thread c1(consume), c2(consume);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) clients.emplace_back(client, c);
+  for (std::thread& t : clients) t.join();
+  b.close();  // cuts whatever a stalled loop left queued
+  c1.join();
+  c2.join();
+  EXPECT_EQ(served.load(), kClients * kPerClient) << "the closed loop stalled on a held group";
+  EXPECT_LT(max_wait_ms, 1000.0) << "a request waited near max_delay";
 }
 
 namespace {

@@ -495,37 +495,82 @@ TEST(ServingEngine, GroupHeldForTheLastSlotClosesWhenTheOtherForwardEnds) {
   EXPECT_EQ(st.idle_batches, 2u);
 }
 
-TEST(ServingEngine, AnotherQueuedVariantKeepsTheLatencyCutoff) {
+TEST(ServingEngine, IdleWorkersServeTwoQueuedVariantsWithoutWaitingOutMaxDelay) {
+  auto reg = std::make_shared<ModelRegistry>();
+  auto a = std::make_shared<MockServable>("a");
+  auto b = std::make_shared<MockServable>("b");
+  reg->publish(a);
+  reg->publish(b);
+  EngineOptions opts = two_slot_opts();  // max_delay 10 s
+  opts.max_batch = 2;
+  opts.default_variant = "a";
+  InferenceEngine engine(reg, opts);
+
+  // Fill both slots: the first blocker leaves by the idle cutoff, the second
+  // with a companion by the size cutoff (one worker is left, so the idle
+  // cutoff cannot take it). Queue one request per variant behind them.
+  auto held1 = engine.submit(payload(MockServable::kHeldHead));
+  ASSERT_TRUE(wait_for_in_flight(engine, 1));
+  auto held2 = engine.submit(payload(MockServable::kHeldHead));
+  auto companion = engine.submit(payload(6));
+  ASSERT_TRUE(wait_for_in_flight(engine, 2));
+  auto fa = engine.submit(payload(1));
+  auto fb = engine.submit(payload(2), req(Priority::kNormal, "b"));
+
+  // Free both slots. The "a" group leaves by the idle cutoff while the other
+  // worker stays free; that worker holds "b" until the "a" worker returns,
+  // which then takes "b" by the idle cutoff too.
+  a->release_held();
+  ASSERT_EQ(fa.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+      << "the \"a\" group sat out max_delay with both workers free";
+  ASSERT_EQ(fb.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+      << "the \"b\" group sat out max_delay after a worker returned";
+  const Prediction pa = fa.get();
+  const Prediction pb = fb.get();
+  EXPECT_EQ(pa.variant, "a");
+  EXPECT_EQ(pb.variant, "b");
+  EXPECT_EQ(pa.label, 1);
+  EXPECT_EQ(pb.label, 2);
+  EXPECT_LT(pa.queue_ms, 2000.0);
+  EXPECT_LT(pb.queue_ms, 2000.0);
+  EXPECT_EQ(held1.get().label, static_cast<int>(MockServable::kHeldHead));
+  EXPECT_EQ(held2.get().label, static_cast<int>(MockServable::kHeldHead));
+  EXPECT_EQ(companion.get().label, 6);
+  // The first blocker, "a" and "b" took the idle cutoff; the full pair did not.
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.batches, 4u);
+  EXPECT_EQ(st.idle_batches, 3u);
+}
+
+TEST(ServingEngine, HeldForwardKeepsEveryQueuedVariantWaiting) {
   auto reg = std::make_shared<ModelRegistry>();
   auto a = std::make_shared<MockServable>("a");
   auto b = std::make_shared<MockServable>("b");
   reg->publish(a);
   reg->publish(b);
   EngineOptions opts = two_slot_opts();
-  opts.max_delay = std::chrono::milliseconds(100);
   opts.default_variant = "a";
   InferenceEngine engine(reg, opts);
 
-  // Fill both slots, queue one request per variant behind them, then free
-  // both slots at once: the "a" group is not the whole queue, so it waits
-  // out max_delay even though both slots are free.
-  auto held1 = engine.submit(payload(MockServable::kHeldHead));
+  // One forward held, two variants queued: taking either group would leave
+  // no worker waiting, so neither leaves before the held forward returns.
+  auto held = engine.submit(payload(MockServable::kHeldHead));
   ASSERT_TRUE(wait_for_in_flight(engine, 1));
-  auto held2 = engine.submit(payload(MockServable::kHeldHead));
-  ASSERT_TRUE(wait_for_in_flight(engine, 2));
   auto fa = engine.submit(payload(1));
   auto fb = engine.submit(payload(2), req(Priority::kNormal, "b"));
-  a->release_held();
+  EXPECT_EQ(fa.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
+  EXPECT_EQ(fb.wait_for(std::chrono::milliseconds(0)), std::future_status::timeout);
+  EXPECT_EQ(engine.in_flight(), 1);
 
-  const Prediction pa = fa.get();
-  const Prediction pb = fb.get();
-  EXPECT_EQ(pa.variant, "a");
-  EXPECT_EQ(pb.variant, "b");
-  EXPECT_GE(pa.queue_ms, 100.0) << "a group sharing the queue closed before max_delay";
-  held1.get();
-  held2.get();
-  // Only the first blocker, alone on an idle engine, took the idle cutoff.
-  EXPECT_EQ(engine.stats().idle_batches, 1u);
+  const auto t0 = std::chrono::steady_clock::now();
+  a->release_held();
+  EXPECT_EQ(fa.get().label, 1);
+  EXPECT_EQ(fb.get().label, 2);
+  EXPECT_LT(ms_since(t0), 2000.0) << "the returned worker did not serve the queued groups";
+  EXPECT_EQ(held.get().label, static_cast<int>(MockServable::kHeldHead));
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.batches, 3u);
+  EXPECT_EQ(st.idle_batches, 3u);
 }
 
 TEST(ServingEngine, ThreeSlotEngineClosesALoneRequestWhileTwoWorkersWait) {
